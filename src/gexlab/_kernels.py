@@ -76,14 +76,25 @@ def dp_step_numpy(values, law_ptr, law_k, law_p, base, out_len):
 # ---------------------------------------------------------------------------
 
 
-def gheat_march_numpy(u, cu, cd, n_steps):
+def _gheat_steps_numpy(u, cu, cd, n_steps, check_each_step):
     u = u.copy()
     for step in range(n_steps):
         d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
         u[1:-1] += cu * np.maximum(d2, 0.0) - cd * np.maximum(-d2, 0.0)
-        if not np.isfinite(u).all():
+        if check_each_step and not np.isfinite(u).all():
             return step, u
     return -1, u
+
+
+def gheat_march_numpy(u, cu, cd, n_steps):
+    # A non-finite node stays non-finite under this update: NaN passes
+    # through np.maximum and an inf node turns NaN on the next step.  So one
+    # check of the final profile decides success, and only a failed march is
+    # repeated with the per-step check to find the first bad step.
+    _, out = _gheat_steps_numpy(u, cu, cd, n_steps, check_each_step=False)
+    if np.isfinite(out).all():
+        return -1, out
+    return _gheat_steps_numpy(u, cu, cd, n_steps, check_each_step=True)
 
 
 if _HAS_NUMBA:

@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.stats import norm
 
 from . import _kernels
 from .ambiguity import MomentEnvelope, evaluate_on
-from .errors import ConfigurationError, DivergenceError, DomainError, ValidationError
+from .errors import (
+    ConfigurationError,
+    DivergenceError,
+    DomainError,
+    SizeError,
+    ValidationError,
+)
+from .pengsum import MAX_GRID_POINTS
 
 CFL_LIMIT = 0.5
 MIN_PAD_FACTOR = 4.0
@@ -78,6 +83,11 @@ class PdeGrid:
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
         ratio = (self.x_max - self.x_min) / self.dx
+        if not ratio + 1.0 <= MAX_GRID_POINTS:
+            raise SizeError(
+                f"PDE grid would need {ratio + 1.0:.6g} nodes "
+                f"(limit {MAX_GRID_POINTS}); increase dx or narrow the domain"
+            )
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError(
                 f"(x_max - x_min)/dx = {ratio!r} is not an integer within 1e-9"
@@ -229,14 +239,23 @@ def gaussian_quadrature_oracle(
 ) -> float:
     """Classical E[phi(sigma * Z)], Z standard normal, by composite Simpson.
 
-    Independent of the PDE route; exact enough for unit tests when sigma_lo
-    equals sigma_hi.
+    Uses the 1/3 rule with weights 1, 4, 2, ..., 4, 1 on ``n_nodes`` equally
+    spaced points of ``[-z_max, z_max]``, so ``n_nodes`` must be odd and at
+    least 3.  Independent of the PDE route; exact enough for unit tests when
+    sigma_lo equals sigma_hi.
     """
     sigma = float(sigma)
+    z_max = float(z_max)
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValidationError(f"sigma must be non-negative, got {sigma!r}")
+    if not (np.isfinite(z_max) and z_max > 0.0):
+        raise ValidationError(f"z_max must be positive and finite, got {z_max!r}")
+    if n_nodes < 3 or n_nodes % 2 == 0:
+        raise ValidationError(f"n_nodes must be odd and at least 3, got {n_nodes!r}")
     if sigma == 0.0:
         return float(np.asarray(phi(np.array(0.0)), dtype=np.float64))
     z = np.linspace(-z_max, z_max, n_nodes)
-    vals = evaluate_on(phi, sigma * z) * norm.pdf(z)
-    return float(simpson(vals, x=z))
+    vals = evaluate_on(phi, sigma * z) * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    h = 2.0 * z_max / (n_nodes - 1)
+    odd, even = vals[1:-1:2].sum(), vals[2:-1:2].sum()
+    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even))

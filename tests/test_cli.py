@@ -135,6 +135,11 @@ class TestExitCodes:
         assert cli.main(["gheat", "--sigma-lo", "1.0"]) == cli.EXIT_CONFIG
         assert "--sigma-hi" in capsys.readouterr().err
 
+    def test_oversized_pde_grid_is_runtime_error(self, capsys):
+        assert cli.main(["gheat", "--dx", "1e-30"]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nodes" in err
+
 
 class TestAxiomCommands:
     def test_axioms_csv_to_stdout(self, capsys):
@@ -289,6 +294,15 @@ class TestConfigDrivenOutput:
 
 
 class TestSubprocessEntry:
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, gexlab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_runs_and_is_deterministic(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

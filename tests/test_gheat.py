@@ -9,6 +9,7 @@ from gexlab.errors import (
     ConfigurationError,
     DivergenceError,
     DomainError,
+    SizeError,
     ValidationError,
 )
 from gexlab.gheat import (
@@ -76,6 +77,11 @@ class TestPdeGrid:
         with pytest.raises(ValidationError):
             PdeGrid(**kwargs)
 
+    @pytest.mark.parametrize("dx", [1e-30, 5e-324])
+    def test_rejects_oversized_grid(self, dx):
+        with pytest.raises(SizeError, match="nodes"):
+            PdeGrid(-6.0, 6.0, dx, 1e-3)
+
     def test_xs(self):
         grid = PdeGrid(-1.0, 1.0, 0.5, 1e-2)
         assert grid.n_cells == 4
@@ -117,6 +123,17 @@ class TestSolver:
         with pytest.raises(DivergenceError, match="step 3"):
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
         assert calls["n"] > 0
+
+    def test_overflow_reported(self):
+        # the real kernel overflows: the spike's second difference is -inf
+        grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
+
+        def spike(x):
+            return np.where(np.abs(x) < 1e-9, 1.7e308, 0.0)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="step 0"):
+                solve_g_heat(GParams(1.0, 1.0), spike, grid)
 
     def test_boundaries_frozen(self):
         grid = PdeGrid(-2.0, 2.0, 0.1, 0.001)
@@ -193,6 +210,12 @@ class TestQuadratureOracle:
     def test_validation(self):
         with pytest.raises(ValidationError):
             gaussian_quadrature_oracle(-1.0, np.abs)
+        for n_nodes in (-1, 0, 1, 2, 4, 10000):
+            with pytest.raises(ValidationError, match="n_nodes"):
+                gaussian_quadrature_oracle(1.0, np.abs, n_nodes=n_nodes)
+        for z_max in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValidationError, match="z_max"):
+                gaussian_quadrature_oracle(1.0, np.abs, z_max=z_max)
 
     def test_sigma_zero(self):
         assert gaussian_quadrature_oracle(0.0, lambda x: x + 3.0) == 3.0
@@ -206,6 +229,13 @@ class TestQuadratureOracle:
         assert gaussian_quadrature_oracle(2.0, np.abs) == pytest.approx(
             2.0 * math.sqrt(2.0 / math.pi), abs=1e-9
         )
+        for sigma in (0.5, 2.0):
+            assert gaussian_quadrature_oracle(sigma, np.square) == pytest.approx(
+                sigma**2, abs=1e-12
+            )
+            assert gaussian_quadrature_oracle(sigma, make_phi("quartic")) == pytest.approx(
+                3.0 * sigma**4, abs=1e-12
+            )
 
     def test_fractional_moment_gamma_formula(self):
         # E|Z|^r = 2^(r/2) Gamma((r+1)/2) / sqrt(pi)

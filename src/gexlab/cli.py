@@ -25,10 +25,10 @@ from .errors import (
 )
 from .experiments import clt_convergence, moment_scan, reference_set
 from .fuzz import axiom_suite, independence_suite
-from .gheat import GParams, g_normal_solution, gaussian_quadrature_oracle
+from .gheat import GParams, g_normal_solution, gaussian_quadrature_oracle, params_from_envelope
 from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectation
 from .phis import parse_phi
-from .serialize import dumps_csv, dumps_json
+from .serialize import dumps_csv, dumps_json, write_csv, write_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -215,25 +215,15 @@ def _emit(args, cfg: Config, json_obj, csv_header, csv_rows) -> None:
     """Write the report as JSON or CSV to the chosen path or stdout."""
     fmt = _pick(args.format, cfg.output.get("format"), "json")
     path = _pick(args.out, cfg.output.get("path"), None)
-    if fmt == "json":
-        text = dumps_json(json_obj)
-    else:
-        text = dumps_csv(csv_header, csv_rows)
     if path is None:
+        text = dumps_json(json_obj) if fmt == "json" else dumps_csv(csv_header, csv_rows)
         sys.stdout.write(text)
+        return
+    if fmt == "json":
+        write_json(path, json_obj)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
-
-
-def _phi_dict(phi) -> dict:
-    return {
-        "name": phi.name,
-        "args": list(phi.args),
-        "growthExponent": phi.growth_exponent,
-        "convexityTag": phi.convexity,
-    }
+        write_csv(path, csv_header, csv_rows)
+    print(f"wrote {path}")
 
 
 def _ambiguity_or_reference(cfg: Config) -> AmbiguitySet:
@@ -282,8 +272,7 @@ def _cmd_gheat(args, cfg: Config) -> int:
     if (sigma_lo is None) != (sigma_hi is None):
         raise ValidationError("give both --sigma-lo and --sigma-hi or neither")
     if sigma_lo is None:
-        env = moment_envelope(_ambiguity_or_reference(cfg))
-        params = GParams(float(np.sqrt(env.var_lower)), float(np.sqrt(env.var_upper)))
+        params = params_from_envelope(moment_envelope(_ambiguity_or_reference(cfg)))
     else:
         params = GParams(sigma_lo, sigma_hi)
     phi = parse_phi(_pick(args.phi, cfg.experiment.get("phi"), "square"))
@@ -294,7 +283,7 @@ def _cmd_gheat(args, cfg: Config) -> int:
     report = {
         "sigmaLo": params.sigma_lo,
         "sigmaHi": params.sigma_hi,
-        "phi": _phi_dict(phi),
+        "phi": phi.to_dict(),
         "dx": dx,
         "padFactor": pad,
         "value": value,
@@ -400,7 +389,10 @@ def main(argv=None) -> int:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         if args.trials is not None and args.trials < 1:
             raise ValidationError(f"--trials must be positive, got {args.trials}")
-        return _COMMANDS[args.command][0](args, cfg)
+        # A non-finite number ends as a gexlab error with its own message,
+        # so numpy's overflow warnings would only add stderr lines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command][0](args, cfg)
     except json.JSONDecodeError as exc:
         print(f"gexlab: config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,17 +1,14 @@
 """Experiment drivers: moment growth, variance subadditivity, robust CLT.
 
 Each driver validates the mean-zero hypothesis, runs the exact dynamic
-program over a list of n values (optionally on a small thread pool), and
-returns a report object with deterministic dict/CSV projections.
+program serially over a sorted list of n values, and returns a report
+object with deterministic dict/CSV projections.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +20,7 @@ from .ambiguity import (
     upper_expectation,
 )
 from .errors import ConfigurationError, HypothesisError, ValidationError
-from .gheat import GParams, g_normal_expectation
+from .gheat import g_normal_expectation, params_from_envelope
 from .phis import PhiSpec, make_phi
 from .pengsum import normalized_sum_expectation, sum_expectation
 
@@ -40,33 +37,6 @@ def reference_set() -> AmbiguitySet:
     unit = DiscreteDistribution.from_atoms(0.5, [(-2, 0.5), (2, 0.5)])
     half = DiscreteDistribution.from_atoms(0.5, [(-1, 0.5), (1, 0.5)])
     return AmbiguitySet((unit, half), labels=("coin +-1", "coin +-0.5"))
-
-
-def thread_count() -> int:
-    """Worker cap from GEXLAB_THREADS; defaults to 1."""
-    raw = os.environ.get("GEXLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"GEXLAB_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise ConfigurationError(f"GEXLAB_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _map_over_n(fn: Callable[[int], float], n_list: Sequence[int]) -> list[tuple[int, float]]:
-    """Evaluate ``fn`` per n, in parallel when allowed, sorted by n."""
-    ns = sorted(set(int(n) for n in n_list))
-    workers = min(thread_count(), len(ns))
-    if workers <= 1:
-        values = {n: fn(n) for n in ns}
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {n: pool.submit(fn, n) for n in ns}
-            values = {n: futures[n].result() for n in ns}
-    return [(n, values[n]) for n in ns]
 
 
 def _check_n_list(n_list: Sequence[int]) -> list[int]:
@@ -146,7 +116,7 @@ def moment_scan(aset: AmbiguitySet, r: float, n_list: Sequence[int]) -> MomentSc
     if len(ns) < 4:
         raise ConfigurationError(f"nList needs at least 4 entries, got {len(ns)}")
     phi = make_phi("abspow", r)
-    entries = _map_over_n(lambda n: sum_expectation(aset, n, phi), ns)
+    entries = [(n, sum_expectation(aset, n, phi)) for n in ns]
     slope = _loglog_slope(entries)
     half = r / 2.0
     fitted_k = max(a / float(n) ** half for n, a in entries)
@@ -179,11 +149,9 @@ def variance_subadditivity_check(
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got {n_max}")
     one_step = upper_expectation(aset, np.square)
-    pairs = _map_over_n(
-        lambda n: sum_expectation(aset, n, np.square), range(1, n_max + 1)
-    )
     rows = []
-    for n, lhs in pairs:
+    for n in range(1, n_max + 1):
+        lhs = sum_expectation(aset, n, np.square)
         rhs = n * one_step
         rows.append(SubadditivityRow(n, lhs, rhs, lhs <= rhs + tol))
     return rows
@@ -202,12 +170,7 @@ class CltReport:
 
     def to_dict(self) -> dict:
         return {
-            "phi": {
-                "name": self.phi.name,
-                "args": list(self.phi.args),
-                "growthExponent": self.phi.growth_exponent,
-                "convexityTag": self.phi.convexity,
-            },
+            "phi": self.phi.to_dict(),
             "envelope": {
                 "meanLower": self.envelope.mean_lower,
                 "meanUpper": self.envelope.mean_upper,
@@ -244,9 +207,9 @@ def clt_convergence(
     require_mean_zero(aset)
     ns = _check_n_list(n_list)
     envelope = moment_envelope(aset)
-    params = GParams(math.sqrt(envelope.var_lower), math.sqrt(envelope.var_upper))
+    params = params_from_envelope(envelope)
     pde_value = g_normal_expectation(params, phi, dx=dx, pad_factor=pad_factor)
-    pairs = _map_over_n(lambda n: normalized_sum_expectation(aset, n, phi), ns)
+    pairs = [(n, normalized_sum_expectation(aset, n, phi)) for n in ns]
     entries = tuple((n, dp, abs(dp - pde_value)) for n, dp in pairs)
     return CltReport(
         phi=phi,
@@ -288,7 +251,7 @@ def uniform_moment_check(
         raise ValidationError(f"need p >= 1, got {p!r}")
     ns = _check_n_list(n_list)
     phi = make_phi("abspow", p + 1.0)
-    entries = _map_over_n(lambda n: normalized_sum_expectation(aset, n, phi), ns)
+    entries = [(n, normalized_sum_expectation(aset, n, phi)) for n in ns]
     slope = _loglog_slope(entries)
     return UniformMomentReport(
         p=p,

@@ -142,6 +142,12 @@ def _march_segment(u, cu, cd, duration, dt):
     return -1, steps, u
 
 
+def _square_ratio(a: float, b: float) -> float:
+    """``(a / b)**2`` that saturates to inf or 0 instead of raising."""
+    r = a / b
+    return r * r
+
+
 def solve_g_heat(
     params: GParams,
     phi: Callable,
@@ -155,7 +161,10 @@ def solve_g_heat(
     Raises ConfigurationError when the parabolic step bound
     ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails.
     """
-    cfl = params.sigma_hi**2 * grid.dt / grid.dx**2
+    # The squares of dx and sigma_hi can overflow or underflow a float on
+    # their own; the scheme needs only their ratio.
+    r2 = _square_ratio(grid.dx, params.sigma_hi)
+    cfl = grid.dt / r2 if r2 > 0.0 else math.inf
     if cfl > CFL_LIMIT * (1.0 + 1e-12):
         raise ConfigurationError(
             f"unstable step: sigma_hi^2*dt/dx^2 = {cfl:.6g} exceeds {CFL_LIMIT}"
@@ -168,8 +177,8 @@ def solve_g_heat(
             )
     xs = grid.xs
     u = evaluate_on(phi, xs)
-    cu = 0.5 * grid.dt * params.sigma_hi**2 / grid.dx**2
-    cd = 0.5 * grid.dt * params.sigma_lo**2 / grid.dx**2
+    cu = 0.5 * grid.dt / r2
+    cd = 0.5 * grid.dt * _square_ratio(params.sigma_lo, params.sigma_hi) / r2
     snapshots = []
     elapsed = 0.0
     steps_done = 0
@@ -210,11 +219,15 @@ def g_normal_solution(
         raise ValidationError(f"dx must be positive, got {dx!r}")
     margin = float(getattr(phi, "margin", 0.0))
     half_width = pad_factor * params.sigma_hi * math.sqrt(horizon) + margin
-    n_half = max(1, int(math.ceil(half_width / dx - 1e-9)))
+    half_cells = half_width / dx
+    if not 2.0 * half_cells + 1.0 <= MAX_GRID_POINTS:
+        raise SizeError(
+            f"PDE grid would need {2.0 * half_cells + 1.0:.6g} nodes "
+            f"(limit {MAX_GRID_POINTS}); increase dx or lower pad_factor"
+        )
+    n_half = max(1, int(math.ceil(half_cells - 1e-9)))
     L = n_half * dx
-    dt = 0.4 * dx**2 / params.sigma_hi**2
-    if dt > horizon:
-        dt = horizon
+    dt = min(0.4 * _square_ratio(dx, params.sigma_hi), horizon)
     grid = PdeGrid(-L, L, dx, dt, horizon)
     return solve_g_heat(params, phi, grid)
 

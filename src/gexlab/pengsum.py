@@ -76,18 +76,28 @@ class GridFunction:
         return float(self.values[index - self.grid.min_index])
 
 
-def _atom_bounds(aset: AmbiguitySet) -> tuple[int, int]:
-    return aset.min_index(), aset.max_index()
+def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: int):
+    """Apply the one-step operator ``n_steps`` times to ``values`` on ``[lo, hi]``.
 
-
-def _flat_laws(aset: AmbiguitySet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate all laws into (ptr, k, p) arrays for the kernels."""
+    Each sweep keeps the largest index block on which every law's shifted
+    support stays inside the previous block.  Returns ``(values, lo, hi)``
+    for the final block.
+    """
+    k_lo, k_hi = aset.min_index(), aset.max_index()
+    if hi - lo < n_steps * (k_hi - k_lo):
+        raise DomainError(
+            f"input domain [{lo}, {hi}] is too narrow: one step consumes "
+            f"{-k_lo} indices on the left and {k_hi} on the right"
+        )
     sizes = [law.indices.size for law in aset.laws]
     ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=ptr[1:])
     ks = np.concatenate([law.indices for law in aset.laws]).astype(np.int64)
     ps = np.concatenate([law.probs for law in aset.laws]).astype(np.float64)
-    return ptr, ks, ps
+    for _ in range(n_steps):
+        lo, hi = lo - k_lo, hi - k_hi
+        values = _kernels.dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1)
+    return values, lo, hi
 
 
 def one_step_operator(aset: AmbiguitySet, f: GridFunction) -> GridFunction:
@@ -100,20 +110,8 @@ def one_step_operator(aset: AmbiguitySet, f: GridFunction) -> GridFunction:
         raise ValidationError(
             f"grid step {f.grid.step!r} differs from law step {aset.step!r}"
         )
-    k_lo, k_hi = _atom_bounds(aset)
-    out_min = f.grid.min_index - k_lo
-    out_max = f.grid.max_index - k_hi
-    if out_max < out_min:
-        raise DomainError(
-            f"input domain [{f.grid.min_index}, {f.grid.max_index}] is too "
-            f"narrow: one step consumes {-k_lo} indices on the left and "
-            f"{k_hi} on the right"
-        )
-    ptr, ks, ps = _flat_laws(aset)
-    base = out_min - f.grid.min_index
-    out_len = out_max - out_min + 1
-    out = _kernels.dp_step(f.values, ptr, ks, ps, base, out_len)
-    return GridFunction(LatticeGrid(aset.step, out_min, out_max), out)
+    values, lo, hi = _sweep(aset, f.values, f.grid.min_index, f.grid.max_index, 1)
+    return GridFunction(LatticeGrid(aset.step, lo, hi), values)
 
 
 def sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:
@@ -133,18 +131,9 @@ def sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:
             f"(limit {MAX_GRID_POINTS}); reduce n or the atom span"
         )
     grid = LatticeGrid(aset.step, -n * K, n * K)
-    values = evaluate_on(phi, grid.points)
-    ptr, ks, ps = _flat_laws(aset)
-    k_lo, k_hi = _atom_bounds(aset)
-    cur_min, cur_max = grid.min_index, grid.max_index
-    for _ in range(n):
-        out_min = cur_min - k_lo
-        out_max = cur_max - k_hi
-        base = out_min - cur_min
-        values = _kernels.dp_step(values, ptr, ks, ps, base, out_max - out_min + 1)
-        cur_min, cur_max = out_min, out_max
+    values, lo, _ = _sweep(aset, evaluate_on(phi, grid.points), grid.min_index, grid.max_index, n)
     # the final block always contains index 0
-    return float(values[0 - cur_min])
+    return float(values[-lo])
 
 
 def normalized_sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:

@@ -33,6 +33,15 @@ class PhiSpec:
             return self.name
         return self.name + ":" + ";".join(f"{a:g}" for a in self.args)
 
+    def to_dict(self) -> dict:
+        """Report projection shared by every report that names its phi."""
+        return {
+            "name": self.name,
+            "args": list(self.args),
+            "growthExponent": self.growth_exponent,
+            "convexityTag": self.convexity,
+        }
+
     def __call__(self, x):
         return self.fn(x)
 

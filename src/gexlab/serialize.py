@@ -88,9 +88,14 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def write_json(path: str, obj: Any) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+        fh.write(text)
+
+
+def write_json(path: str, obj: Any) -> None:
+    # serialize first, so a report that cannot be written leaves no file
+    _write_text(path, dumps_json(obj))
 
 
 def dumps_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -106,5 +111,4 @@ def dumps_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_csv(header, rows))
+    _write_text(path, dumps_csv(header, rows))

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from gexlab import _kernels
 from gexlab.experiments import reference_set
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jit kernels once so per-test runtimes measure the math
-    _kernels.warm_up()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -293,15 +294,45 @@ class TestConfigDrivenOutput:
         json.loads(out.read_text())
 
 
+def run_gexlab(*argv, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "gexlab", *argv], capture_output=True, text=True, env=env
+    )
+
+
+# Environment settings the package must not read.
+STALE_KNOBS = {"GEXLAB_BACKEND": "fortran", "GEXLAB_THREADS": "abc"}
+
+
 class TestSubprocessEntry:
     def test_cli_import_loads_no_scipy(self):
         code = (
-            "import sys, gexlab.cli; "
+            "import sys, gexlab, gexlab.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        env = {**os.environ, **STALE_KNOBS}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_stale_environment_knobs_are_ignored(self):
+        proc = run_gexlab("moments", "--n", "4,8,16,32", env={**os.environ, **STALE_KNOBS})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
+
+    def test_huge_scales_refused_in_one_line(self):
+        # x**2 on the 6e200-wide domain overflows; square cannot be evaluated there
+        proc = run_gexlab("gheat", "--sigma-lo", "1e200", "--sigma-hi", "1e200", "--dx", "1e200")
+        assert proc.returncode == cli.EXIT_RUNTIME, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "non-finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_tiny_scales_solved(self):
+        # sigma_hi**2 underflows to 0; the ratio dx/sigma_hi does not
+        proc = run_gexlab("gheat", "--sigma-lo", "1e-170", "--sigma-hi", "1e-170")
+        assert proc.returncode == cli.EXIT_PASS, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["value"] == 0.0
 
     def test_module_runs_and_is_deterministic(self, tmp_path):
         outs = []

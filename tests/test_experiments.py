@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, moment_envelope
@@ -10,7 +9,6 @@ from gexlab.experiments import (
     moment_scan,
     reference_set,
     require_mean_zero,
-    thread_count,
     uniform_moment_check,
     variance_subadditivity_check,
 )
@@ -50,22 +48,6 @@ class TestRequireMeanZero:
         # -1 w.p. 2/3 and +2 w.p. 1/3: the float means cancel exactly
         law = DiscreteDistribution.from_atoms(1.0, [(-1, 2.0 / 3.0), (2, 1.0 / 3.0)])
         require_mean_zero(AmbiguitySet((law,)))
-
-
-class TestThreadCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("GEXLAB_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("GEXLAB_THREADS", " 4 ")
-        assert thread_count() == 4
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
-    def test_rejects(self, monkeypatch, raw):
-        monkeypatch.setenv("GEXLAB_THREADS", raw)
-        with pytest.raises(ConfigurationError):
-            thread_count()
 
 
 class TestMomentScan:
@@ -206,18 +188,3 @@ class TestUniformMomentCheck:
         d = uniform_moment_check(ref_set, 1.0, [2, 4, 8]).to_dict()
         assert list(d) == ["p", "entries", "maxValue", "slope", "pass"]
         assert d["entries"][0] == {"n": 2, "bN": d["entries"][0]["bN"]}
-
-
-class TestThreading:
-    def test_thread_pool_matches_serial(self, ref_set, monkeypatch):
-        monkeypatch.delenv("GEXLAB_THREADS", raising=False)
-        serial = moment_scan(ref_set, 3.0, [4, 8, 16, 32])
-        monkeypatch.setenv("GEXLAB_THREADS", "4")
-        pooled = moment_scan(ref_set, 3.0, [4, 8, 16, 32])
-        assert pooled == serial
-
-    def test_clt_under_threads(self, ref_set, monkeypatch):
-        monkeypatch.setenv("GEXLAB_THREADS", "2")
-        report = clt_convergence(ref_set, make_phi("abs"), [4, 16])
-        for n, dp, err in report.entries:
-            assert np.isfinite(dp) and np.isfinite(err)

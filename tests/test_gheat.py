@@ -94,6 +94,12 @@ class TestSolver:
         with pytest.raises(ConfigurationError, match="dx"):
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
 
+    def test_cfl_guard_when_dx_squared_underflows(self):
+        # (dx / sigma_hi)**2 rounds to 0 here; the step is refused, not divided by
+        grid = PdeGrid(-1e-160, 1e-160, 1e-162, 1.0)
+        with pytest.raises(ConfigurationError, match="unstable"):
+            solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
+
     def test_snapshot_validation(self):
         grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
         with pytest.raises(ValidationError):
@@ -204,6 +210,21 @@ class TestGNormal:
         # with genuine uncertainty the cube expectation is strictly positive
         v = g_normal_expectation(BAND, make_phi("cube"), dx=0.05)
         assert v > 0.1
+
+
+    def test_huge_scale_matches_unit_scale(self):
+        # dx**2 and sigma_hi**2 overflow on their own; the scheme uses their ratio
+        big = g_normal_expectation(GParams(1e200, 1e200), make_phi("abs"), dx=1e200)
+        unit = g_normal_expectation(GParams(1.0, 1.0), make_phi("abs"), dx=1.0)
+        assert big == pytest.approx(1e200 * unit, rel=1e-12)
+
+    def test_tiny_band_keeps_terminal_value(self):
+        # sigma_hi**2 underflows to 0; at dx >> sigma the march moves nothing
+        assert g_normal_expectation(GParams(1e-170, 1e-170), make_phi("square")) == 0.0
+
+    def test_unbounded_domain_refused(self):
+        with pytest.raises(SizeError, match="nodes"):
+            g_normal_solution(GParams(1.0, 1e300), make_phi("abs"))
 
 
 class TestQuadratureOracle:

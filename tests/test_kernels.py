@@ -1,10 +1,6 @@
 import numpy as np
-import pytest
 
 from gexlab import _kernels
-from gexlab.errors import ConfigurationError
-
-needs_numba = pytest.mark.skipif(not _kernels._HAS_NUMBA, reason="numba unavailable")
 
 
 def random_dp_inputs(rng):
@@ -38,107 +34,49 @@ def gheat_march_reference(u, cu, cd, n_steps):
     return u
 
 
-class TestBackendSelection:
-    def test_auto_prefers_numba(self, monkeypatch):
-        monkeypatch.setenv(_kernels._ENV_VAR, "auto")
-        want = "numba" if _kernels._HAS_NUMBA else "numpy"
-        assert _kernels._selected_backend() == want
-
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv(_kernels._ENV_VAR, raising=False)
-        assert _kernels._selected_backend() in ("numba", "numpy")
-
-    def test_numpy_forced_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(_kernels._ENV_VAR, " NumPy ")
-        assert _kernels._selected_backend() == "numpy"
-
-    def test_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv(_kernels._ENV_VAR, "fortran")
-        with pytest.raises(ConfigurationError, match="not understood"):
-            _kernels._selected_backend()
-
-    def test_numba_request(self, monkeypatch):
-        monkeypatch.setenv(_kernels._ENV_VAR, "numba")
-        if _kernels._HAS_NUMBA:
-            assert _kernels._selected_backend() == "numba"
-        else:
-            with pytest.raises(ConfigurationError):
-                _kernels._selected_backend()
-
-    def test_dispatch_matches_backend(self):
-        if _kernels.BACKEND == "numba":
-            assert _kernels.dp_step is _kernels.dp_step_numba
-        else:
-            assert _kernels.dp_step is _kernels.dp_step_numpy
-
-
 class TestDpStep:
     def test_numpy_matches_reference(self, rng):
         for _ in range(20):
             args = random_dp_inputs(rng)
-            np.testing.assert_array_equal(_kernels.dp_step_numpy(*args), dp_step_reference(*args))
-
-    @needs_numba
-    def test_backends_agree_bitwise(self, rng):
-        for _ in range(20):
-            args = random_dp_inputs(rng)
-            got_np = _kernels.dp_step_numpy(*args)
-            got_nb = _kernels.dp_step_numba(*args)
-            np.testing.assert_array_equal(got_np, got_nb)
+            np.testing.assert_array_equal(_kernels.dp_step(*args), dp_step_reference(*args))
 
     def test_single_law_is_plain_convolution(self):
         values = np.arange(10.0)
         ptr = np.array([0, 2], dtype=np.int64)
         ks = np.array([-1, 1], dtype=np.int64)
         ps = np.array([0.5, 0.5])
-        out = _kernels.dp_step_numpy(values, ptr, ks, ps, 1, 8)
+        out = _kernels.dp_step(values, ptr, ks, ps, 1, 8)
         np.testing.assert_array_equal(out, np.arange(1.0, 9.0))
 
 
 class TestGheatMarch:
     def test_numpy_matches_reference(self, rng):
         u = rng.normal(size=16)
-        bad, got = _kernels.gheat_march_numpy(u, 0.2, 0.05, 25)
+        bad, got = _kernels.gheat_march(u, 0.2, 0.05, 25)
         assert bad == -1
         np.testing.assert_array_equal(got, gheat_march_reference(u, 0.2, 0.05, 25))
 
-    @needs_numba
-    def test_backends_agree_bitwise(self, rng):
-        for _ in range(5):
-            u = rng.normal(size=33)
-            bad_np, got_np = _kernels.gheat_march_numpy(u, 0.3, 0.1, 40)
-            bad_nb, got_nb = _kernels.gheat_march_numba(u, 0.3, 0.1, 40)
-            assert bad_np == bad_nb == -1
-            np.testing.assert_array_equal(got_np, got_nb)
-
     def test_boundaries_never_move(self, rng):
         u = rng.normal(size=12)
-        _, got = _kernels.gheat_march_numpy(u, 0.2, 0.2, 10)
+        _, got = _kernels.gheat_march(u, 0.2, 0.2, 10)
         assert got[0] == u[0]
         assert got[-1] == u[-1]
 
     def test_input_array_untouched(self, rng):
         u = rng.normal(size=12)
         keep = u.copy()
-        _kernels.gheat_march_numpy(u, 0.2, 0.2, 5)
+        _kernels.gheat_march(u, 0.2, 0.2, 5)
         np.testing.assert_array_equal(u, keep)
 
     def test_poisoned_input_reported_at_step_zero(self):
         u = np.zeros(9)
         u[4] = np.inf
         with np.errstate(invalid="ignore"):
-            bad_np, _ = _kernels.gheat_march_numpy(u, 0.2, 0.1, 10)
-        assert bad_np == 0
-        if _kernels._HAS_NUMBA:
-            bad_nb, _ = _kernels.gheat_march_numba(u, 0.2, 0.1, 10)
-            assert bad_nb == 0
+            bad, _ = _kernels.gheat_march(u, 0.2, 0.1, 10)
+        assert bad == 0
 
     def test_zero_steps_is_identity(self, rng):
         u = rng.normal(size=7)
-        bad, got = _kernels.gheat_march_numpy(u, 0.2, 0.1, 0)
+        bad, got = _kernels.gheat_march(u, 0.2, 0.1, 0)
         assert bad == -1
         np.testing.assert_array_equal(got, u)
-
-
-def test_warm_up_runs():
-    _kernels.warm_up()

@@ -97,3 +97,13 @@ class TestWriters:
         write_csv(path, ("n", "v"), rows)
         assert path.read_bytes() == first
         assert first == b"n,v\n1,0.5\n2,0.25\n"
+
+    def test_unwritable_report_keeps_old_file(self, tmp_path):
+        # the CLI writes through these; a refused report must not truncate
+        path = tmp_path / "r.json"
+        path.write_bytes(b"old")
+        with pytest.raises(ValidationError):
+            write_json(path, {"value": math.nan})
+        with pytest.raises(ValidationError):
+            write_csv(path, ("v",), [(math.inf,)])
+        assert path.read_bytes() == b"old"

@@ -37,14 +37,37 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len):
 # squared volatility bounds.  Boundary nodes are frozen (zero second
 # difference).  Returns (bad_step, result): bad_step is the index of the
 # first step that produced a non-finite value, or -1 on success.
+#
+# Precondition: 0 <= cd <= cu (solve_g_heat has cd/cu = (sigma_lo/sigma_hi)^2
+# and scales both alike for a remainder step).  Then the update equals
+# max(cu*d2, cd*d2), computed in place on two scratch buffers: 7 ufunc calls
+# per step and no allocation.  The two forms differ only in the sign of a
+# zero increment: max gives -0.0 where the two-max form gives +0.0 when cd*d2
+# rounds to zero for d2 < 0, which changes bits only at a node holding -0.0.
+# With cd == 0 that happens for every d2 < 0 (negabs holds -0.0 at x = 0), so
+# that case uses cu*(d2 - min(d2, 0)): the two-max form bit for bit, also
+# when d2 overflows to -inf (NaN, so the march still fails there).
 # ---------------------------------------------------------------------------
 
 
 def _gheat_steps(u, cu, cd, n_steps, check_each_step):
     u = u.copy()
+    left, mid, right = u[:-2], u[1:-1], u[2:]
+    d2 = np.empty_like(mid)
+    tmp = np.empty_like(mid)
     for step in range(n_steps):
-        d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
-        u[1:-1] += cu * np.maximum(d2, 0.0) - cd * np.maximum(-d2, 0.0)
+        np.multiply(mid, 2.0, out=tmp)
+        np.subtract(left, tmp, out=d2)
+        np.add(d2, right, out=d2)
+        if cd == 0.0:
+            np.minimum(d2, 0.0, out=tmp)
+            np.subtract(d2, tmp, out=d2)
+            np.multiply(d2, cu, out=d2)
+        else:
+            np.multiply(d2, cu, out=tmp)
+            np.multiply(d2, cd, out=d2)
+            np.maximum(tmp, d2, out=d2)
+        np.add(mid, d2, out=mid)
         if check_each_step and not np.isfinite(u).all():
             return step, u
     return -1, u

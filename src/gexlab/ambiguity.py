@@ -18,29 +18,34 @@ from .errors import EvaluationError, ValidationError
 PROB_TOL = 1e-12
 
 
-def evaluate_on(f: Callable, points: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array of points, accepting scalar-only callables.
+def evaluate_on(f: Callable, *points: np.ndarray) -> np.ndarray:
+    """Evaluate ``f`` on arrays of points, accepting scalar-only callables.
 
+    ``f`` takes one argument per array (``x``, or ``x`` and ``y`` for a
+    joint function); all arrays share one shape, which the result has too.
     Raises EvaluationError naming the first offending point if any value is
     non-finite.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = tuple(np.asarray(p, dtype=np.float64) for p in points)
+    shape = points[0].shape
     vals = None
     try:
-        out = f(points)
+        out = f(*points)
         arr = np.asarray(out, dtype=np.float64)
-        if arr.shape == points.shape:
+        if arr.shape == shape:
             vals = arr
     except (TypeError, ValueError):
         vals = None
     if vals is None:
-        vals = np.array([float(f(x)) for x in points], dtype=np.float64)
+        flat = zip(*(p.ravel() for p in points))
+        vals = np.array([float(f(*at)) for at in flat], dtype=np.float64).reshape(shape)
     bad = ~np.isfinite(vals)
     if bad.any():
         where = int(np.argmax(bad))
+        at = ", ".join(f"{name}={float(p.flat[where])!r}" for name, p in zip("xy", points))
         raise EvaluationError(
-            f"function returned non-finite value {float(vals[where])!r} "
-            f"at support point x={float(points[where])!r}"
+            f"function returned non-finite value {float(vals.flat[where])!r} "
+            f"at support point {at}"
         )
     return vals
 

@@ -405,6 +405,12 @@ def main(argv=None) -> int:
     except GexlabError as exc:
         print(f"gexlab: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as exc:
+        # Exit 1 means "a check failed, report written"; an unexpected error
+        # is a runtime error, reported in one line instead of a traceback.
+        detail = " ".join(str(exc).split())
+        print(f"gexlab: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ class ConfigurationError(GexlabError, ValueError):
 
 
 class DivergenceError(GexlabError):
-    """A PDE time step produced a non-finite value."""
+    """A PDE time step or a quadrature sum produced a non-finite value."""
 
 
 class HypothesisError(GexlabError):

@@ -271,4 +271,10 @@ def gaussian_quadrature_oracle(
     vals = evaluate_on(phi, sigma * z) * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
     h = 2.0 * z_max / (n_nodes - 1)
     odd, even = vals[1:-1:2].sum(), vals[2:-1:2].sum()
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even))
+    value = float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even))
+    if not math.isfinite(value):
+        raise DivergenceError(
+            f"quadrature oracle overflowed: the Simpson sum of phi(sigma*z) "
+            f"at sigma={sigma!r} is {value!r}"
+        )
+    return value

@@ -9,6 +9,7 @@ oracle enumerates every adapted law-choice strategy for cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,8 +81,8 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     """Apply the one-step operator ``n_steps`` times to ``values`` on ``[lo, hi]``.
 
     Each sweep keeps the largest index block on which every law's shifted
-    support stays inside the previous block.  Returns ``(values, lo, hi)``
-    for the final block.
+    support stays inside the previous block.  Yields ``(values, lo, hi)``
+    for the block after each sweep.
     """
     k_lo, k_hi = aset.min_index(), aset.max_index()
     if hi - lo < n_steps * (k_hi - k_lo):
@@ -97,7 +98,7 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     for _ in range(n_steps):
         lo, hi = lo - k_lo, hi - k_hi
         values = _kernels.dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1)
-    return values, lo, hi
+        yield values, lo, hi
 
 
 def one_step_operator(aset: AmbiguitySet, f: GridFunction) -> GridFunction:
@@ -110,8 +111,41 @@ def one_step_operator(aset: AmbiguitySet, f: GridFunction) -> GridFunction:
         raise ValidationError(
             f"grid step {f.grid.step!r} differs from law step {aset.step!r}"
         )
-    values, lo, hi = _sweep(aset, f.values, f.grid.min_index, f.grid.max_index, 1)
+    values, lo, hi = next(_sweep(aset, f.values, f.grid.min_index, f.grid.max_index, 1))
     return GridFunction(LatticeGrid(aset.step, lo, hi), values)
+
+
+def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> list[float]:
+    """Upper expectations of ``phi(S_n)`` for every n in ``ns``, in order.
+
+    ``W_m = T^m phi`` does not depend on the horizon, so one backward sweep
+    on the block ``[-N*K, N*K]`` (N the largest n, K the largest absolute
+    atom index) passes every n on its way and reads ``W_n`` at the origin.
+    Each output node depends only on its own inputs, so every entry equals
+    ``sum_expectation(aset, n, phi)`` bit for bit.
+    """
+    ns = [int(n) for n in ns]
+    if not ns:
+        raise ValidationError("need at least one n")
+    if min(ns) < 1:
+        raise ValidationError(f"need n >= 1, got {min(ns)}")
+    n_max = max(ns)
+    K = aset.max_abs_index
+    size = 2 * n_max * K + 1
+    if size > MAX_GRID_POINTS:
+        raise SizeError(
+            f"lattice block would need {size} points "
+            f"(limit {MAX_GRID_POINTS}); reduce n or the atom span"
+        )
+    grid = LatticeGrid(aset.step, -n_max * K, n_max * K)
+    wanted = set(ns)
+    at_origin = {}
+    sweeps = _sweep(aset, evaluate_on(phi, grid.points), grid.min_index, grid.max_index, n_max)
+    for m, (values, lo, _) in enumerate(sweeps, start=1):
+        if m in wanted:
+            # every block of the sweep contains index 0
+            at_origin[m] = float(values[-lo])
+    return [at_origin[n] for n in ns]
 
 
 def sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:
@@ -120,20 +154,7 @@ def sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:
     Backward induction on the lattice block ``[-n*K, n*K]`` with K the
     largest absolute atom index, finishing at the origin.
     """
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    K = aset.max_abs_index
-    size = 2 * n * K + 1
-    if size > MAX_GRID_POINTS:
-        raise SizeError(
-            f"lattice block would need {size} points "
-            f"(limit {MAX_GRID_POINTS}); reduce n or the atom span"
-        )
-    grid = LatticeGrid(aset.step, -n * K, n * K)
-    values, lo, _ = _sweep(aset, evaluate_on(phi, grid.points), grid.min_index, grid.max_index, n)
-    # the final block always contains index 0
-    return float(values[-lo])
+    return sum_expectations(aset, [n], phi)[0]
 
 
 def normalized_sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:
@@ -165,11 +186,8 @@ def count_adapted_strategies(aset: AmbiguitySet, n: int) -> int:
     n = int(n)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    n_laws = len(aset.laws)
-    count = 1
-    for r in reachable_index_sets(aset, n)[:-1]:
-        count *= n_laws ** int(r.size)
-    return count
+    n_states = sum(int(r.size) for r in reachable_index_sets(aset, n)[:-1])
+    return len(aset.laws) ** n_states
 
 
 def _transition_tensor(aset: AmbiguitySet, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -204,6 +222,17 @@ def _enumerate_strategy_distributions(aset: AmbiguitySet, n: int) -> tuple[np.nd
     return dists, sets[-1]
 
 
+def _count_text(count: int) -> str:
+    """``count`` in digits, or as a power-of-ten lower bound once it is long.
+
+    The bound comes from the bit length, so a count of millions of digits
+    is never printed or compared digit by digit.
+    """
+    if count < 10**18:
+        return str(count)
+    return f"at least 10^{int((count.bit_length() - 1) * math.log10(2.0))}"
+
+
 def brute_force_adapted_oracle(
     aset: AmbiguitySet,
     n: int,
@@ -232,7 +261,7 @@ def brute_force_adapted_oracle_many(
     count = count_adapted_strategies(aset, n)
     if count > ceiling:
         raise CapacityError(
-            f"{count} adapted strategies exceed the ceiling {ceiling}; "
+            f"{_count_text(count)} adapted strategies exceed the ceiling {ceiling}; "
             "the brute-force oracle refuses to enumerate"
         )
     dists, terminal = _enumerate_strategy_distributions(aset, n)
@@ -244,17 +273,23 @@ def joint_expectation(xset: AmbiguitySet, yset: AmbiguitySet, f: Callable) -> fl
     """Upper expectation of ``f(X, Y)`` with Y independent of X.
 
     Computed by the iterated construction: integrate out Y at each fixed x,
-    then take the upper expectation of the resulting function of x.
+    then take the upper expectation of the resulting function of x.  ``f``
+    is evaluated once on the grid of X-support by Y-support points; each
+    law's expectation is the same 1-D ``probs @ values`` dot on a contiguous
+    row that ``upper_expectation`` would take, so the bits match it.
     """
-
-    def integrated(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        out = np.empty(xs.shape)
-        for i, x in enumerate(xs):
-            out[i] = upper_expectation(yset, lambda y, x=x: f(x, y))
-        return out
-
-    return upper_expectation(xset, integrated)
+    xs = np.unique(np.concatenate([law.support for law in xset.laws]))
+    ys = np.unique(np.concatenate([law.support for law in yset.laws]))
+    grid = evaluate_on(f, *np.meshgrid(xs, ys, indexing="ij"))
+    inner = np.full(xs.size, -np.inf)
+    for law in yset.laws:
+        # np.take keeps rows C-contiguous; a strided dot may sum in another order
+        cols = np.take(grid, np.searchsorted(ys, law.support), axis=1)
+        for i in range(xs.size):
+            inner[i] = max(inner[i], float(law.probs @ cols[i]))
+    return max(
+        float(law.probs @ inner[np.searchsorted(xs, law.support)]) for law in xset.laws
+    )
 
 
 @dataclass(frozen=True)

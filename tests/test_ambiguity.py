@@ -142,6 +142,15 @@ class TestEvaluateOn:
         vals = evaluate_on(np.square, np.array([-2.0, 3.0]))
         np.testing.assert_array_equal(vals, [4.0, 9.0])
 
+    def test_two_coordinate_grid(self):
+        import math
+
+        xs, ys = np.meshgrid([1.0, 2.0], [0.0, 3.0, 4.0], indexing="ij")
+        vectorized = evaluate_on(lambda x, y: x * y, xs, ys)
+        scalar_only = evaluate_on(lambda x, y: math.fsum([float(x) * float(y)]), xs, ys)
+        np.testing.assert_array_equal(vectorized, [[0.0, 3.0, 4.0], [0.0, 6.0, 8.0]])
+        np.testing.assert_array_equal(scalar_only, vectorized)
+
 
 class TestExpectations:
     def test_per_law_vector(self, ref_set):

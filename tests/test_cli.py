@@ -141,6 +141,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "nodes" in err
 
+    def test_unexpected_exception_is_runtime_error(self, monkeypatch, capsys):
+        def broken(args, cfg):
+            raise RuntimeError("lost\nthe plot")
+
+        monkeypatch.setitem(cli._COMMANDS, "moments", (broken, "broken"))
+        assert cli.main(["moments"]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "gexlab: internal error: RuntimeError: lost the plot\n"
+
+    def test_huge_strategy_count_printed_compactly(self, capsys):
+        assert cli.main(["oracle", "--n", "60"]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "at least 10^2149 adapted strategies" in err
+
+    def test_quadrature_overflow_is_runtime_error(self, capsys):
+        argv = ["gheat", "--sigma-lo", "1e307", "--sigma-hi", "1e307", "--dx", "1e307", "--phi", "abs"]
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "quadrature oracle overflowed" in err
+
 
 class TestAxiomCommands:
     def test_axioms_csv_to_stdout(self, capsys):

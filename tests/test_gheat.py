@@ -241,6 +241,15 @@ class TestQuadratureOracle:
     def test_sigma_zero(self):
         assert gaussian_quadrature_oracle(0.0, lambda x: x + 3.0) == 3.0
 
+    def test_overflowing_sum_refused(self):
+        # each weighted node is finite, but the Simpson sum exceeds the float range
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError, match="quadrature oracle overflowed.*sigma=1e\\+307"):
+                gaussian_quadrature_oracle(1e307, np.abs)
+        assert gaussian_quadrature_oracle(1e300, np.abs) == pytest.approx(
+            1e300 * math.sqrt(2.0 / math.pi), rel=1e-9
+        )
+
     def test_classical_moments(self):
         assert gaussian_quadrature_oracle(1.0, np.abs) == pytest.approx(
             math.sqrt(2.0 / math.pi), abs=1e-9

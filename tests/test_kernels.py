@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from gexlab import _kernels
+from gexlab import _kernels, gheat
+from gexlab.gheat import GParams, PdeGrid, g_normal_solution, solve_g_heat
+from gexlab.phis import make_phi
 
 
 def random_dp_inputs(rng):
@@ -32,6 +35,28 @@ def gheat_march_reference(u, cu, cd, n_steps):
             d2 = prev[i - 1] - 2.0 * prev[i] + prev[i + 1]
             u[i] = prev[i] + (cu * d2 if d2 > 0.0 else cd * d2)
     return u
+
+
+def gheat_march_formula(u, cu, cd, n_steps):
+    """The two-max update on whole slices, checked after every step."""
+    u = u.copy()
+    for step in range(n_steps):
+        d2 = u[:-2] - 2.0 * u[1:-1] + u[2:]
+        u[1:-1] += cu * np.maximum(d2, 0.0) - cd * np.maximum(-d2, 0.0)
+        if not np.isfinite(u).all():
+            return step, u
+    return -1, u
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+CATALOG = [
+    make_phi("abs"), make_phi("square"), make_phi("cube"), make_phi("quartic"),
+    make_phi("negsquare"), make_phi("negabs"), make_phi("abspow", 2.5),
+    make_phi("ramp", 0.3), make_phi("clamp", -1.0, 0.5), make_phi("indicator", -0.5, 1.0),
+]
 
 
 class TestDpStep:
@@ -80,3 +105,72 @@ class TestGheatMarch:
         bad, got = _kernels.gheat_march(u, 0.2, 0.1, 0)
         assert bad == -1
         np.testing.assert_array_equal(got, u)
+
+
+class TestGheatMarchBits:
+    """The in-place march against the two-max update, compared as int64 bits."""
+
+    @pytest.mark.parametrize("sigma_lo", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+    def test_solve_matches_formula(self, monkeypatch, phi, sigma_lo):
+        # 0.9 / 0.0011 is not whole, so the march ends with a remainder step
+        grid = PdeGrid(-3.0, 3.0, 0.05, 0.0011, horizon=0.9)
+        params = GParams(sigma_lo, 1.0)
+        got = solve_g_heat(params, phi, grid, snapshot_times=(0.25, 0.5))
+        monkeypatch.setattr(gheat._kernels, "gheat_march", gheat_march_formula)
+        want = solve_g_heat(params, phi, grid, snapshot_times=(0.25, 0.5))
+        assert got.steps_taken == want.steps_taken
+        assert same_bits(got.u, want.u)
+        for (t_got, u_got), (t_want, u_want) in zip(got.snapshots, want.snapshots):
+            assert t_got == t_want
+            assert same_bits(u_got, u_want)
+
+    def test_negabs_keeps_signed_zero_as_before(self):
+        # phi(0) = -0.0; with cd == 0 the old update turns it into +0.0
+        u = make_phi("negabs")(np.linspace(-1.0, 1.0, 11))
+        for cd in (0.0, 0.1):
+            _, got = _kernels.gheat_march(u, 0.4, cd, 7)
+            _, want = gheat_march_formula(u, 0.4, cd, 7)
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("cd_share", [0.0, 0.25, 1.0])
+    def test_random_profiles(self, rng, cd_share):
+        for _ in range(20):
+            u = rng.normal(size=int(rng.integers(3, 40)))
+            cu = float(rng.uniform(0.05, 0.5))
+            _, got = _kernels.gheat_march(u, cu, cu * cd_share, 30)
+            _, want = gheat_march_formula(u, cu, cu * cd_share, 30)
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_overflow_at_step_k_reported_as_k(self, k):
+        # a checkerboard grows threefold per step with cu = cd = 1, so step k
+        # is the first to leave the float range
+        u = np.array([0.0] + [(-1.0) ** i for i in range(9)] + [0.0]) * (1e308 / 3.0**k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad, _ = _kernels.gheat_march(u, 1.0, 1.0, 10)
+            want_bad, _ = gheat_march_formula(u, 1.0, 1.0, 10)
+        assert bad == want_bad == k
+
+    def test_overflowing_difference_fails_with_zero_cd(self):
+        # 2 * 1.7e308 overflows, so d2 = -inf; the update gives NaN as before
+        u = np.array([0.0, 1.7e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _kernels.gheat_march(u, 0.5, 0.0, 3)[0] == 0
+
+    def test_solver_passes_cd_at_most_cu(self, monkeypatch):
+        seen = []
+        march = _kernels.gheat_march
+
+        def recording(u, cu, cd, n_steps):
+            seen.append((cu, cd))
+            return march(u, cu, cd, n_steps)
+
+        monkeypatch.setattr(gheat._kernels, "gheat_march", recording)
+        phi = make_phi("abs")
+        for lo, hi in [(0.0, 1.0), (0.3, 0.7), (1.0, 1.0), (1e-170, 1e-170), (0.9999, 1.0)]:
+            g_normal_solution(GParams(lo, hi), phi, dx=0.1 * hi)
+            grid = PdeGrid(-6.0 * hi, 6.0 * hi, 0.1 * hi, 0.0031, horizon=0.5)
+            solve_g_heat(GParams(lo, hi), phi, grid, snapshot_times=(0.1,))
+        assert len(seen) > 10
+        assert all(0.0 <= cd <= cu for cu, cd in seen)

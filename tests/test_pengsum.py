@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, upper_expectation
-from gexlab.errors import CapacityError, DomainError, SizeError, ValidationError
-from gexlab.fuzz import random_oracle_set
+from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, indicator_of, upper_expectation
+from gexlab.errors import CapacityError, DomainError, EvaluationError, SizeError, ValidationError
+from gexlab.experiments import moment_scan, variance_subadditivity_check
+from gexlab.fuzz import random_ambiguity_set, random_oracle_set
 from gexlab.pengsum import (
     GridFunction,
     LatticeGrid,
@@ -16,6 +19,7 @@ from gexlab.pengsum import (
     pairwise_independence_check,
     reachable_index_sets,
     sum_expectation,
+    sum_expectations,
 )
 from gexlab.phis import make_phi
 
@@ -193,7 +197,75 @@ class TestBruteForceOracle:
                     assert sum_expectation(aset, n, phi) == pytest.approx(ov, abs=1e-12)
 
 
+class TestSumExpectations:
+    """One sweep to the largest n against one sweep per n, compared with ==."""
+
+    def test_entries_equal_per_n(self, rng, ref_set):
+        ns = [1, 2, 3, 5, 8, 13, 32, 64]
+        phis = [make_phi("abspow", 3.0), make_phi("square"), make_phi("cube"), make_phi("clamp", -1.0, 2.0)]
+        sets = [ref_set] + [random_ambiguity_set(rng) for _ in range(3)]
+        for aset in sets:
+            for phi in phis:
+                assert sum_expectations(aset, ns, phi) == [sum_expectation(aset, n, phi) for n in ns]
+
+    def test_order_and_repeats_kept(self, ref_set):
+        got = sum_expectations(ref_set, [8, 2, 8, 4], np.square)
+        assert got == [sum_expectation(ref_set, n, np.square) for n in (8, 2, 8, 4)]
+
+    def test_drivers_equal_per_n(self, ref_set):
+        report = moment_scan(ref_set, 3.0, [16, 32, 64, 128])
+        phi = make_phi("abspow", 3.0)
+        assert [a for _, a in report.entries] == [sum_expectation(ref_set, n, phi) for n, _ in report.entries]
+        rows = variance_subadditivity_check(ref_set, 40)
+        assert [r.lhs for r in rows] == [sum_expectation(ref_set, r.n, np.square) for r in rows]
+
+    @pytest.mark.parametrize("ns", [[], [0, 3], [-1]])
+    def test_rejects_bad_n(self, ref_set, ns):
+        with pytest.raises(ValidationError):
+            sum_expectations(ref_set, ns, np.abs)
+
+
+def joint_expectation_iterated(xset, yset, f):
+    """Integrate Y out at each fixed x through upper_expectation, point by point."""
+
+    def integrated(xs):
+        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+        out = np.empty(xs.shape)
+        for i, x in enumerate(xs):
+            out[i] = upper_expectation(yset, lambda y, x=x: f(x, y))
+        return out
+
+    return upper_expectation(xset, integrated)
+
+
 class TestIndependence:
+    def test_joint_matches_iterated_bitwise(self, rng):
+        for _ in range(20):
+            xset = random_ambiguity_set(rng)
+            yset = random_ambiguity_set(rng)
+            s, t = rng.uniform(-1.0, 1.0, size=2)
+            ind_x = indicator_of(lambda x: x > s)
+            ind_y = indicator_of(lambda y: y > t)
+            fs = [
+                lambda x, y: ind_x(x) * ind_y(y),
+                lambda x, y: -(ind_x(x) * ind_y(y)),
+                lambda x, y: np.sin(3.0 * x) * np.cos(y) + 0.1 * x * y,
+                lambda x, y: np.abs(x + y) ** 2.5,
+            ]
+            for f in fs:
+                assert joint_expectation(xset, yset, f) == joint_expectation_iterated(xset, yset, f)
+
+    def test_joint_scalar_only_callable(self, ref_set):
+        def f(x, y):
+            return math.exp(float(x)) * float(y) ** 2
+
+        assert joint_expectation(ref_set, ref_set, f) == joint_expectation_iterated(ref_set, ref_set, f)
+
+    def test_joint_nonfinite_named(self, ref_set):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(EvaluationError, match="x=-1.0, y=1.0"):
+                joint_expectation(ref_set, ref_set, lambda x, y: 1.0 / (x + y))
+
     def test_joint_product_hand_case(self):
         # classical single-law corner: P(X=1, Y=1) = 1/4
         xset = coin_set()

@@ -14,18 +14,57 @@ import numpy as np
 #
 # For output slot i the value is  max over laws of  sum_j p_j * f[i + base + k_j]
 # where base aligns the shrunken output grid inside the input grid.
+#
+# Shared products: each distinct probability multiplies the input once.  A
+# probability that several atoms share is applied to the whole input and
+# each of those atoms reads its shifted slice of that product (four atoms of
+# probability 1/2 cost one multiply); a probability used by one atom is
+# applied to that atom's slice only, in one scratch buffer, so a family of
+# distinct probabilities holds no more than one slice at a time.  Each law's
+# sum is 0.0 + its first term plus its other terms in atom order; the first
+# law writes straight into the output and every later law is merged with an
+# in-place maximum.  This is the per-atom loop
+#   acc = 0; acc += p_j * f[...]; out = max(out, acc)   (out = -inf at start)
+# bit for bit:
+# - a product computed once rounds like one computed per atom;
+# - the additions run in the same order;
+# - the leading 0.0 + turns a -0.0 first term into +0.0, as the zero-filled
+#   accumulator did;
+# - max(-inf, x) is x, NaN included;
+# - +0.0 and -0.0 probabilities count as one (they compare equal) although
+#   their products differ in the sign of a zero: the accumulator is never
+#   -0.0 after its first term (x + y is -0.0 only if both are), so adding
+#   either zero gives the same bits, and a zero times inf or NaN gives the
+#   same NaN whatever the zero's sign.
+# Precondition: at least one law, and every law has at least one atom.
 # ---------------------------------------------------------------------------
 
 
 def dp_step(values, law_ptr, law_k, law_p, base, out_len):
-    out = np.full(out_len, -np.inf)
-    acc = np.empty(out_len)
-    for l in range(law_ptr.shape[0] - 1):
-        acc[:] = 0.0
-        for a in range(law_ptr[l], law_ptr[l + 1]):
-            start = base + law_k[a]
-            acc += law_p[a] * values[start : start + out_len]
-        np.maximum(out, acc, out=out)
+    probs = law_p.tolist()
+    uses = {}
+    for p in probs:
+        uses[p] = uses.get(p, 0) + 1
+    shared = {p: np.multiply(values, p) for p, n in uses.items() if n > 1}
+    scratch = np.empty(out_len) if len(shared) < len(uses) else None
+    starts = [k + base for k in law_k.tolist()]
+    ptr = law_ptr.tolist()
+    out = np.empty(out_len)
+    acc = np.empty(out_len) if len(ptr) > 2 else None
+    for l in range(len(ptr) - 1):
+        target = acc if l else out
+        for a in range(ptr[l], ptr[l + 1]):
+            s, p = starts[a], probs[a]
+            if p in shared:
+                term = shared[p][s : s + out_len]
+            else:
+                term = np.multiply(values[s : s + out_len], p, out=scratch)
+            if a == ptr[l]:
+                np.add(term, 0.0, out=target)
+            else:
+                np.add(target, term, out=target)
+        if l:
+            np.maximum(out, acc, out=out)
     return out
 
 

@@ -312,8 +312,9 @@ def _cmd_oracle(args, cfg: Config) -> int:
     strategy_counts = []
     max_diff = 0.0
     for n in n_list:
-        strategy_counts.append({"n": n, "strategies": count_adapted_strategies(aset, n)})
-        oracle_vals = brute_force_adapted_oracle_many(aset, n, phis)
+        count = count_adapted_strategies(aset, n)
+        strategy_counts.append({"n": n, "strategies": count})
+        oracle_vals = brute_force_adapted_oracle_many(aset, n, phis, count=count)
         for phi, oracle_val in zip(phis, oracle_vals):
             dp_val = sum_expectation(aset, n, phi)
             diff = abs(dp_val - oracle_val)

@@ -177,6 +177,30 @@ def reachable_index_sets(aset: AmbiguitySet, n: int) -> list[np.ndarray]:
     return sets
 
 
+def _reachable_state_count(atoms: np.ndarray, n: int) -> int:
+    """Total size of the reachable index sets of S_0 .. S_{n-1}.
+
+    One level is kept at a time, as maximal runs ``[starts[i], ends[i]]`` of
+    consecutive indices: the next level is the union of the runs shifted by
+    every atom, merged where they overlap or touch.  A level never has more
+    runs than points, and once a walk fills its span it is a single run, so
+    this costs far less than listing the sets.
+    """
+    starts = ends = np.zeros(1, dtype=np.int64)
+    total = 0
+    for _ in range(n):
+        total += int((ends - starts).sum()) + starts.size
+        s = (starts[:, None] + atoms).ravel()
+        e = (ends[:, None] + atoms).ravel()
+        order = np.argsort(s)
+        s = s[order]
+        reach = np.maximum.accumulate(e[order])
+        head = np.flatnonzero(s[1:] > reach[:-1] + 1) + 1
+        starts = np.concatenate((s[:1], s[head]))
+        ends = np.append(reach[head - 1], reach[-1])
+    return total
+
+
 def count_adapted_strategies(aset: AmbiguitySet, n: int) -> int:
     """Number of adapted law-choice strategies for an n-step sum.
 
@@ -186,8 +210,8 @@ def count_adapted_strategies(aset: AmbiguitySet, n: int) -> int:
     n = int(n)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    n_states = sum(int(r.size) for r in reachable_index_sets(aset, n)[:-1])
-    return len(aset.laws) ** n_states
+    atoms = np.unique(np.concatenate([law.indices for law in aset.laws]))
+    return len(aset.laws) ** _reachable_state_count(atoms, n)
 
 
 def _transition_tensor(aset: AmbiguitySet, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -253,12 +277,19 @@ def brute_force_adapted_oracle_many(
     n: int,
     phis: Sequence[Callable],
     ceiling: int = DEFAULT_STRATEGY_CEILING,
+    *,
+    count: int | None = None,
 ) -> list[float]:
-    """One enumeration shared across several payoff functions."""
+    """One enumeration shared across several payoff functions.
+
+    ``count`` is ``count_adapted_strategies(aset, n)`` when the caller has
+    already computed it.
+    """
     n = int(n)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    count = count_adapted_strategies(aset, n)
+    if count is None:
+        count = count_adapted_strategies(aset, n)
     if count > ceiling:
         raise CapacityError(
             f"{_count_text(count)} adapted strategies exceed the ceiling {ceiling}; "

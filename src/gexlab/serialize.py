@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -89,8 +90,30 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path`` atomically.
+
+    The text goes to a fresh temp file beside the target (mode 0o666 less
+    the umask, as a plain ``open`` would create), which is renamed over the
+    target only once fully written.  A failed write leaves the previous
+    report intact and removes the temp file.  Writing through a symlink
+    replaces the file it points to and keeps the link.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a pipe or device (``--out /dev/stdout``) holds no report to keep,
+        # and a rename would replace it with a plain file: write in place
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_json(path: str, obj: Any) -> None:

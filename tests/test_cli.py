@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gexlab import cli
+from gexlab import cli, pengsum
 from gexlab.errors import ValidationError
 
 
@@ -285,6 +285,21 @@ class TestOracleCommand:
         assert [e["phi"] for e in report["entries"]] == ["square", "square"]
         assert report["entries"][0]["dpValue"] == 1.0
         assert report["entries"][1]["dpValue"] == 2.0
+
+    def test_counts_strategies_once_per_n(self, monkeypatch, capsys):
+        seen = []
+        count = pengsum.count_adapted_strategies
+
+        def recording(aset, n):
+            seen.append(n)
+            return count(aset, n)
+
+        monkeypatch.setattr(cli, "count_adapted_strategies", recording)
+        monkeypatch.setattr(pengsum, "count_adapted_strategies", recording)
+        assert cli.main(["oracle", "--n", "1,2"]) == 0
+        assert cli.main(["oracle", "--n", "60"]) == cli.EXIT_RUNTIME
+        capsys.readouterr()
+        assert seen == [1, 2, 60]
 
     def test_csv_header(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

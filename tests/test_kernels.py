@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gexlab import _kernels, gheat
+from gexlab import _kernels, gheat, pengsum
 from gexlab.gheat import GParams, PdeGrid, g_normal_solution, solve_g_heat
+from gexlab.pengsum import sum_expectations
 from gexlab.phis import make_phi
 
 
@@ -12,6 +13,42 @@ def random_dp_inputs(rng):
     law_k = rng.integers(-2, 3, size=6).astype(np.int64)
     law_p = rng.uniform(0.1, 1.0, size=6)
     return values, law_ptr, law_k, law_p, 2, 12
+
+
+def shared_dp_inputs(rng):
+    """Laws whose probabilities come from a small pool, so atoms share products.
+
+    The pool holds +-0.0 and a subnormal; atom indices repeat within and
+    across laws; values include signed zeros and subnormals, and now and then
+    an infinity (a zero probability times it gives NaN).
+    """
+    sizes = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+    law_ptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    n_atoms = int(law_ptr[-1])
+    law_k = rng.integers(-3, 4, size=n_atoms).astype(np.int64)
+    pool = np.array([0.5, 0.25, -0.0, 0.0, 5e-324, rng.uniform(0.05, 1.0)])
+    law_p = rng.choice(pool[: int(rng.integers(1, pool.size + 1))], size=n_atoms)
+    out_len = int(rng.integers(1, 20))
+    values = rng.normal(size=out_len + 6) * 10.0 ** float(rng.choice([-310, 0, 300]))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+    mask = rng.random(values.size) < 0.3
+    values[mask] = rng.choice(special, size=int(mask.sum()))
+    if rng.random() < 0.1:
+        values[rng.integers(values.size)] = rng.choice([np.inf, -np.inf])
+    return values, law_ptr, law_k, law_p, 3, out_len
+
+
+def dp_step_loop_reference(values, law_ptr, law_k, law_p, base, out_len):
+    """The per-atom loop: one multiply and one add per atom, max over laws."""
+    out = np.full(out_len, -np.inf)
+    acc = np.empty(out_len)
+    for l in range(law_ptr.shape[0] - 1):
+        acc[:] = 0.0
+        for a in range(law_ptr[l], law_ptr[l + 1]):
+            start = base + law_k[a]
+            acc += law_p[a] * values[start : start + out_len]
+        np.maximum(out, acc, out=out)
+    return out
 
 
 def dp_step_reference(values, law_ptr, law_k, law_p, base, out_len):
@@ -65,6 +102,33 @@ class TestDpStep:
             args = random_dp_inputs(rng)
             np.testing.assert_array_equal(_kernels.dp_step(*args), dp_step_reference(*args))
 
+    @pytest.mark.parametrize("make_inputs", [random_dp_inputs, shared_dp_inputs])
+    def test_matches_loop_bits(self, rng, make_inputs):
+        for _ in range(500):
+            args = make_inputs(rng)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = _kernels.dp_step(*args)
+                want = dp_step_loop_reference(*args)
+            assert same_bits(got, want)
+
+    def test_first_term_negative_zero_becomes_positive(self):
+        # the loop adds onto a zero-filled accumulator: 0.0 + -0.0 = +0.0
+        values = np.array([-0.0, 1.0, 0.0])
+        ptr = np.array([0, 1], dtype=np.int64)
+        ks = np.array([0], dtype=np.int64)
+        assert same_bits(_kernels.dp_step(values, ptr, ks, np.array([1.0]), 0, 3), [0.0, 1.0, 0.0])
+        assert same_bits(_kernels.dp_step(values, ptr, ks, np.array([-0.0]), 0, 3), np.zeros(3))
+
+    def test_signed_zero_probabilities_share_a_product(self):
+        # p = +0.0 and p = -0.0 give zero products of opposite sign (NaN at
+        # inf); the loop's sums do not see the difference
+        values = np.array([2.0, -3.0, 0.5, np.inf])
+        ks = np.array([0, 1, 1, 0, 2], dtype=np.int64)
+        for ps in ([0.0, -0.0, 0.0, -0.0, 1.0], [-0.0, 0.0, 1.0, 0.0, -0.0]):
+            args = (values, np.array([0, 2, 5], dtype=np.int64), ks, np.array(ps), 0, 2)
+            with np.errstate(invalid="ignore"):
+                assert same_bits(_kernels.dp_step(*args), dp_step_loop_reference(*args))
+
     def test_single_law_is_plain_convolution(self):
         values = np.arange(10.0)
         ptr = np.array([0, 2], dtype=np.int64)
@@ -72,6 +136,18 @@ class TestDpStep:
         ps = np.array([0.5, 0.5])
         out = _kernels.dp_step(values, ptr, ks, ps, 1, 8)
         np.testing.assert_array_equal(out, np.arange(1.0, 9.0))
+
+
+class TestSweepBits:
+    """Whole backward sweeps against the same sweeps through the per-atom loop."""
+
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+    def test_reference_family_n256(self, monkeypatch, ref_set, phi):
+        ns = [1, 2, 17, 128, 256]
+        got = sum_expectations(ref_set, ns, phi)
+        monkeypatch.setattr(pengsum._kernels, "dp_step", dp_step_loop_reference)
+        want = sum_expectations(ref_set, ns, phi)
+        assert same_bits(got, want)
 
 
 class TestGheatMarch:

@@ -166,6 +166,23 @@ class TestStrategyCounting:
     def test_single_law_counts(self):
         assert count_adapted_strategies(coin_set(), 4) == 1
 
+    def test_counts_match_listed_sets(self, rng):
+        # gapped and wide atom sets make many runs, or sets far sparser than their span
+        for _ in range(60):
+            laws = []
+            for _ in range(int(rng.integers(2, 4))):
+                ks = np.unique(rng.choice([-40, -7, -3, -1, 0, 2, 5, 1000], size=int(rng.integers(1, 4))))
+                laws.append(DiscreteDistribution(0.5, ks, np.full(ks.size, 1.0 / ks.size)))
+            aset = AmbiguitySet(tuple(laws))
+            n = int(rng.integers(1, 12))
+            n_states = sum(r.size for r in reachable_index_sets(aset, n)[:-1])
+            assert count_adapted_strategies(aset, n) == len(laws) ** n_states
+
+    def test_oracle_takes_the_callers_count(self, ref_set):
+        # the reference family has 2 strategies at n = 1; the oracle uses the given count
+        with pytest.raises(CapacityError, match="^7 adapted strategies"):
+            brute_force_adapted_oracle_many(ref_set, 1, [abs], ceiling=6, count=7)
+
 
 class TestBruteForceOracle:
     def test_ceiling_refusal(self, ref_set):

@@ -1,9 +1,14 @@
+import errno
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
+from gexlab import serialize
 from gexlab.errors import ValidationError
 from gexlab.serialize import dumps_csv, dumps_json, fmt_float, write_csv, write_json
 
@@ -107,3 +112,63 @@ class TestWriters:
         with pytest.raises(ValidationError):
             write_csv(path, ("v",), [(math.inf,)])
         assert path.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_json(path, {"value": 0.5}),
+        lambda path: write_csv(path, ("v",), [(0.5,)]),
+    ], ids=["json", "csv"])
+    def test_failed_write_keeps_old_report_and_leaves_no_temp(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "r.json"
+        path.write_bytes(b"old report\n")
+
+        class DiskFull:
+            """A text file that takes half of the first write, then fails."""
+
+            def __init__(self, fd, *args, **kwargs):
+                self.fh = open(fd, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(serialize, "open", DiskFull, raising=False)
+        with pytest.raises(OSError):
+            write(path)
+        assert path.read_bytes() == b"old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+    def test_new_report_gets_plain_open_mode(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        path = tmp_path / "r.json"
+        write_json(path, {"value": 0.5})
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "r.json"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_csv(fifo, ("v",), [(0.5,)])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b"v\n0.5\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_write_through_symlink_replaces_its_target(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_bytes(b"old")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        write_json(link, {"value": 0.5})
+        assert link.is_symlink()
+        assert real.read_bytes() == b'{\n  "value": 0.5\n}\n'

@@ -43,7 +43,7 @@ _TOP_KEYS = {"ambiguity", "experiment", "output"}
 _LAW_KEYS = {"step", "atoms", "label"}
 _ATOM_KEYS = {"k", "p"}
 _EXPERIMENT_KEYS = {
-    "r", "nList", "phi", "dx", "padFactor", "seed", "trials", "nMax",
+    "r", "nList", "phi", "dx", "padFactor", "seed", "trials",
     "sigmaLo", "sigmaHi",
 }
 _OUTPUT_KEYS = {"path", "format"}
@@ -161,10 +161,10 @@ def _parse_experiment(spec, path: str) -> dict:
             if value < 0.0:
                 _fail(f"{path}/{key}", f"expected a non-negative number, got {value!r}")
             out[key] = value
-    for key in ("seed", "trials", "nMax"):
+    for key in ("seed", "trials"):
         if key in spec:
             value = _integer(spec[key], f"{path}/{key}")
-            if key != "seed" and value < 1:
+            if key == "trials" and value < 1:
                 _fail(f"{path}/{key}", f"expected a positive integer, got {value}")
             if key == "seed" and value < 0:
                 _fail(f"{path}/{key}", f"expected a non-negative integer, got {value}")
@@ -312,9 +312,8 @@ def _cmd_oracle(args, cfg: Config) -> int:
     strategy_counts = []
     max_diff = 0.0
     for n in n_list:
-        count = count_adapted_strategies(aset, n)
-        strategy_counts.append({"n": n, "strategies": count})
-        oracle_vals = brute_force_adapted_oracle_many(aset, n, phis, count=count)
+        oracle_vals = brute_force_adapted_oracle_many(aset, n, phis)
+        strategy_counts.append({"n": n, "strategies": count_adapted_strategies(aset, n)})
         for phi, oracle_val in zip(phis, oracle_vals):
             dp_val = sum_expectation(aset, n, phi)
             diff = abs(dp_val - oracle_val)
@@ -359,6 +358,20 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+# Each flag with the commands that read it, so an unread flag is a usage error.
+_FLAGS = {
+    "--r": (float, "moment order r > 2", ("moments",)),
+    "--n": (_int_list, "comma-separated n values", ("moments", "clt", "oracle")),
+    "--phi": (str, "catalog function, e.g. abs or abspow:2.5", ("clt", "gheat", "oracle")),
+    "--dx": (float, "PDE space step", ("clt", "gheat")),
+    "--pad": (float, "PDE domain pad factor", ("clt", "gheat")),
+    "--sigma-lo": (float, "lower volatility", ("gheat",)),
+    "--sigma-hi": (float, "upper volatility", ("gheat",)),
+    "--trials": (int, "randomized trial count", ("axioms", "independence")),
+    "--seed": (int, "random seed", ("axioms", "independence")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gexlab",
@@ -370,15 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="report output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), help="report format")
-        p.add_argument("--r", type=float, help="moment order r > 2")
-        p.add_argument("--n", type=_int_list, help="comma-separated n values")
-        p.add_argument("--phi", help="catalog function, e.g. abs or abspow:2.5")
-        p.add_argument("--dx", type=float, help="PDE space step")
-        p.add_argument("--pad", type=float, help="PDE domain pad factor")
-        p.add_argument("--sigma-lo", type=float, help="lower volatility")
-        p.add_argument("--sigma-hi", type=float, help="upper volatility")
-        p.add_argument("--trials", type=int, help="randomized trial count")
-        p.add_argument("--seed", type=int, help="random seed")
+        for flag, (kind, text, readers) in _FLAGS.items():
+            if name in readers:
+                p.add_argument(flag, type=kind, help=text)
     return parser
 
 
@@ -386,10 +393,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else Config()
-        if args.seed is not None and args.seed < 0:
-            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
-        if args.trials is not None and args.trials < 1:
-            raise ValidationError(f"--trials must be positive, got {args.trials}")
+        # only axioms and independence have --seed and --trials
+        seed, trials = getattr(args, "seed", None), getattr(args, "trials", None)
+        if seed is not None and seed < 0:
+            raise ValidationError(f"--seed must be non-negative, got {seed}")
+        if trials is not None and trials < 1:
+            raise ValidationError(f"--trials must be positive, got {trials}")
         # A non-finite number ends as a gexlab error with its own message,
         # so numpy's overflow warnings would only add stderr lines.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -3,15 +3,17 @@
 
 Marching the terminal profile phi for unit time at x = 0 yields the
 sublinear expectation of phi under the limiting law with volatility band
-``[lo, hi]``.  A Gaussian quadrature oracle covers the classical corner
-``lo == hi``.
+``[lo, hi]``.  The march always ends at t = 1: G is positively homogeneous,
+so ``u(tau, .)`` for the band ``[lo, hi]`` is the t = 1 solution for the
+band ``[lo * sqrt(tau), hi * sqrt(tau)]``.  A Gaussian quadrature oracle
+covers the classical corner ``lo == hi``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +73,6 @@ class PdeGrid:
     x_max: float
     dx: float
     dt: float
-    horizon: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max) and self.x_min < self.x_max):
@@ -80,8 +81,6 @@ class PdeGrid:
             raise ValidationError(f"dx must be positive, got {self.dx!r}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
         ratio = (self.x_max - self.x_min) / self.dx
         if not ratio + 1.0 <= MAX_GRID_POINTS:
             raise SizeError(
@@ -110,36 +109,14 @@ class PdeSolution:
     xs: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     steps_taken: int
-    snapshots: tuple[tuple[float, np.ndarray], ...] = ()
 
     def value_at(self, x: float) -> float:
-        """Value of u(horizon, x) at a grid node."""
+        """Value of u(1, x) at a grid node."""
         pos = (x - self.grid.x_min) / self.grid.dx
         idx = int(round(pos))
         if not (0 <= idx <= self.grid.n_cells) or abs(pos - idx) > 1e-6:
             raise DomainError(f"x={x!r} is not a grid node of {self.grid}")
         return float(self.u[idx])
-
-
-def _march_segment(u, cu, cd, duration, dt):
-    """March ``duration`` worth of time in steps of ``dt`` plus one remainder."""
-    steps = 0
-    n_full = int(math.floor(duration / dt + 1e-12))
-    rem = duration - n_full * dt
-    if rem < 1e-12 * max(dt, 1.0):
-        rem = 0.0
-    if n_full > 0:
-        bad, u = _kernels.gheat_march(u, cu, cd, n_full)
-        if bad >= 0:
-            return bad, steps + n_full, u
-        steps += n_full
-    if rem > 0.0:
-        scale = rem / dt
-        bad, u = _kernels.gheat_march(u, cu * scale, cd * scale, 1)
-        if bad >= 0:
-            return steps, steps + 1, u
-        steps += 1
-    return -1, steps, u
 
 
 def _square_ratio(a: float, b: float) -> float:
@@ -148,18 +125,14 @@ def _square_ratio(a: float, b: float) -> float:
     return r * r
 
 
-def solve_g_heat(
-    params: GParams,
-    phi: Callable,
-    grid: PdeGrid,
-    snapshot_times: Sequence[float] = (),
-) -> PdeSolution:
-    """Explicit monotone march of the terminal profile over the horizon.
+def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
+    """Explicit monotone march of the terminal profile to t = 1.
 
-    The second difference is frozen to zero at both boundaries, so the
-    domain must be wide enough that the boundary error stays negligible.
-    Raises ConfigurationError when the parabolic step bound
-    ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails.
+    ``floor(1/dt)`` whole steps are followed by one step scaled to the
+    remainder, if any.  The second difference is frozen to zero at both
+    boundaries, so the domain must be wide enough that the boundary error
+    stays negligible.  Raises ConfigurationError when the parabolic step
+    bound ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails.
     """
     # The squares of dx and sigma_hi can overflow or underflow a float on
     # their own; the scheme needs only their ratio.
@@ -169,33 +142,22 @@ def solve_g_heat(
         raise ConfigurationError(
             f"unstable step: sigma_hi^2*dt/dx^2 = {cfl:.6g} exceeds {CFL_LIMIT}"
         )
-    times = sorted(set(float(t) for t in snapshot_times))
-    for t in times:
-        if not (0.0 <= t <= grid.horizon + 1e-12):
-            raise ValidationError(
-                f"snapshot time {t!r} outside [0, {grid.horizon}]"
-            )
     xs = grid.xs
     u = evaluate_on(phi, xs)
     cu = 0.5 * grid.dt / r2
     cd = 0.5 * grid.dt * _square_ratio(params.sigma_lo, params.sigma_hi) / r2
-    snapshots = []
-    elapsed = 0.0
-    steps_done = 0
-    wanted = set(times)
-    for t in sorted(wanted | {grid.horizon}):
-        seg = t - elapsed
-        if seg > 0.0:
-            bad, steps, u = _march_segment(u, cu, cd, seg, grid.dt)
-            if bad >= 0:
-                raise DivergenceError(
-                    f"solution became non-finite at time step {steps_done + bad}"
-                )
-            steps_done += steps
-            elapsed = t
-        if t in wanted:
-            snapshots.append((t, u.copy()))
-    return PdeSolution(grid, xs, u, steps_done, tuple(snapshots))
+    n_full = int(math.floor(1.0 / grid.dt + 1e-12))
+    bad, u = _kernels.gheat_march(u, cu, cd, n_full)
+    if bad >= 0:
+        raise DivergenceError(f"solution became non-finite at time step {bad}")
+    rem = 1.0 - n_full * grid.dt
+    if rem < 1e-12 * max(grid.dt, 1.0):
+        return PdeSolution(grid, xs, u, n_full)
+    scale = rem / grid.dt
+    bad, u = _kernels.gheat_march(u, cu * scale, cd * scale, 1)
+    if bad >= 0:
+        raise DivergenceError(f"solution became non-finite at time step {n_full}")
+    return PdeSolution(grid, xs, u, n_full + 1)
 
 
 def g_normal_solution(
@@ -203,13 +165,14 @@ def g_normal_solution(
     phi: Callable,
     dx: float = 0.02,
     pad_factor: float = 6.0,
-    horizon: float = 1.0,
 ) -> PdeSolution:
-    """Solve on a symmetric domain sized from the volatility band.
+    """Solve to t = 1 on a symmetric domain sized from the volatility band.
 
-    The half width is ``pad_factor * sigma_hi * sqrt(horizon)`` plus any
-    shift margin the test function declares, rounded up to a whole number
-    of cells; pad factors below 4 are refused as too tight.
+    The half width is ``pad_factor * sigma_hi`` plus any shift margin the
+    test function declares, rounded up to a whole number of cells; pad
+    factors below 4 are refused as too tight.  For ``u`` at another time
+    tau, solve with the band scaled by ``sqrt(tau)``:
+    ``GParams(lo * sqrt(tau), hi * sqrt(tau))``.
     """
     if not (np.isfinite(pad_factor) and pad_factor >= MIN_PAD_FACTOR):
         raise ConfigurationError(
@@ -218,7 +181,7 @@ def g_normal_solution(
     if not (np.isfinite(dx) and dx > 0.0):
         raise ValidationError(f"dx must be positive, got {dx!r}")
     margin = float(getattr(phi, "margin", 0.0))
-    half_width = pad_factor * params.sigma_hi * math.sqrt(horizon) + margin
+    half_width = pad_factor * params.sigma_hi + margin
     half_cells = half_width / dx
     if not 2.0 * half_cells + 1.0 <= MAX_GRID_POINTS:
         raise SizeError(
@@ -227,8 +190,8 @@ def g_normal_solution(
         )
     n_half = max(1, int(math.ceil(half_cells - 1e-9)))
     L = n_half * dx
-    dt = min(0.4 * _square_ratio(dx, params.sigma_hi), horizon)
-    grid = PdeGrid(-L, L, dx, dt, horizon)
+    dt = min(0.4 * _square_ratio(dx, params.sigma_hi), 1.0)
+    grid = PdeGrid(-L, L, dx, dt)
     return solve_g_heat(params, phi, grid)
 
 
@@ -237,10 +200,9 @@ def g_normal_expectation(
     phi: Callable,
     dx: float = 0.02,
     pad_factor: float = 6.0,
-    horizon: float = 1.0,
 ) -> float:
     """Sublinear expectation of ``phi`` under the limit law of the band."""
-    sol = g_normal_solution(params, phi, dx=dx, pad_factor=pad_factor, horizon=horizon)
+    sol = g_normal_solution(params, phi, dx=dx, pad_factor=pad_factor)
     return sol.value_at(0.0)
 
 

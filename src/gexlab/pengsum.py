@@ -118,7 +118,7 @@ def one_step_operator(aset: AmbiguitySet, f: GridFunction) -> GridFunction:
 def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> list[float]:
     """Upper expectations of ``phi(S_n)`` for every n in ``ns``, in order.
 
-    ``W_m = T^m phi`` does not depend on the horizon, so one backward sweep
+    ``W_m = T^m phi`` is the same for every n >= m, so one backward sweep
     on the block ``[-N*K, N*K]`` (N the largest n, K the largest absolute
     atom index) passes every n on its way and reads ``W_n`` at the origin.
     Each output node depends only on its own inputs, so every entry equals
@@ -177,7 +177,7 @@ def reachable_index_sets(aset: AmbiguitySet, n: int) -> list[np.ndarray]:
     return sets
 
 
-def _reachable_state_count(atoms: np.ndarray, n: int) -> int:
+def _reachable_state_count(aset: AmbiguitySet, n: int) -> int:
     """Total size of the reachable index sets of S_0 .. S_{n-1}.
 
     One level is kept at a time, as maximal runs ``[starts[i], ends[i]]`` of
@@ -186,6 +186,7 @@ def _reachable_state_count(atoms: np.ndarray, n: int) -> int:
     runs than points, and once a walk fills its span it is a single run, so
     this costs far less than listing the sets.
     """
+    atoms = np.unique(np.concatenate([law.indices for law in aset.laws]))
     starts = ends = np.zeros(1, dtype=np.int64)
     total = 0
     for _ in range(n):
@@ -210,8 +211,7 @@ def count_adapted_strategies(aset: AmbiguitySet, n: int) -> int:
     n = int(n)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    atoms = np.unique(np.concatenate([law.indices for law in aset.laws]))
-    return len(aset.laws) ** _reachable_state_count(atoms, n)
+    return len(aset.laws) ** _reachable_state_count(aset, n)
 
 
 def _transition_tensor(aset: AmbiguitySet, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -246,15 +246,17 @@ def _enumerate_strategy_distributions(aset: AmbiguitySet, n: int) -> tuple[np.nd
     return dists, sets[-1]
 
 
-def _count_text(count: int) -> str:
-    """``count`` in digits, or as a power-of-ten lower bound once it is long.
+def _count_text(n_laws: int, n_states: int) -> str:
+    """``n_laws ** n_states`` in digits below 10^18, else a power-of-ten bound.
 
-    The bound comes from the bit length, so a count of millions of digits
-    is never printed or compared digit by digit.
+    ``L ** S >= 2**60 > 10**18`` once S reaches 60 with L >= 2.  The bound
+    uses ``floor(S * log2 L)``, the bit length of ``L ** S`` less one, so a
+    count of millions of digits is never built.
     """
-    if count < 10**18:
-        return str(count)
-    return f"at least 10^{int((count.bit_length() - 1) * math.log10(2.0))}"
+    if n_laws ** min(n_states, 60) < 10**18:
+        return str(n_laws**n_states)
+    bits = math.floor(n_states * math.log2(n_laws))
+    return f"at least 10^{int(bits * math.log10(2.0))}"
 
 
 def brute_force_adapted_oracle(
@@ -277,22 +279,19 @@ def brute_force_adapted_oracle_many(
     n: int,
     phis: Sequence[Callable],
     ceiling: int = DEFAULT_STRATEGY_CEILING,
-    *,
-    count: int | None = None,
 ) -> list[float]:
-    """One enumeration shared across several payoff functions.
-
-    ``count`` is ``count_adapted_strategies(aset, n)`` when the caller has
-    already computed it.
-    """
+    """One enumeration shared across several payoff functions."""
     n = int(n)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if count is None:
-        count = count_adapted_strategies(aset, n)
-    if count > ceiling:
+    n_laws = len(aset.laws)
+    n_states = _reachable_state_count(aset, n)
+    # With L >= 2 laws, L ** S exceeds the ceiling as soon as S exceeds its
+    # bit length, so capping S there keeps the comparison exact and the
+    # power small.
+    if n_laws ** min(n_states, int(ceiling).bit_length() + 1) > ceiling:
         raise CapacityError(
-            f"{_count_text(count)} adapted strategies exceed the ceiling {ceiling}; "
+            f"{_count_text(n_laws, n_states)} adapted strategies exceed the ceiling {ceiling}; "
             "the brute-force oracle refuses to enumerate"
         )
     dists, terminal = _enumerate_strategy_distributions(aset, n)

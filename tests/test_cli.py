@@ -75,6 +75,9 @@ class TestParseConfig:
     def test_negative_seed(self, tmp_path):
         self.run_bad(tmp_path, {"experiment": {"seed": -1}}, "/experiment/seed")
 
+    def test_n_max_is_unknown(self, tmp_path):
+        self.run_bad(tmp_path, {"experiment": {"nMax": 8}}, "/experiment/nMax: unknown key")
+
     def test_bad_output_format(self, tmp_path):
         self.run_bad(tmp_path, {"output": {"format": "yaml"}}, "/output/format")
 
@@ -127,6 +130,17 @@ class TestExitCodes:
             cli.main(["moments", "--n", "a,b"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["axioms", "--dx", "0.1"], ["oracle", "--sigma-lo", "1"], ["gheat", "--n", "4"],
+         ["moments", "--seed", "1"], ["clt", "--r", "3"], ["independence", "--phi", "abs"]],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unattainable_oracle_is_runtime_error(self, capsys):
         assert cli.main(["oracle", "--n", "4"]) == cli.EXIT_RUNTIME
@@ -299,7 +313,8 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--n", "1,2"]) == 0
         assert cli.main(["oracle", "--n", "60"]) == cli.EXIT_RUNTIME
         capsys.readouterr()
-        assert seen == [1, 2, 60]
+        # a refused n is never counted
+        assert seen == [1, 2]
 
     def test_csv_header(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

@@ -70,7 +70,6 @@ class TestPdeGrid:
             dict(x_min=1.0, x_max=0.0, dx=0.1, dt=1e-3),
             dict(x_min=0.0, x_max=1.0, dx=-0.1, dt=1e-3),
             dict(x_min=0.0, x_max=1.0, dx=0.1, dt=0.0),
-            dict(x_min=0.0, x_max=1.0, dx=0.1, dt=1e-3, horizon=0.0),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -99,23 +98,6 @@ class TestSolver:
         grid = PdeGrid(-1e-160, 1e-160, 1e-162, 1.0)
         with pytest.raises(ConfigurationError, match="unstable"):
             solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
-
-    def test_snapshot_validation(self):
-        grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
-        with pytest.raises(ValidationError):
-            solve_g_heat(GParams(1.0, 1.0), np.square, grid, snapshot_times=(2.0,))
-
-    def test_snapshots_recorded(self):
-        grid = PdeGrid(-6.0, 6.0, 0.05, 0.001)
-        sol = solve_g_heat(GParams(1.0, 1.0), np.square, grid, snapshot_times=(0.0, 0.5, 1.0))
-        assert [t for t, _ in sol.snapshots] == [0.0, 0.5, 1.0]
-        t0, u0 = sol.snapshots[0]
-        np.testing.assert_array_equal(u0, grid.xs**2)
-        t2, u2 = sol.snapshots[2]
-        np.testing.assert_array_equal(u2, sol.u)
-        # u(t, 0) = t for the pure heat equation with square data
-        mid = grid.n_cells // 2
-        assert sol.snapshots[1][1][mid] == pytest.approx(0.5, abs=1e-6)
 
     def test_divergence_reported(self, monkeypatch):
         calls = {}
@@ -200,6 +182,15 @@ class TestGNormal:
         v = g_normal_expectation(BAND, phi, dx=0.02)
         q = gaussian_quadrature_oracle(1.0, phi)
         assert v == pytest.approx(q, abs=1e-2)
+
+    def test_band_scaling_gives_other_times(self):
+        # G is positively homogeneous: u(tau, 0) for [lo, hi] is the t = 1
+        # value for [lo*sqrt(tau), hi*sqrt(tau)]; here tau = 0.5
+        r = math.sqrt(0.5)
+        heat = g_normal_expectation(GParams(r, r), make_phi("square"), dx=0.05)
+        assert heat == pytest.approx(0.5, abs=1e-9)
+        concave = g_normal_expectation(GParams(0.5 * r, r), make_phi("negsquare"), dx=0.05)
+        assert concave == pytest.approx(-0.125, abs=1e-9)
 
     def test_odd_data_degenerate_band_is_centered(self):
         # equal volatilities make the solution antisymmetric

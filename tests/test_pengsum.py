@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from gexlab import pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, indicator_of, upper_expectation
 from gexlab.errors import CapacityError, DomainError, EvaluationError, SizeError, ValidationError
 from gexlab.experiments import moment_scan, variance_subadditivity_check
@@ -178,11 +180,6 @@ class TestStrategyCounting:
             n_states = sum(r.size for r in reachable_index_sets(aset, n)[:-1])
             assert count_adapted_strategies(aset, n) == len(laws) ** n_states
 
-    def test_oracle_takes_the_callers_count(self, ref_set):
-        # the reference family has 2 strategies at n = 1; the oracle uses the given count
-        with pytest.raises(CapacityError, match="^7 adapted strategies"):
-            brute_force_adapted_oracle_many(ref_set, 1, [abs], ceiling=6, count=7)
-
 
 class TestBruteForceOracle:
     def test_ceiling_refusal(self, ref_set):
@@ -190,6 +187,29 @@ class TestBruteForceOracle:
             brute_force_adapted_oracle(ref_set, 4, np.abs)
         with pytest.raises(CapacityError):
             brute_force_adapted_oracle(ref_set, 2, np.abs, ceiling=10)
+
+    def test_ceiling_is_inclusive(self, ref_set):
+        # the reference family has exactly 32 strategies at n = 2
+        assert len(brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=32)) == 1
+        with pytest.raises(CapacityError, match="^32 adapted strategies exceed the ceiling 31;"):
+            brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=31)
+
+    def test_refusal_builds_no_count(self, monkeypatch):
+        laws = (
+            DiscreteDistribution.from_atoms(1.0, [(-1, 0.5), (1, 0.5)]),
+            DiscreteDistribution.from_atoms(1.0, [(-2, 0.5), (2, 0.5)]),
+            DiscreteDistribution.from_atoms(1.0, [(-1, 0.25), (0, 0.5), (1, 0.25)]),
+        )
+        aset = AmbiguitySet(laws)
+        count = count_adapted_strategies(aset, 200)
+        text = f"at least 10^{int((count.bit_length() - 1) * math.log10(2.0))}"
+
+        def refuse_to_count(aset, n):
+            raise AssertionError("the refusal must not build the count")
+
+        monkeypatch.setattr(pengsum, "count_adapted_strategies", refuse_to_count)
+        with pytest.raises(CapacityError, match="^" + re.escape(text) + " adapted strategies"):
+            brute_force_adapted_oracle_many(aset, 200, [np.abs])
 
     def test_matches_dp_on_reference(self, ref_set):
         for n in (1, 2, 3):

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,13 @@ from .errors import (
 )
 from .experiments import clt_convergence, moment_scan, reference_set
 from .fuzz import axiom_suite, independence_suite
-from .gheat import GParams, g_normal_solution, gaussian_quadrature_oracle, params_from_envelope
+from .gheat import (
+    MIN_PAD_FACTOR,
+    GParams,
+    g_normal_solution,
+    gaussian_quadrature_oracle,
+    params_from_envelope,
+)
 from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectation
 from .phis import parse_phi
 from .serialize import dumps_csv, dumps_json, write_csv, write_json
@@ -42,16 +49,12 @@ ORACLE_TOL = 1e-10
 _TOP_KEYS = {"ambiguity", "experiment", "output"}
 _LAW_KEYS = {"step", "atoms", "label"}
 _ATOM_KEYS = {"k", "p"}
-_EXPERIMENT_KEYS = {
-    "r", "nList", "phi", "dx", "padFactor", "seed", "trials",
-    "sigmaLo", "sigmaHi",
-}
 _OUTPUT_KEYS = {"path", "format"}
 
 
 @dataclass
 class Config:
-    """Validated batch configuration."""
+    """Validated batch configuration; ``experiment`` is keyed by config key."""
 
     ambiguity: AmbiguitySet | None = None
     experiment: dict = field(default_factory=dict)
@@ -62,7 +65,7 @@ def _fail(path: str, msg: str):
     raise ValidationError(f"{path or '/'}: {msg}")
 
 
-def _check_keys(obj, allowed: set, path: str) -> dict:
+def _check_keys(obj, allowed, path: str) -> dict:
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
@@ -71,22 +74,54 @@ def _check_keys(obj, allowed: set, path: str) -> dict:
     return obj
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+def _scalar(kind: type, low: float | None = None, strict: bool = False):
+    """Check of one number, a finite float or an int, that is >= low (> low if strict).
+
+    The check takes ``(value, where)`` and its error names ``where``: a flag
+    such as ``--dx`` or a config path such as ``/experiment/dx``.
+    """
+    types = (int, float) if kind is float else int
+    bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+    want = ("a finite number" if kind is float else "an integer") + bound
+
+    def check(value, where: str):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, types)
+            # refuses nan, inf and ints too large for a float alike
+            or (kind is float and not abs(value) <= sys.float_info.max)
+            or (low is not None and not (value > low if strict else value >= low))
+        ):
+            _fail(where, f"expected {want}, got {value!r}")
+        return kind(value)
+
+    return check
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    return int(value)
+_number = _scalar(float)
+_integer = _scalar(int)
+_count = _scalar(int, 1)
 
 
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {value!r}")
     return value
+
+
+def _n_list(value, where: str) -> list[int]:
+    if not isinstance(value, list) or not value:
+        _fail(where, "expected a non-empty list of integers")
+    return [_count(n, f"{where}/{j}") for j, n in enumerate(value)]
+
+
+def _phi_text(value, where: str) -> str:
+    text = _string(value, where)
+    try:
+        parse_phi(text)
+    except ValidationError as exc:
+        _fail(where, str(exc))
+    return text
 
 
 def _build_ambiguity(spec, path: str) -> AmbiguitySet:
@@ -130,48 +165,6 @@ def _build_ambiguity(spec, path: str) -> AmbiguitySet:
         _fail(path, str(exc))
 
 
-def _parse_experiment(spec, path: str) -> dict:
-    _check_keys(spec, _EXPERIMENT_KEYS, path)
-    out: dict = {}
-    if "r" in spec:
-        out["r"] = _number(spec["r"], f"{path}/r")
-    if "nList" in spec:
-        ns = spec["nList"]
-        if not isinstance(ns, list) or not ns:
-            _fail(f"{path}/nList", "expected a non-empty list of integers")
-        parsed = []
-        for j, n in enumerate(ns):
-            n = _integer(n, f"{path}/nList/{j}")
-            if n < 1:
-                _fail(f"{path}/nList/{j}", f"expected a positive integer, got {n}")
-            parsed.append(n)
-        out["nList"] = parsed
-    if "phi" in spec:
-        text = _string(spec["phi"], f"{path}/phi")
-        try:
-            parse_phi(text)
-        except ValidationError as exc:
-            _fail(f"{path}/phi", str(exc))
-        out["phi"] = text
-    for key in ("dx", "padFactor", "sigmaLo", "sigmaHi"):
-        if key in spec:
-            value = _number(spec[key], f"{path}/{key}")
-            if value <= 0.0 and key in ("dx", "padFactor"):
-                _fail(f"{path}/{key}", f"expected a positive number, got {value!r}")
-            if value < 0.0:
-                _fail(f"{path}/{key}", f"expected a non-negative number, got {value!r}")
-            out[key] = value
-    for key in ("seed", "trials"):
-        if key in spec:
-            value = _integer(spec[key], f"{path}/{key}")
-            if key == "trials" and value < 1:
-                _fail(f"{path}/{key}", f"expected a positive integer, got {value}")
-            if key == "seed" and value < 0:
-                _fail(f"{path}/{key}", f"expected a non-negative integer, got {value}")
-            out[key] = value
-    return out
-
-
 def _parse_output(spec, path: str) -> dict:
     _check_keys(spec, _OUTPUT_KEYS, path)
     out: dict = {}
@@ -197,24 +190,20 @@ def parse_config(path: str) -> Config:
     if "ambiguity" in raw:
         cfg.ambiguity = _build_ambiguity(raw["ambiguity"], "/ambiguity")
     if "experiment" in raw:
-        cfg.experiment = _parse_experiment(raw["experiment"], "/experiment")
+        by_key = {opt.key: opt for opt in _OPTIONS.values()}
+        spec = _check_keys(raw["experiment"], by_key, "/experiment")
+        cfg.experiment = {
+            key: by_key[key].check(value, f"/experiment/{key}") for key, value in spec.items()
+        }
     if "output" in raw:
         cfg.output = _parse_output(raw["output"], "/output")
     return cfg
 
 
-def _pick(flag, config_value, default):
-    if flag is not None:
-        return flag
-    if config_value is not None:
-        return config_value
-    return default
-
-
 def _emit(args, cfg: Config, json_obj, csv_header, csv_rows) -> None:
     """Write the report as JSON or CSV to the chosen path or stdout."""
-    fmt = _pick(args.format, cfg.output.get("format"), "json")
-    path = _pick(args.out, cfg.output.get("path"), None)
+    fmt = args.format if args.format is not None else cfg.output.get("format", "json")
+    path = args.out if args.out is not None else cfg.output.get("path")
     if path is None:
         text = dumps_json(json_obj) if fmt == "json" else dumps_csv(csv_header, csv_rows)
         sys.stdout.write(text)
@@ -230,62 +219,50 @@ def _ambiguity_or_reference(cfg: Config) -> AmbiguitySet:
     return cfg.ambiguity if cfg.ambiguity is not None else reference_set()
 
 
-def _cmd_axioms(args, cfg: Config) -> int:
-    trials = _pick(args.trials, cfg.experiment.get("trials"), 200)
-    seed = _pick(args.seed, cfg.experiment.get("seed"), 0)
-    report = axiom_suite(seed, trials)
-    _emit(args, cfg, report.to_dict(), report.CSV_HEADER, report.csv_rows())
-    return EXIT_PASS if report.passed else EXIT_FAIL
+# Each command takes the resolved options and the config, and returns
+# (JSON report, CSV header, CSV rows, whether its checks passed).
 
 
-def _cmd_independence(args, cfg: Config) -> int:
-    trials = _pick(args.trials, cfg.experiment.get("trials"), 10)
-    seed = _pick(args.seed, cfg.experiment.get("seed"), 0)
-    report = independence_suite(seed, n_pairs=trials)
-    _emit(args, cfg, report.to_dict(), report.CSV_HEADER, report.csv_rows())
-    return EXIT_PASS if report.passed else EXIT_FAIL
+def _cmd_axioms(opts: dict, cfg: Config):
+    report = axiom_suite(opts["seed"], opts["trials"])
+    return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
-def _cmd_moments(args, cfg: Config) -> int:
-    aset = _ambiguity_or_reference(cfg)
-    r = _pick(args.r, cfg.experiment.get("r"), 3.0)
-    n_list = _pick(args.n, cfg.experiment.get("nList"), [2**k for k in range(2, 9)])
-    report = moment_scan(aset, r, n_list)
-    _emit(args, cfg, report.to_dict(), report.CSV_HEADER, report.csv_rows())
-    return EXIT_PASS if report.passed else EXIT_FAIL
+def _cmd_independence(opts: dict, cfg: Config):
+    report = independence_suite(opts["seed"], n_pairs=opts["trials"])
+    return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
-def _cmd_clt(args, cfg: Config) -> int:
-    aset = _ambiguity_or_reference(cfg)
-    phi = parse_phi(_pick(args.phi, cfg.experiment.get("phi"), "abs"))
-    n_list = _pick(args.n, cfg.experiment.get("nList"), [8, 32, 128, 256])
-    dx = _pick(args.dx, cfg.experiment.get("dx"), 0.02)
-    pad = _pick(args.pad, cfg.experiment.get("padFactor"), 6.0)
-    report = clt_convergence(aset, phi, n_list, dx=dx, pad_factor=pad)
-    _emit(args, cfg, report.to_dict(), report.CSV_HEADER, report.csv_rows())
-    return EXIT_PASS if report.errors_decreasing else EXIT_FAIL
+def _cmd_moments(opts: dict, cfg: Config):
+    report = moment_scan(_ambiguity_or_reference(cfg), opts["r"], opts["n"])
+    return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
-def _cmd_gheat(args, cfg: Config) -> int:
-    sigma_lo = _pick(args.sigma_lo, cfg.experiment.get("sigmaLo"), None)
-    sigma_hi = _pick(args.sigma_hi, cfg.experiment.get("sigmaHi"), None)
+def _cmd_clt(opts: dict, cfg: Config):
+    report = clt_convergence(
+        _ambiguity_or_reference(cfg), parse_phi(opts["phi"]), opts["n"],
+        dx=opts["dx"], pad_factor=opts["pad"],
+    )
+    return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.errors_decreasing
+
+
+def _cmd_gheat(opts: dict, cfg: Config):
+    sigma_lo, sigma_hi = opts["sigma_lo"], opts["sigma_hi"]
     if (sigma_lo is None) != (sigma_hi is None):
         raise ValidationError("give both --sigma-lo and --sigma-hi or neither")
     if sigma_lo is None:
         params = params_from_envelope(moment_envelope(_ambiguity_or_reference(cfg)))
     else:
         params = GParams(sigma_lo, sigma_hi)
-    phi = parse_phi(_pick(args.phi, cfg.experiment.get("phi"), "square"))
-    dx = _pick(args.dx, cfg.experiment.get("dx"), 0.02)
-    pad = _pick(args.pad, cfg.experiment.get("padFactor"), 6.0)
-    sol = g_normal_solution(params, phi, dx=dx, pad_factor=pad)
+    phi = parse_phi(opts["phi"])
+    sol = g_normal_solution(params, phi, dx=opts["dx"], pad_factor=opts["pad"])
     value = sol.value_at(0.0)
     report = {
         "sigmaLo": params.sigma_lo,
         "sigmaHi": params.sigma_hi,
         "phi": phi.to_dict(),
-        "dx": dx,
-        "padFactor": pad,
+        "dx": opts["dx"],
+        "padFactor": opts["pad"],
         "value": value,
         "steps": sol.steps_taken,
     }
@@ -293,25 +270,17 @@ def _cmd_gheat(args, cfg: Config) -> int:
         oracle = gaussian_quadrature_oracle(params.sigma_hi, phi)
         report["quadratureValue"] = oracle
         report["absError"] = abs(value - oracle)
-    rows = list(zip(sol.xs.tolist(), sol.u.tolist()))
-    _emit(args, cfg, report, ("x", "u"), rows)
-    return EXIT_PASS
+    return report, ("x", "u"), list(zip(sol.xs.tolist(), sol.u.tolist())), True
 
 
-def _cmd_oracle(args, cfg: Config) -> int:
+def _cmd_oracle(opts: dict, cfg: Config):
     aset = _ambiguity_or_reference(cfg)
-    n_list = sorted(set(_pick(args.n, cfg.experiment.get("nList"), [1, 2, 3])))
-    if args.phi is not None or cfg.experiment.get("phi") is not None:
-        phis = [parse_phi(_pick(args.phi, cfg.experiment.get("phi"), "abs"))]
-    else:
-        phis = [
-            parse_phi("abs"), parse_phi("square"), parse_phi("cube"),
-            parse_phi("quartic"), parse_phi("clamp:-1,1"),
-        ]
+    texts = [opts["phi"]] if isinstance(opts["phi"], str) else opts["phi"]
+    phis = [parse_phi(text) for text in texts]
     entries = []
     strategy_counts = []
     max_diff = 0.0
-    for n in n_list:
+    for n in sorted(set(opts["n"])):
         oracle_vals = brute_force_adapted_oracle_many(aset, n, phis)
         strategy_counts.append({"n": n, "strategies": count_adapted_strategies(aset, n)})
         for phi, oracle_val in zip(phis, oracle_vals):
@@ -330,12 +299,8 @@ def _cmd_oracle(args, cfg: Config) -> int:
         "maxAbsDiff": max_diff,
         "pass": passed,
     }
-    rows = [
-        (e["n"], e["phi"], e["dpValue"], e["oracleValue"], e["absDiff"])
-        for e in entries
-    ]
-    _emit(args, cfg, report, ("n", "phi", "dpValue", "oracleValue", "absDiff"), rows)
-    return EXIT_PASS if passed else EXIT_FAIL
+    header = ("n", "phi", "dpValue", "oracleValue", "absDiff")
+    return report, header, [tuple(e[key] for key in header) for e in entries], passed
 
 
 _COMMANDS = {
@@ -358,18 +323,43 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-# Each flag with the commands that read it, so an unread flag is a usage error.
-_FLAGS = {
-    "--r": (float, "moment order r > 2", ("moments",)),
-    "--n": (_int_list, "comma-separated n values", ("moments", "clt", "oracle")),
-    "--phi": (str, "catalog function, e.g. abs or abspow:2.5", ("clt", "gheat", "oracle")),
-    "--dx": (float, "PDE space step", ("clt", "gheat")),
-    "--pad": (float, "PDE domain pad factor", ("clt", "gheat")),
-    "--sigma-lo": (float, "lower volatility", ("gheat",)),
-    "--sigma-hi": (float, "upper volatility", ("gheat",)),
-    "--trials": (int, "randomized trial count", ("axioms", "independence")),
-    "--seed": (int, "random seed", ("axioms", "independence")),
+class _Option(NamedTuple):
+    key: str  # config key under /experiment
+    kind: Callable  # argparse type of the flag
+    check: Callable  # (value, where) -> value, for flag and config values alike
+    help: str
+    defaults: dict  # {command that reads the option: its default}
+
+
+# One row per option; a command has the flag only if it reads the option, so
+# any other flag is a usage error.  Values resolve as flag, then config, then
+# the command's default.
+_OPTIONS = {
+    "r": _Option("r", float, _scalar(float, 2.0, strict=True), "moment order r > 2",
+                 {"moments": 3.0}),
+    "n": _Option("nList", _int_list, _n_list, "comma-separated n values",
+                 {"moments": (4, 8, 16, 32, 64, 128, 256), "clt": (8, 32, 128, 256),
+                  "oracle": (1, 2, 3)}),
+    "phi": _Option("phi", str, _phi_text, "catalog function, e.g. abs or abspow:2.5",
+                   {"clt": "abs", "gheat": "square",
+                    "oracle": ("abs", "square", "cube", "quartic", "clamp:-1,1")}),
+    "dx": _Option("dx", float, _scalar(float, 0.0, strict=True), "PDE space step",
+                  {"clt": 0.02, "gheat": 0.02}),
+    "pad": _Option("padFactor", float, _scalar(float, MIN_PAD_FACTOR), "PDE domain pad factor",
+                   {"clt": 6.0, "gheat": 6.0}),
+    "sigma_lo": _Option("sigmaLo", float, _scalar(float, 0.0), "lower volatility",
+                        {"gheat": None}),
+    "sigma_hi": _Option("sigmaHi", float, _scalar(float, 0.0), "upper volatility",
+                        {"gheat": None}),
+    "seed": _Option("seed", int, _scalar(int, 0), "random seed",
+                    {"axioms": 0, "independence": 0}),
+    "trials": _Option("trials", int, _count, "randomized trial count",
+                      {"axioms": 200, "independence": 10}),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="report output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), help="report format")
-        for flag, (kind, text, readers) in _FLAGS.items():
-            if name in readers:
-                p.add_argument(flag, type=kind, help=text)
+        for opt_name, opt in _OPTIONS.items():
+            if name in opt.defaults:
+                p.add_argument(_flag(opt_name), type=opt.kind, help=opt.help)
     return parser
 
 
@@ -393,17 +383,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else Config()
-        # only axioms and independence have --seed and --trials
-        seed, trials = getattr(args, "seed", None), getattr(args, "trials", None)
-        if seed is not None and seed < 0:
-            raise ValidationError(f"--seed must be non-negative, got {seed}")
-        if trials is not None and trials < 1:
-            raise ValidationError(f"--trials must be positive, got {trials}")
+        opts = {}
+        for name, opt in _OPTIONS.items():
+            if args.command in opt.defaults:
+                flag = getattr(args, name)
+                opts[name] = (
+                    opt.check(flag, _flag(name)) if flag is not None
+                    else cfg.experiment.get(opt.key, opt.defaults[args.command])
+                )
         # A non-finite number ends as a gexlab error with its own message,
         # so numpy's overflow warnings would only add stderr lines.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command][0](args, cfg)
-    except json.JSONDecodeError as exc:
+            report, csv_header, csv_rows, passed = _COMMANDS[args.command][0](opts, cfg)
+            _emit(args, cfg, report, csv_header, csv_rows)
+        return EXIT_PASS if passed else EXIT_FAIL
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"gexlab: config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationError, ConfigurationError, HypothesisError) as exc:

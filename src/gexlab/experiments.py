@@ -163,7 +163,12 @@ def variance_subadditivity_check(
 
 @dataclass(frozen=True)
 class CltReport:
-    """Normalized-sum expectations against the PDE limit value."""
+    """Normalized-sum expectations against the PDE limit value.
+
+    ``errors_decreasing`` compares only the ends: it holds when the error at
+    the largest n is at most the error at the smallest n, even if the errors
+    in between rise and fall.
+    """
 
     phi: PhiSpec
     envelope: MomentEnvelope

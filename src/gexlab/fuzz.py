@@ -20,7 +20,7 @@ from .ambiguity import (
 )
 from .errors import ValidationError
 from .pengsum import DEFAULT_STRATEGY_CEILING, count_adapted_strategies, pairwise_independence_check
-from .phis import CATALOG_PLAIN, PhiSpec, make_phi
+from .phis import CATALOG, PhiSpec, make_phi
 
 # supports stay inside [-2.5, 2.5] so quartic values stay small enough for
 # the 1e-12 axiom tolerances to clear float rounding with a wide margin
@@ -30,15 +30,9 @@ _MAX_ABS_INDEX = 5
 
 def random_catalog_phi(rng: np.random.Generator) -> PhiSpec:
     """Random catalog function, including parameterized shapes."""
-    name = rng.choice(list(CATALOG_PLAIN) + ["abspow", "ramp", "clamp", "indicator"])
-    if name == "abspow":
-        return make_phi("abspow", float(rng.uniform(0.5, 4.0)))
-    if name == "ramp":
-        return make_phi("ramp", float(rng.uniform(-2.0, 2.0)))
-    if name in ("clamp", "indicator"):
-        a, b = np.sort(rng.uniform(-2.0, 2.0, size=2))
-        return make_phi(name, float(a), float(b))
-    return make_phi(str(name))
+    name = str(rng.choice(list(CATALOG)))
+    shape = CATALOG[name]
+    return make_phi(name, *np.sort(rng.uniform(*shape.draw, size=shape.arity)))
 
 
 def _random_probs(rng: np.random.Generator, size: int) -> np.ndarray:

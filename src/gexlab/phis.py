@@ -7,12 +7,19 @@ widens PDE domains for shifted shapes like ramp and clamp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def _arg_text(a: float) -> str:
+    """Short ``:g`` text when it parses back to ``a``, else the exact ``repr``."""
+    text = f"{a:g}"
+    return text if float(text) == a else repr(a)
 
 
 @dataclass(frozen=True)
@@ -31,7 +38,7 @@ class PhiSpec:
         """Round-trippable name; args joined with ';' so CSV cells stay comma-free."""
         if not self.args:
             return self.name
-        return self.name + ":" + ";".join(f"{a:g}" for a in self.args)
+        return self.name + ":" + ";".join(_arg_text(a) for a in self.args)
 
     def to_dict(self) -> dict:
         """Report projection shared by every report that names its phi."""
@@ -46,14 +53,6 @@ class PhiSpec:
         return self.fn(x)
 
 
-def _abs(x):
-    return np.abs(x)
-
-
-def _square(x):
-    return np.square(x)
-
-
 def _cube(x):
     x = np.asarray(x, dtype=np.float64)
     return x * x * x
@@ -64,81 +63,68 @@ def _quartic(x):
     return np.square(np.square(x))
 
 
-def _negsquare(x):
-    return -np.square(x)
+def _abspow(r):
+    return (lambda x: np.abs(x) ** r), r, "convex" if r >= 1.0 else "neither", 0.0
 
 
-def _negabs(x):
-    return -np.abs(x)
+def _ramp(a):
+    return (lambda x: np.maximum(np.asarray(x, dtype=np.float64) - a, 0.0)), 1.0, "convex", abs(a)
+
+
+def _clamp(a, b):
+    fn = lambda x: np.clip(np.asarray(x, dtype=np.float64), a, b)
+    return fn, 1.0, "neither", max(abs(a), abs(b))
+
+
+def _indicator(a, b):
+    def fn(x):
+        x = np.asarray(x, dtype=np.float64)
+        return ((x >= a) & (x <= b)).astype(np.float64)
+
+    return fn, 0.0, "neither", max(abs(a), abs(b))
+
+
+class _Shape(NamedTuple):
+    """One catalog row."""
+
+    build: Callable  # (*args) -> (fn, growth exponent, convexity, margin)
+    arity: int = 0
+    need: str = ""  # the condition on the finite arguments, as error text
+    ok: Callable = lambda *args: True
+    draw: tuple[float, float] = (0.0, 0.0)  # the fuzz suites draw each argument from this range
+
+
+def _ordered(a, b):
+    return a <= b
+
+
+# In the order the fuzz suites draw from, which fixes their report bytes.
+CATALOG = {
+    "abs": _Shape(lambda: (np.abs, 1.0, "convex", 0.0)),
+    "square": _Shape(lambda: (np.square, 2.0, "convex", 0.0)),
+    "cube": _Shape(lambda: (_cube, 3.0, "neither", 0.0)),
+    "quartic": _Shape(lambda: (_quartic, 4.0, "convex", 0.0)),
+    "negsquare": _Shape(lambda: ((lambda x: -np.square(x)), 2.0, "concave", 0.0)),
+    "negabs": _Shape(lambda: ((lambda x: -np.abs(x)), 1.0, "concave", 0.0)),
+    "abspow": _Shape(_abspow, 1, "r > 0", lambda r: r > 0.0, (0.5, 4.0)),
+    "ramp": _Shape(_ramp, 1, "a", draw=(-2.0, 2.0)),
+    "clamp": _Shape(_clamp, 2, "a <= b", _ordered, (-2.0, 2.0)),
+    "indicator": _Shape(_indicator, 2, "a <= b", _ordered, (-2.0, 2.0)),
+}
 
 
 def make_phi(name: str, *args: float) -> PhiSpec:
-    """Build a catalog function by name.
-
-    Parameterized shapes: abspow(r) with r > 0, ramp(a), clamp(a, b) with
-    a <= b, indicator(a, b) with a <= b.  The rest take no arguments.
-    """
+    """Build a catalog function by name; ``CATALOG`` lists each shape's arguments."""
     args = tuple(float(a) for a in args)
-    plain = {
-        "abs": (_abs, 1.0, "convex"),
-        "square": (_square, 2.0, "convex"),
-        "cube": (_cube, 3.0, "neither"),
-        "quartic": (_quartic, 4.0, "convex"),
-        "negsquare": (_negsquare, 2.0, "concave"),
-        "negabs": (_negabs, 1.0, "concave"),
-    }
-    if name in plain:
-        if args:
-            raise ValidationError(f"phi {name!r} takes no arguments, got {args!r}")
-        fn, p, conv = plain[name]
-        return PhiSpec(name, (), p, conv, 0.0, fn)
-    if name == "abspow":
-        if len(args) != 1:
-            raise ValidationError(f"abspow takes one exponent argument, got {args!r}")
-        r = args[0]
-        if not (np.isfinite(r) and r > 0.0):
-            raise ValidationError(f"abspow exponent must be positive, got {r!r}")
-
-        def f(x, r=r):
-            return np.abs(x) ** r
-
-        conv = "convex" if r >= 1.0 else "neither"
-        return PhiSpec("abspow", (r,), r, conv, 0.0, f)
-    if name == "ramp":
-        if len(args) != 1:
-            raise ValidationError(f"ramp takes one threshold argument, got {args!r}")
-        a = args[0]
-        if not np.isfinite(a):
-            raise ValidationError(f"ramp threshold must be finite, got {a!r}")
-
-        def f(x, a=a):
-            return np.maximum(np.asarray(x, dtype=np.float64) - a, 0.0)
-
-        return PhiSpec("ramp", (a,), 1.0, "convex", abs(a), f)
-    if name == "clamp":
-        if len(args) != 2:
-            raise ValidationError(f"clamp takes two arguments, got {args!r}")
-        a, b = args
-        if not (np.isfinite(a) and np.isfinite(b) and a <= b):
-            raise ValidationError(f"clamp needs finite a <= b, got {args!r}")
-
-        def f(x, a=a, b=b):
-            return np.clip(np.asarray(x, dtype=np.float64), a, b)
-
-        return PhiSpec("clamp", (a, b), 1.0, "neither", max(abs(a), abs(b)), f)
-    if name == "indicator":
-        if len(args) != 2:
-            raise ValidationError(f"indicator takes two arguments, got {args!r}")
-        a, b = args
-        if not (np.isfinite(a) and np.isfinite(b) and a <= b):
-            raise ValidationError(f"indicator needs finite a <= b, got {args!r}")
-
-        def f(x, a=a, b=b):
-            x = np.asarray(x, dtype=np.float64)
-            return ((x >= a) & (x <= b)).astype(np.float64)
-
-        return PhiSpec("indicator", (a, b), 0.0, "neither", max(abs(a), abs(b)), f)
-    raise ValidationError(f"unknown phi name {name!r}")
+    shape = CATALOG.get(name)
+    if shape is None:
+        raise ValidationError(f"unknown phi name {name!r}")
+    if len(args) != shape.arity:
+        raise ValidationError(f"phi {name!r} takes {shape.arity} argument(s), got {args!r}")
+    if not (all(map(math.isfinite, args)) and shape.ok(*args)):
+        raise ValidationError(f"phi {name!r} needs finite {shape.need}, got {args!r}")
+    fn, growth, convexity, margin = shape.build(*args)
+    return PhiSpec(name, args, growth, convexity, margin, fn)
 
 
 def parse_phi(text: str) -> PhiSpec:
@@ -156,6 +142,3 @@ def parse_phi(text: str) -> PhiSpec:
     except ValueError:
         raise ValidationError(f"could not parse phi arguments in {text!r}") from None
     return make_phi(name, *args)
-
-
-CATALOG_PLAIN = ("abs", "square", "cube", "quartic", "negsquare", "negabs")

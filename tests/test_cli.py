@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,12 @@ class TestParseConfig:
     def test_boolean_is_not_a_number(self, tmp_path):
         self.run_bad(tmp_path, {"experiment": {"dx": True}}, "/experiment/dx")
 
+    def test_int_too_large_for_a_float(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"experiment": {"dx": 1' + "0" * 400 + "}}", encoding="utf-8")
+        with pytest.raises(ValidationError, match="/experiment/dx"):
+            cli.parse_config(str(path))
+
     def test_negative_seed(self, tmp_path):
         self.run_bad(tmp_path, {"experiment": {"seed": -1}}, "/experiment/seed")
 
@@ -100,6 +109,13 @@ class TestExitCodes:
         path.write_text("{not json", encoding="utf-8")
         assert cli.main(["moments", "--config", str(path)]) == cli.EXIT_PARSE
         assert "config parse error" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"experiment": {"phi": "\xff"}}')
+        assert cli.main(["moments", "--config", str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("gexlab: config parse error: ")
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -176,6 +192,66 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and "quadrature oracle overflowed" in err
+
+
+# One out-of-range value per option, for a command that reads it.
+OUT_OF_RANGE = [
+    ("r", "moments", "1"),
+    ("n", "moments", "0"),
+    ("phi", "clt", "frobnicate"),
+    ("dx", "gheat", "0"),
+    ("pad", "gheat", "2"),
+    ("sigma_lo", "gheat", "-1"),
+    ("sigma_hi", "gheat", "-1"),
+    ("seed", "axioms", "-3"),
+    ("trials", "axioms", "0"),
+]
+
+
+class TestOptionParity:
+    def test_every_option_is_covered(self):
+        assert sorted(name for name, _, _ in OUT_OF_RANGE) == sorted(cli._OPTIONS)
+
+    @pytest.mark.parametrize("name,command,text", OUT_OF_RANGE, ids=[c[0] for c in OUT_OF_RANGE])
+    def test_flag_and_config_refused_alike(self, name, command, text, tmp_path, capsys):
+        opt = cli._OPTIONS[name]
+        flag = "--" + name.replace("_", "-")
+        assert cli.main([command, flag, text]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"gexlab: {flag}")
+
+        value = text if name == "phi" else json.loads(text)
+        path = write_config(tmp_path, {"experiment": {opt.key: [value] if name == "n" else value}})
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"gexlab: /experiment/{opt.key}")
+
+
+def registered_flags() -> dict:
+    """Each command's option flags as ``build_parser`` registers them."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"-h", "--help", "--config", "--out", "--format"}
+    return {
+        name: {s for action in p._actions for s in action.option_strings} - common
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_option_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {name: set() for name in cli._COMMANDS}
+    keys = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not re.fullmatch(r"`--[a-z-]+`", cells[0]):
+            continue
+        flag = cells[0].strip("`")
+        keys[flag] = cells[1].strip("`")
+        for command in re.findall(r"`([a-z]+)`", cells[-1]):
+            documented[command].add(flag)
+    assert documented == registered_flags()
+    assert keys == {"--" + n.replace("_", "-"): opt.key for n, opt in cli._OPTIONS.items()}
 
 
 class TestAxiomCommands:

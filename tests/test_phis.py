@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gexlab.errors import ValidationError
-from gexlab.phis import make_phi, parse_phi
+from gexlab.phis import CATALOG, make_phi, parse_phi
 
 XS = np.array([-2.5, -1.0, 0.0, 0.5, 3.0])
 
@@ -81,12 +81,30 @@ def test_parse_phi_forms():
 
 
 def test_label_round_trip():
-    for text in ("abs", "abspow:2.5", "ramp:-0.5", "clamp:-1;1", "indicator:0;2"):
+    for text in (
+        "abs", "abspow:2.5", "ramp:-0.5", "clamp:-1;1", "indicator:0;2",
+        "abspow:2.123456789", "ramp:1234567", "clamp:1e-7;0.3333333333333333",
+    ):
         phi = parse_phi(text)
         again = parse_phi(phi.label)
         assert again.name == phi.name
         assert again.args == phi.args
         assert "," not in phi.label
+
+
+def test_label_keeps_short_text():
+    assert parse_phi("clamp:-1,1").label == "clamp:-1;1"
+    assert parse_phi("abspow:2.5").label == "abspow:2.5"
+    assert parse_phi("clamp:1e-7;0.3333333333333333").label == "clamp:1e-07;0.3333333333333333"
+    assert parse_phi("ramp:1234567").label == "ramp:1234567.0"
+
+
+def test_catalog_draw_order():
+    # the fuzz suites draw names in this order, so it fixes their report bytes
+    assert list(CATALOG) == [
+        "abs", "square", "cube", "quartic", "negsquare", "negabs",
+        "abspow", "ramp", "clamp", "indicator",
+    ]
 
 
 @pytest.mark.parametrize("text", ["", ":", "abspow:", "abspow:x", "clamp:1,2,3"])

@@ -96,7 +96,8 @@ def _write_text(path: str, text: str) -> None:
     the umask, as a plain ``open`` would create), which is renamed over the
     target only once fully written.  A failed write leaves the previous
     report intact and removes the temp file.  Writing through a symlink
-    replaces the file it points to and keeps the link.
+    replaces the file it points to and keeps the link.  An ``OSError``
+    names ``path``, never the temp file.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         # a pipe or device (``--out /dev/stdout``) holds no report to keep,
@@ -106,14 +107,18 @@ def _write_text(path: str, text: str) -> None:
         return
     target = os.path.realpath(path)
     tmp = f"{target}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # the temp file's random name would make the message differ per run
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def write_json(path: str, obj: Any) -> None:

@@ -462,6 +462,17 @@ class TestSubprocessEntry:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["value"] == 0.0
 
+    def test_unwritable_out_names_only_the_given_path(self, tmp_path):
+        out = str(tmp_path / "missing" / "x.json")
+        errs = []
+        for _ in range(2):
+            proc = run_gexlab("moments", "--out", out)
+            assert proc.returncode == cli.EXIT_IO
+            assert proc.stdout == ""
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0] == f"gexlab: i/o error: [Errno 2] No such file or directory: {out!r}\n"
+
     def test_module_runs_and_is_deterministic(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

@@ -108,8 +108,10 @@ class TestDpStep:
             args = make_inputs(rng)
             with np.errstate(invalid="ignore", over="ignore"):
                 got = _kernels.dp_step(*args)
+                planned = _kernels.dp_step(*args, plan=_kernels.dp_plan(*args[1:5]))
                 want = dp_step_loop_reference(*args)
             assert same_bits(got, want)
+            assert same_bits(planned, want)
 
     def test_first_term_negative_zero_becomes_positive(self):
         # the loop adds onto a zero-filled accumulator: 0.0 + -0.0 = +0.0
@@ -145,9 +147,25 @@ class TestSweepBits:
     def test_reference_family_n256(self, monkeypatch, ref_set, phi):
         ns = [1, 2, 17, 128, 256]
         got = sum_expectations(ref_set, ns, phi)
-        monkeypatch.setattr(pengsum._kernels, "dp_step", dp_step_loop_reference)
+
+        def loop_step(*args, plan):
+            return dp_step_loop_reference(*args)
+
+        monkeypatch.setattr(pengsum._kernels, "dp_step", loop_step)
         want = sum_expectations(ref_set, ns, phi)
         assert same_bits(got, want)
+
+    def test_one_plan_per_sweep(self, monkeypatch, ref_set):
+        built = []
+        plan = _kernels.dp_plan
+
+        def counting(*args):
+            built.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(pengsum._kernels, "dp_plan", counting)
+        sum_expectations(ref_set, [1, 17, 256], make_phi("abs"))
+        assert len(built) == 1
 
 
 class TestGheatMarch:

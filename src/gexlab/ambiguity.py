@@ -51,19 +51,14 @@ def evaluate_on(f: Callable, *points: np.ndarray) -> np.ndarray:
 
 
 def indicator_of(event: Callable) -> Callable:
-    """Turn a predicate into a 0/1-valued function usable as an integrand."""
+    """Turn a predicate into a 0/1-valued function usable as an integrand.
+
+    Any truthy value counts as 1.  A predicate that only takes scalars is
+    evaluated point by point by ``evaluate_on``.
+    """
 
     def f(x):
-        arr = np.asarray(x)
-        if arr.ndim == 0:
-            return 1.0 if bool(event(arr[()])) else 0.0
-        try:
-            mask = np.asarray(event(arr))
-            if mask.shape == arr.shape:
-                return mask.astype(np.float64)
-        except (TypeError, ValueError):
-            pass
-        return np.array([1.0 if bool(event(v)) else 0.0 for v in arr])
+        return np.asarray(event(x), dtype=bool).astype(np.float64)
 
     return f
 

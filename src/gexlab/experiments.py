@@ -2,9 +2,11 @@
 
 Each driver validates the mean-zero hypothesis, runs the exact dynamic
 program over a sorted list of n values, and returns a report object with
-deterministic dict/CSV projections.  Drivers whose payoff does not depend
-on n read every n off one backward sweep; normalized-sum drivers, whose
-payoff ``phi(x / sqrt(n))`` changes with n, sweep once per n.
+deterministic dict/CSV projections.  Every driver reads all n off one
+backward sweep, except a normalized-sum driver whose payoff is not
+positively homogeneous.  ``uniform_moment_check``'s payoff ``|x|^q`` is,
+so ``E|S_n / sqrt n|^q = n^(-q/2) E|S_n|^q`` and one sweep serves every n;
+``clt_convergence`` takes any payoff, so it sweeps once per n.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .phis import PhiSpec, make_phi
 from .pengsum import normalized_sum_expectation, sum_expectation, sum_expectations  # noqa: F401
 
 MEAN_ZERO_TOL = 1e-12
+SUBADDITIVITY_TOL = 1e-9
 SLOPE_TOL = 0.1
 
 
@@ -52,12 +55,12 @@ def _check_n_list(n_list: Sequence[int]) -> list[int]:
     return ns
 
 
-def require_mean_zero(aset: AmbiguitySet, tol: float = MEAN_ZERO_TOL) -> None:
-    """Raise HypothesisError unless every law has mean zero within tol."""
+def require_mean_zero(aset: AmbiguitySet) -> None:
+    """Raise HypothesisError unless every law has mean zero within MEAN_ZERO_TOL."""
     bad = []
     for i, law in enumerate(aset.laws):
         m = law.mean()
-        if abs(m) > tol:
+        if abs(m) > MEAN_ZERO_TOL:
             bad.append(f"{aset.label_of(i)} (mean {m:.3e})")
     if bad:
         raise HypothesisError(
@@ -144,9 +147,7 @@ class SubadditivityRow:
         return {"n": self.n, "lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
 
 
-def variance_subadditivity_check(
-    aset: AmbiguitySet, n_max: int, tol: float = 1e-9
-) -> list[SubadditivityRow]:
+def variance_subadditivity_check(aset: AmbiguitySet, n_max: int) -> list[SubadditivityRow]:
     """Check the n-step second moment against n times the one-step bound."""
     require_mean_zero(aset)
     n_max = int(n_max)
@@ -157,7 +158,7 @@ def variance_subadditivity_check(
     rows = []
     for n, lhs in zip(ns, sum_expectations(aset, ns, np.square)):
         rhs = n * one_step
-        rows.append(SubadditivityRow(n, lhs, rhs, lhs <= rhs + tol))
+        rows.append(SubadditivityRow(n, lhs, rhs, lhs <= rhs + SUBADDITIVITY_TOL))
     return rows
 
 
@@ -253,14 +254,19 @@ class UniformMomentReport:
 def uniform_moment_check(
     aset: AmbiguitySet, p: float, n_list: Sequence[int]
 ) -> UniformMomentReport:
-    """Check that normalized (p+1)-th moments stay bounded in n."""
+    """Check that normalized (p+1)-th moments stay bounded in n.
+
+    ``b_n = a_n / n^((p+1)/2)`` with ``a_n`` the upper expectation of
+    ``|S_n|^(p+1)``, all read off one sweep as in ``moment_scan``.
+    """
     require_mean_zero(aset)
     p = float(p)
     if not (np.isfinite(p) and p >= 1.0):
         raise ValidationError(f"need p >= 1, got {p!r}")
     ns = _check_n_list(n_list)
-    phi = make_phi("abspow", p + 1.0)
-    entries = [(n, normalized_sum_expectation(aset, n, phi)) for n in ns]
+    half = (p + 1.0) / 2.0
+    a_ns = sum_expectations(aset, ns, make_phi("abspow", p + 1.0))
+    entries = [(n, a / float(n) ** half) for n, a in zip(ns, a_ns)]
     slope = _loglog_slope(entries)
     return UniformMomentReport(
         p=p,

@@ -15,7 +15,8 @@ import numpy as np
 from .ambiguity import (
     AmbiguitySet,
     DiscreteDistribution,
-    capacity_pair,
+    indicator_of,
+    lower_expectation,
     upper_expectation,
 )
 from .errors import ValidationError
@@ -26,6 +27,8 @@ from .phis import CATALOG, PhiSpec, make_phi
 # the 1e-12 axiom tolerances to clear float rounding with a wide margin
 _STEPS = (0.25, 0.5)
 _MAX_ABS_INDEX = 5
+_ORACLE_MAX_TRIES = 1000
+SUITE_TOL = 1e-12
 
 
 def random_catalog_phi(rng: np.random.Generator) -> PhiSpec:
@@ -80,14 +83,13 @@ def random_oracle_set(
     rng: np.random.Generator,
     n: int = 4,
     ceiling: int = DEFAULT_STRATEGY_CEILING,
-    max_tries: int = 1000,
 ) -> AmbiguitySet:
     """Small random family the brute-force oracle can enumerate up to n steps.
 
     Atoms come from {-1, 0, 1} with at most 3 laws; draws whose adapted
     strategy count at n exceeds the ceiling are rejected and resampled.
     """
-    for _ in range(max_tries):
+    for _ in range(_ORACLE_MAX_TRIES):
         step = float(rng.choice((0.25, 0.5, 1.0)))
         n_laws = int(rng.integers(1, 4))
         laws = []
@@ -98,15 +100,26 @@ def random_oracle_set(
         aset = AmbiguitySet(tuple(laws))
         if count_adapted_strategies(aset, n) <= ceiling:
             return aset
-    raise ValidationError(f"no oracle-feasible family found in {max_tries} draws")
+    raise ValidationError(f"no oracle-feasible family found in {_ORACLE_MAX_TRIES} draws")
+
+
+def _support_range(aset: AmbiguitySet) -> tuple[float, float]:
+    """The family's support range widened by one lattice step on each side."""
+    step = aset.step
+    return aset.min_index() * step - step, aset.max_index() * step + step
 
 
 def random_interval(rng: np.random.Generator, aset: AmbiguitySet) -> tuple[float, float]:
     """Random interval overlapping the support range of the family."""
-    pts = np.concatenate([law.support for law in aset.laws])
-    lo, hi = pts.min() - aset.step, pts.max() + aset.step
-    a, b = np.sort(rng.uniform(lo, hi, size=2))
+    a, b = np.sort(rng.uniform(*_support_range(aset), size=2))
     return float(a), float(b)
+
+
+def _duality_residual(aset: AmbiguitySet, a: float, b: float) -> float:
+    """``|V(A) + v(complement of A) - 1|`` for the interval event ``A = [a, b]``."""
+    big = upper_expectation(aset, indicator_of(lambda x: (x >= a) & (x <= b)))
+    small_c = lower_expectation(aset, indicator_of(lambda x: (x < a) | (x > b)))
+    return abs(big + small_c - 1.0)
 
 
 def _const_fn(c: float):
@@ -151,7 +164,7 @@ class SuiteReport:
         return list(self.checks.items())
 
 
-def axiom_suite(seed: int, trials: int = 200, tol: float = 1e-12) -> SuiteReport:
+def axiom_suite(seed: int, trials: int = 200) -> SuiteReport:
     """Fuzz the four defining axioms plus capacity duality.
 
     Per trial: one random family, two random catalog functions, one random
@@ -191,16 +204,12 @@ def axiom_suite(seed: int, trials: int = 200, tol: float = 1e-12) -> SuiteReport
         )
 
         a, b = random_interval(rng, aset)
-        big, _ = capacity_pair(aset, lambda x: (x >= a) & (x <= b))
-        _, small_c = capacity_pair(aset, lambda x: (x < a) | (x > b))
-        worst["capacityDuality"] = max(worst["capacityDuality"], abs(big + small_c - 1.0))
+        worst["capacityDuality"] = max(worst["capacityDuality"], _duality_residual(aset, a, b))
     worst = {k: max(v, 0.0) for k, v in worst.items()}
-    return SuiteReport("axioms", int(trials), int(seed), tol, worst)
+    return SuiteReport("axioms", int(trials), int(seed), SUITE_TOL, worst)
 
 
-def capacity_duality_suite(
-    seed: int, n_sets: int = 20, n_events: int = 100, tol: float = 1e-12
-) -> SuiteReport:
+def capacity_duality_suite(seed: int, n_sets: int = 20, n_events: int = 100) -> SuiteReport:
     """V(A) + v(complement of A) = 1 over random interval events."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -208,18 +217,14 @@ def capacity_duality_suite(
         aset = random_ambiguity_set(rng)
         for _ in range(int(n_events)):
             a, b = random_interval(rng, aset)
-            big, _ = capacity_pair(aset, lambda x: (x >= a) & (x <= b))
-            _, small_c = capacity_pair(aset, lambda x: (x < a) | (x > b))
-            worst = max(worst, abs(big + small_c - 1.0))
+            worst = max(worst, _duality_residual(aset, a, b))
     return SuiteReport(
-        "capacityDuality", int(n_sets) * int(n_events), int(seed), tol,
+        "capacityDuality", int(n_sets) * int(n_events), int(seed), SUITE_TOL,
         {"capacityDuality": worst},
     )
 
 
-def independence_suite(
-    seed: int, n_pairs: int = 10, grid: int = 5, tol: float = 1e-12
-) -> SuiteReport:
+def independence_suite(seed: int, n_pairs: int = 10, grid: int = 5) -> SuiteReport:
     """Product rule for both capacities over half-line threshold events.
 
     For each random pair of families, a grid x grid panel of thresholds
@@ -234,19 +239,18 @@ def independence_suite(
         yset = random_ambiguity_set(rng)
 
         def thresholds(aset: AmbiguitySet) -> np.ndarray:
-            pts = np.concatenate([law.support for law in aset.laws])
-            lo, hi = pts.min() - aset.step, pts.max() + aset.step
+            lo, hi = _support_range(aset)
             inset = 0.1 * (hi - lo)
             return np.linspace(lo + inset, hi - inset, grid)
 
         for s in thresholds(xset):
             for t in thresholds(yset):
                 chk = pairwise_independence_check(
-                    xset, yset, lambda x, s=s: x > s, lambda y, t=t: y > t, tol=tol
+                    xset, yset, lambda x, s=s: x > s, lambda y, t=t: y > t
                 )
                 worst_upper = max(worst_upper, chk.upper_gap)
                 worst_lower = max(worst_lower, chk.lower_gap)
     return SuiteReport(
-        "independence", int(n_pairs) * grid * grid, int(seed), tol,
+        "independence", int(n_pairs) * grid * grid, int(seed), SUITE_TOL,
         {"upperFactorization": worst_upper, "lowerFactorization": worst_lower},
     )

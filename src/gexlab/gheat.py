@@ -30,6 +30,8 @@ from .pengsum import MAX_GRID_POINTS
 
 CFL_LIMIT = 0.5
 MIN_PAD_FACTOR = 4.0
+QUAD_Z_MAX = 10.0
+QUAD_NODES = 10001  # odd, as the 1/3 rule needs
 
 
 @dataclass(frozen=True)
@@ -206,32 +208,21 @@ def g_normal_expectation(
     return sol.value_at(0.0)
 
 
-def gaussian_quadrature_oracle(
-    sigma: float,
-    phi: Callable,
-    z_max: float = 10.0,
-    n_nodes: int = 10001,
-) -> float:
+def gaussian_quadrature_oracle(sigma: float, phi: Callable) -> float:
     """Classical E[phi(sigma * Z)], Z standard normal, by composite Simpson.
 
-    Uses the 1/3 rule with weights 1, 4, 2, ..., 4, 1 on ``n_nodes`` equally
-    spaced points of ``[-z_max, z_max]``, so ``n_nodes`` must be odd and at
-    least 3.  Independent of the PDE route; exact enough for unit tests when
-    sigma_lo equals sigma_hi.
+    Uses the 1/3 rule with weights 1, 4, 2, ..., 4, 1 on QUAD_NODES equally
+    spaced points of ``[-QUAD_Z_MAX, QUAD_Z_MAX]``.  Independent of the PDE
+    route; exact enough for unit tests when sigma_lo equals sigma_hi.
     """
     sigma = float(sigma)
-    z_max = float(z_max)
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValidationError(f"sigma must be non-negative, got {sigma!r}")
-    if not (np.isfinite(z_max) and z_max > 0.0):
-        raise ValidationError(f"z_max must be positive and finite, got {z_max!r}")
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValidationError(f"n_nodes must be odd and at least 3, got {n_nodes!r}")
     if sigma == 0.0:
-        return float(np.asarray(phi(np.array(0.0)), dtype=np.float64))
-    z = np.linspace(-z_max, z_max, n_nodes)
+        return float(evaluate_on(phi, np.zeros(1))[0])
+    z = np.linspace(-QUAD_Z_MAX, QUAD_Z_MAX, QUAD_NODES)
     vals = evaluate_on(phi, sigma * z) * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
-    h = 2.0 * z_max / (n_nodes - 1)
+    h = 2.0 * QUAD_Z_MAX / (QUAD_NODES - 1)
     odd, even = vals[1:-1:2].sum(), vals[2:-1:2].sum()
     value = float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * odd + 2.0 * even))
     if not math.isfinite(value):

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+JSON_INDENT = 2
+
 
 def fmt_float(x: float) -> str:
     """Render a finite float with 17 significant digits."""
@@ -39,17 +41,17 @@ def _fmt_cell(x: Any) -> str:
     raise ValidationError(f"cannot serialize cell of type {type(x).__name__}")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
+def dumps_json(obj: Any) -> str:
     """Serialize to JSON text with deterministic float formatting."""
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * depth)
-    inner = " " * (indent * (depth + 1))
+def _emit(obj: Any, out: list[str], depth: int) -> None:
+    pad = " " * (JSON_INDENT * depth)
+    inner = " " * (JSON_INDENT * (depth + 1))
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -72,7 +74,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
             out.append(inner)
             out.append(json.dumps(k, ensure_ascii=True))
             out.append(": ")
-            _emit(v, out, indent, depth + 1)
+            _emit(v, out, depth + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -82,7 +84,7 @@ def _emit(obj: Any, out: list[str], indent: int, depth: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(inner)
-            _emit(v, out, indent, depth + 1)
+            _emit(v, out, depth + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     else:

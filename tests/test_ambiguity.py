@@ -7,6 +7,7 @@ from gexlab.ambiguity import (
     MomentEnvelope,
     capacity_pair,
     evaluate_on,
+    indicator_of,
     lower_expectation,
     moment_envelope,
     per_law_expectations,
@@ -180,6 +181,14 @@ class TestExpectations:
         big, small = capacity_pair(ref_set, lambda x: x >= 1.0)
         assert big == 0.5
         assert small == 0.0
+
+    def test_indicator_counts_truthy_values_as_one(self):
+        # x % 2 is 0.5 or 1.0 on the support {0.5, 1.0}: truthy everywhere
+        aset = AmbiguitySet((DiscreteDistribution(0.5, [1, 2], [0.5, 0.5]),))
+        ind = indicator_of(lambda x: x % 2)
+        xs = aset.laws[0].support
+        np.testing.assert_array_equal(ind(xs), [ind(x) for x in xs])
+        assert capacity_pair(aset, lambda x: x % 2) == (1.0, 1.0)
 
     def test_capacity_duality_fuzz(self, rng):
         # V(A) + v(complement) = 1

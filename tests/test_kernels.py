@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gexlab import _kernels, gheat, pengsum
+from gexlab.experiments import uniform_moment_check
 from gexlab.gheat import GParams, PdeGrid, g_normal_solution, solve_g_heat
 from gexlab.pengsum import sum_expectations
 from gexlab.phis import make_phi
@@ -166,6 +167,8 @@ class TestSweepBits:
         monkeypatch.setattr(pengsum._kernels, "dp_plan", counting)
         sum_expectations(ref_set, [1, 17, 256], make_phi("abs"))
         assert len(built) == 1
+        uniform_moment_check(ref_set, 1.0, [2, 4, 8, 16])
+        assert len(built) == 2
 
 
 class TestGheatMarch:

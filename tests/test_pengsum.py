@@ -7,7 +7,7 @@ import pytest
 from gexlab import pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, indicator_of, upper_expectation
 from gexlab.errors import CapacityError, DomainError, EvaluationError, SizeError, ValidationError
-from gexlab.experiments import moment_scan, variance_subadditivity_check
+from gexlab.experiments import moment_scan, uniform_moment_check, variance_subadditivity_check
 from gexlab.fuzz import random_ambiguity_set, random_oracle_set
 from gexlab.pengsum import (
     GridFunction,
@@ -255,6 +255,10 @@ class TestSumExpectations:
         assert [a for _, a in report.entries] == [sum_expectation(ref_set, n, phi) for n, _ in report.entries]
         rows = variance_subadditivity_check(ref_set, 40)
         assert [r.lhs for r in rows] == [sum_expectation(ref_set, r.n, np.square) for r in rows]
+        uniform = uniform_moment_check(ref_set, 2.0, [16, 32, 64, 128])
+        for n, b in uniform.entries:
+            assert b == sum_expectation(ref_set, n, phi) / n**1.5
+            assert b == pytest.approx(normalized_sum_expectation(ref_set, n, phi), rel=1e-14)
 
     @pytest.mark.parametrize("ns", [[], [0, 3], [-1]])
     def test_rejects_bad_n(self, ref_set, ns):

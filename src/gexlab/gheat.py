@@ -103,7 +103,7 @@ class PdeGrid:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdeSolution:
     """Terminal-value problem solution marched back to time 0."""
 

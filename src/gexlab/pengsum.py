@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .ambiguity import AmbiguitySet, capacity_pair, evaluate_on, indicator_of
+from .ambiguity import AmbiguitySet, _lower, _upper, evaluate_on, indicator_of
 from .errors import CapacityError, DomainError, SizeError, ValidationError
 
 MAX_GRID_POINTS = 1 << 26
@@ -49,7 +49,7 @@ class LatticeGrid:
         return np.arange(self.min_index, self.max_index + 1, dtype=np.int64) * self.step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Function sampled on every point of a lattice grid."""
 
@@ -85,7 +85,7 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     support stays inside the previous block.  Yields ``(values, lo, hi)``
     for the block after each sweep.
     """
-    k_lo, k_hi = aset.min_index(), aset.max_index()
+    k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
     if hi - lo < n_steps * (k_hi - k_lo):
         raise DomainError(
             f"input domain [{lo}, {hi}] is too narrow: one step consumes "
@@ -132,7 +132,7 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     if min(ns) < 1:
         raise ValidationError(f"need n >= 1, got {min(ns)}")
     n_max = max(ns)
-    K = aset.max_abs_index
+    K = int(np.abs(aset.indices).max())
     size = 2 * n_max * K + 1
     if size > MAX_GRID_POINTS:
         raise SizeError(
@@ -171,10 +171,9 @@ def normalized_sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> flo
 
 def reachable_index_sets(aset: AmbiguitySet, n: int) -> list[np.ndarray]:
     """Sorted lattice-index sets reachable by the partial sums S_0 .. S_n."""
-    atoms = np.unique(np.concatenate([law.indices for law in aset.laws]))
     sets = [np.zeros(1, dtype=np.int64)]
     for _ in range(n):
-        nxt = np.unique((sets[-1][:, None] + atoms[None, :]).ravel())
+        nxt = np.unique((sets[-1][:, None] + aset.indices[None, :]).ravel())
         sets.append(nxt)
     return sets
 
@@ -188,13 +187,12 @@ def _reachable_state_count(aset: AmbiguitySet, n: int) -> int:
     runs than points, and once a walk fills its span it is a single run, so
     this costs far less than listing the sets.
     """
-    atoms = np.unique(np.concatenate([law.indices for law in aset.laws]))
     starts = ends = np.zeros(1, dtype=np.int64)
     total = 0
     for _ in range(n):
         total += int((ends - starts).sum()) + starts.size
-        s = (starts[:, None] + atoms).ravel()
-        e = (ends[:, None] + atoms).ravel()
+        s = (starts[:, None] + aset.indices).ravel()
+        e = (ends[:, None] + aset.indices).ravel()
         order = np.argsort(s)
         s = s[order]
         reach = np.maximum.accumulate(e[order])
@@ -306,22 +304,22 @@ def joint_expectation(xset: AmbiguitySet, yset: AmbiguitySet, f: Callable) -> fl
 
     Computed by the iterated construction: integrate out Y at each fixed x,
     then take the upper expectation of the resulting function of x.  ``f``
-    is evaluated once on the grid of X-support by Y-support points; each
-    law's expectation is the same 1-D ``probs @ values`` dot on a contiguous
-    row that ``upper_expectation`` would take, so the bits match it.
+    is evaluated once on the grid of ``xset.support`` by ``yset.support``
+    points, so it must be pointwise.
     """
-    xs = np.unique(np.concatenate([law.support for law in xset.laws]))
-    ys = np.unique(np.concatenate([law.support for law in yset.laws]))
-    grid = evaluate_on(f, *np.meshgrid(xs, ys, indexing="ij"))
-    inner = np.full(xs.size, -np.inf)
-    for law in yset.laws:
+    grid = evaluate_on(f, *np.meshgrid(xset.support, yset.support, indexing="ij"))
+    return _iterated_upper(xset, yset, grid)
+
+
+def _iterated_upper(xset: AmbiguitySet, yset: AmbiguitySet, grid: np.ndarray) -> float:
+    """``joint_expectation`` of ``grid[i, j] = f(xset.support[i], yset.support[j])``."""
+    inner = np.full(xset.support.size, -np.inf)
+    for law, cols in zip(yset.laws, yset.columns):
         # np.take keeps rows C-contiguous; a strided dot may sum in another order
-        cols = np.take(grid, np.searchsorted(ys, law.support), axis=1)
-        for i in range(xs.size):
-            inner[i] = max(inner[i], float(law.probs @ cols[i]))
-    return max(
-        float(law.probs @ inner[np.searchsorted(xs, law.support)]) for law in xset.laws
-    )
+        rows = np.take(grid, cols, axis=1)
+        for i in range(xset.support.size):
+            inner[i] = max(inner[i], float(law.probs @ rows[i]))
+    return float(xset.expectations(inner).max())
 
 
 @dataclass(frozen=True)
@@ -359,19 +357,13 @@ def pairwise_independence_check(
     the product of the marginal upper capacities, and likewise for the
     lower capacities; the check passes within INDEPENDENCE_TOL.
     """
-    ind_x = indicator_of(event_x)
-    ind_y = indicator_of(event_y)
-
-    def rect(x, y):
-        return ind_x(x) * ind_y(y)
-
-    def neg_rect(x, y):
-        return -(ind_x(x) * ind_y(y))
-
-    joint_upper = joint_expectation(xset, yset, rect)
-    joint_lower = -joint_expectation(xset, yset, neg_rect)
-    up_x, low_x = capacity_pair(xset, event_x)
-    up_y, low_y = capacity_pair(yset, event_y)
+    ind_x = evaluate_on(indicator_of(event_x), xset.support)
+    ind_y = evaluate_on(indicator_of(event_y), yset.support)
+    rect = np.multiply.outer(ind_x, ind_y)
     return IndependenceCheck(
-        joint_upper, up_x * up_y, joint_lower, low_x * low_y, INDEPENDENCE_TOL
+        joint_upper=_iterated_upper(xset, yset, rect),
+        product_upper=_upper(xset, ind_x) * _upper(yset, ind_y),
+        joint_lower=-_iterated_upper(xset, yset, -rect),
+        product_lower=_lower(xset, ind_x) * _lower(yset, ind_y),
+        tol=INDEPENDENCE_TOL,
     )

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import per_law_reference as ref
 from gexlab.ambiguity import (
     AmbiguitySet,
     DiscreteDistribution,
@@ -16,6 +19,9 @@ from gexlab.ambiguity import (
 )
 from gexlab.errors import EvaluationError, ValidationError
 from gexlab.fuzz import random_ambiguity_set, random_catalog_phi, random_interval
+from gexlab.gheat import PdeGrid, PdeSolution
+from gexlab.pengsum import GridFunction, LatticeGrid, joint_expectation
+from gexlab.phis import CATALOG, make_phi
 
 
 def coin(step=1.0, k=1):
@@ -90,9 +96,7 @@ class TestAmbiguitySet:
             AmbiguitySet((coin(),), labels=("a", "b"))
 
     def test_index_bounds(self, ref_set):
-        assert ref_set.max_abs_index == 2
-        assert ref_set.min_index() == -2
-        assert ref_set.max_index() == 2
+        np.testing.assert_array_equal(ref_set.indices, [-2, -1, 1, 2])
         assert ref_set.label_of(1) == "coin +-0.5"
 
     def test_default_labels(self):
@@ -210,3 +214,130 @@ class TestExpectations:
             assert e_min <= min(ef, eg) + 1e-12
             e_sum = upper_expectation(aset, lambda x: f(x) + g(x))
             assert e_sum <= ef + eg + 1e-12
+
+
+class TestIdentitySemantics:
+    def test_equal_valued_laws_compare_by_identity(self):
+        a, b = coin(), coin()
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert len({a, b, a}) == 2
+        assert {a: "first", b: "second"}[b] == "second"
+        family, twin = AmbiguitySet((a, b)), AmbiguitySet((a, b))
+        assert family == family
+        assert family != twin
+        assert {family: 1}[family] == 1
+
+    def test_array_holding_results_hash_by_identity(self):
+        g = GridFunction(LatticeGrid(1.0, 0, 2), np.zeros(3))
+        sol = PdeSolution(PdeGrid(-1.0, 1.0, 0.5, 0.1), np.linspace(-1.0, 1.0, 5), np.zeros(5), 1)
+        for obj in (g, sol):
+            assert obj == obj
+            assert obj in {obj}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _random_family(rng):
+    """Laws on windows up to 24 indices apart, some atoms with probability 0."""
+    step = float(rng.choice((0.25, 0.5)))
+    laws = []
+    for _ in range(int(rng.integers(1, 5))):
+        size = int(rng.integers(1, 6))
+        window = np.arange(-5, 6) + int(rng.integers(-12, 13))
+        ks = np.sort(rng.choice(window, size, replace=False))
+        w = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) < 0.7)
+        w[rng.integers(size)] += 0.5
+        laws.append(DiscreteDistribution(step, ks, w / w.sum()))
+    return AmbiguitySet(tuple(laws))
+
+
+def _catalog_draws(rng):
+    for name, shape in CATALOG.items():
+        yield make_phi(name, *np.sort(rng.uniform(*shape.draw, size=shape.arity)))
+
+
+# two laws on disjoint supports, the second with a zero-probability atom
+DISJOINT = AmbiguitySet(
+    (
+        DiscreteDistribution(0.5, [-3, -2], [0.25, 0.75]),
+        DiscreteDistribution(0.5, [4, 5, 7], [0.5, 0.0, 0.5]),
+    )
+)
+
+
+class TestFamilyRoute:
+    """One evaluation on the union support gives the per-law bits."""
+
+    def families(self, rng):
+        return [DISJOINT] + [_random_family(rng) for _ in range(30)]
+
+    def test_union_support_and_columns(self):
+        np.testing.assert_array_equal(DISJOINT.support, [-1.5, -1.0, 2.0, 2.5, 3.5])
+        for law, cols in zip(DISJOINT.laws, DISJOINT.columns):
+            np.testing.assert_array_equal(DISJOINT.support[cols], law.support)
+        with pytest.raises(ValueError):
+            DISJOINT.support[0] = 0.0
+
+    def test_expectations_match_per_law(self, rng):
+        for aset in self.families(rng):
+            for phi in _catalog_draws(rng):
+                _assert_same_bits(
+                    per_law_expectations(aset, phi), [law.expectation(phi) for law in aset.laws]
+                )
+                _assert_same_bits(upper_expectation(aset, phi), ref.upper(aset, phi))
+                _assert_same_bits(lower_expectation(aset, phi), ref.lower(aset, phi))
+
+    def test_capacities_and_envelope_match_per_law(self, rng):
+        for aset in self.families(rng):
+            env = moment_envelope(aset)
+            _assert_same_bits(
+                [env.mean_lower, env.mean_upper, env.var_lower, env.var_upper],
+                ref.moment_envelope(aset),
+            )
+            for _ in range(10):
+                a, b = random_interval(rng, aset)
+                event = lambda x: (x >= a) & (x <= b)
+                _assert_same_bits(capacity_pair(aset, event), ref.capacity_pair(aset, event))
+            # no law reaches the event: both capacities are zero, and the lower
+            # one must carry the sign of -max(E[-0]) as the reference does
+            never = lambda x: x > 100.0
+            _assert_same_bits(capacity_pair(aset, never), ref.capacity_pair(aset, never))
+            assert capacity_pair(aset, never) == (0.0, 0.0)
+
+    def test_joint_matches_per_law(self, rng):
+        families = self.families(rng)
+        for xset, yset in zip(families, families[1:] + families[:1]):
+            s, t = rng.uniform(-2.0, 2.0, size=2)
+            ind_x = indicator_of(lambda x: x > s)
+            ind_y = indicator_of(lambda y: y > t)
+            fs = [lambda x, y: ind_x(x) * ind_y(y), lambda x, y: -(ind_x(x) * ind_y(y))]
+            fs += [lambda x, y, phi=phi: phi(x + y) - x * y for phi in _catalog_draws(rng)]
+            for f in fs:
+                _assert_same_bits(joint_expectation(xset, yset, f), ref.joint(xset, yset, f))
+
+    def test_scalar_only_callables_fall_back(self, ref_set):
+        f = lambda x: math.exp(float(x))
+        event = lambda x: float(x) > 0.3
+        for aset in (ref_set, DISJOINT):
+            per_law = [law.expectation(f) for law in aset.laws]
+            _assert_same_bits(per_law_expectations(aset, f), per_law)
+            _assert_same_bits(lower_expectation(aset, f), ref.lower(aset, f))
+            _assert_same_bits(capacity_pair(aset, event), ref.capacity_pair(aset, event))
+
+    def test_nonfinite_names_smallest_support_point(self):
+        # law 0 fails first at -0.5, law 1 at -1.5: the union's smallest point is named
+        aset = AmbiguitySet((coin(0.5, 1), DiscreteDistribution(0.5, [-3], [1.0])))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(EvaluationError, match=r"value nan at support point x=-1\.5"):
+                upper_expectation(aset, np.log)
+        # a lower expectation reports f's value, not -f's
+        with pytest.raises(EvaluationError, match=r"value -inf at support point x=-1\.5"):
+            lower_expectation(aset, lambda x: np.where(x < 0.0, -np.inf, x))

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+import per_law_reference as ref
 from gexlab.experiments import require_mean_zero
 from gexlab.fuzz import (
     SuiteReport,
@@ -12,6 +14,7 @@ from gexlab.fuzz import (
     random_oracle_set,
 )
 from gexlab.pengsum import count_adapted_strategies
+from gexlab.serialize import dumps_json
 
 
 class TestGenerators:
@@ -95,3 +98,22 @@ class TestSuites:
         report = independence_suite(3, n_pairs=2)
         assert report.passed
         assert set(report.checks) == {"upperFactorization", "lowerFactorization"}
+
+
+class TestSuitesMatchPerLawRoute:
+    """Report bytes equal those of a route that evaluates each callable per law.
+
+    The reference runs on the same machine, so the test holds whatever the
+    CPU's pow and dot bits are.  Seed 0 with 200 and 10 trials are the CLI
+    defaults.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 3, 101])
+    def test_axiom_suite(self, seed):
+        got = dumps_json(axiom_suite(seed, 200).to_dict())
+        assert got == dumps_json(ref.axiom_suite(seed, 200).to_dict())
+
+    @pytest.mark.parametrize("seed", [0, 3, 101])
+    def test_independence_suite(self, seed):
+        got = dumps_json(independence_suite(seed, n_pairs=10).to_dict())
+        assert got == dumps_json(ref.independence_suite(seed, 10).to_dict())

@@ -14,7 +14,6 @@ from .ambiguity import (
     lower_expectation,
     moment_envelope,
     upper_expectation,
-    upper_expectation_argmax,
 )
 from .errors import (
     CapacityError,
@@ -50,14 +49,11 @@ from .gheat import (
     solve_g_heat,
 )
 from .pengsum import (
-    GridFunction,
-    LatticeGrid,
     brute_force_adapted_oracle,
     brute_force_adapted_oracle_many,
     count_adapted_strategies,
     joint_expectation,
     normalized_sum_expectation,
-    one_step_operator,
     pairwise_independence_check,
     sum_expectation,
 )
@@ -76,9 +72,7 @@ __all__ = [
     "EvaluationError",
     "GParams",
     "GexlabError",
-    "GridFunction",
     "HypothesisError",
-    "LatticeGrid",
     "MomentEnvelope",
     "MomentScanReport",
     "PdeGrid",
@@ -102,7 +96,6 @@ __all__ = [
     "moment_envelope",
     "moment_scan",
     "normalized_sum_expectation",
-    "one_step_operator",
     "pairwise_independence_check",
     "params_from_envelope",
     "parse_phi",
@@ -112,6 +105,5 @@ __all__ = [
     "sum_expectation",
     "uniform_moment_check",
     "upper_expectation",
-    "upper_expectation_argmax",
     "variance_subadditivity_check",
 ]

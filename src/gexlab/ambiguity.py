@@ -218,16 +218,6 @@ def upper_expectation(aset: AmbiguitySet, f: Callable) -> float:
     return float(per_law_expectations(aset, f).max())
 
 
-def upper_expectation_argmax(aset: AmbiguitySet, f: Callable) -> tuple[float, int]:
-    """Upper expectation plus the index of the attaining law.
-
-    Ties resolve to the lowest law index.
-    """
-    vals = per_law_expectations(aset, f)
-    idx = int(np.argmax(vals))
-    return float(vals[idx]), idx
-
-
 def _upper(aset: AmbiguitySet, values: np.ndarray) -> float:
     """Upper expectation of ``values`` sampled on ``aset.support``."""
     return float(aset.expectations(values).max())

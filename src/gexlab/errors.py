@@ -14,7 +14,7 @@ class EvaluationError(GexlabError):
 
 
 class DomainError(GexlabError):
-    """A grid operation produced an empty domain."""
+    """A point is not a node of a PDE grid; raised by ``PdeSolution.value_at``."""
 
 
 class SizeError(GexlabError):

@@ -25,10 +25,11 @@ from .ambiguity import (
 )
 from .errors import ConfigurationError, HypothesisError, ValidationError
 from .gheat import g_normal_expectation, params_from_envelope
+from .pengsum import _check_n, normalized_sum_expectation, sum_expectations
 from .phis import PhiSpec, make_phi
 # sum_expectation stays bound here: gexbench traces calls made through this
 # module's names and its tests look it up on this module.
-from .pengsum import normalized_sum_expectation, sum_expectation, sum_expectations  # noqa: F401
+from .pengsum import sum_expectation  # noqa: F401
 
 MEAN_ZERO_TOL = 1e-12
 SUBADDITIVITY_TOL = 1e-9
@@ -47,11 +48,9 @@ def reference_set() -> AmbiguitySet:
 
 
 def _check_n_list(n_list: Sequence[int]) -> list[int]:
-    ns = sorted(set(int(n) for n in n_list))
+    ns = sorted({_check_n(n, "nList entries must be >= 1, got {}") for n in n_list})
     if not ns:
         raise ValidationError("nList must be non-empty")
-    if ns[0] < 1:
-        raise ValidationError(f"nList entries must be >= 1, got {ns[0]}")
     return ns
 
 
@@ -150,9 +149,7 @@ class SubadditivityRow:
 def variance_subadditivity_check(aset: AmbiguitySet, n_max: int) -> list[SubadditivityRow]:
     """Check the n-step second moment against n times the one-step bound."""
     require_mean_zero(aset)
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValidationError(f"need n_max >= 1, got {n_max}")
+    n_max = _check_n(n_max, "need n_max >= 1, got {}")
     one_step = upper_expectation(aset, np.square)
     ns = range(1, n_max + 1)
     rows = []

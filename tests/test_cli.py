@@ -443,6 +443,19 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("command", ["axioms", "independence", "moments", "clt", "gheat", "oracle"])
+    def test_command_loads_no_numpy_ma_or_scipy(self, command):
+        code = (
+            "import contextlib, io, sys\n"
+            "from gexlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main([{command!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m == 'numpy.ma' or m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+
     def test_stale_environment_knobs_are_ignored(self):
         proc = run_gexlab("moments", "--n", "4,8,16,32", env={**os.environ, **STALE_KNOBS})
         assert proc.returncode == 0, proc.stderr

@@ -6,18 +6,20 @@ import pytest
 
 from gexlab import pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, indicator_of, upper_expectation
-from gexlab.errors import CapacityError, DomainError, EvaluationError, SizeError, ValidationError
-from gexlab.experiments import moment_scan, uniform_moment_check, variance_subadditivity_check
+from gexlab.errors import CapacityError, EvaluationError, SizeError, ValidationError
+from gexlab.experiments import (
+    clt_convergence,
+    moment_scan,
+    uniform_moment_check,
+    variance_subadditivity_check,
+)
 from gexlab.fuzz import random_ambiguity_set, random_oracle_set
 from gexlab.pengsum import (
-    GridFunction,
-    LatticeGrid,
     brute_force_adapted_oracle,
     brute_force_adapted_oracle_many,
     count_adapted_strategies,
     joint_expectation,
     normalized_sum_expectation,
-    one_step_operator,
     pairwise_independence_check,
     reachable_index_sets,
     sum_expectation,
@@ -52,63 +54,31 @@ def full_history_value(aset, n, phi):
 
 
 class TestGrids:
-    def test_lattice_grid_validation(self):
-        with pytest.raises(ValidationError):
-            LatticeGrid(0.0, 0, 1)
-        with pytest.raises(ValidationError):
-            LatticeGrid(1.0, 2, 1)
-
     def test_points(self):
-        grid = LatticeGrid(0.5, -2, 2)
-        assert grid.size == 5
-        np.testing.assert_array_equal(grid.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
+        # phi is sampled once, on the lattice block [-n*K, n*K] times the step
+        seen = []
 
-    def test_grid_function_shape_check(self):
-        grid = LatticeGrid(1.0, 0, 3)
-        with pytest.raises(ValidationError):
-            GridFunction(grid, np.zeros(3))
+        def recording(x):
+            seen.append(np.array(x))
+            return np.square(x)
 
-    def test_value_at_index(self):
-        f = GridFunction.sample(LatticeGrid(1.0, -2, 2), np.square)
-        assert f.value_at_index(-2) == 4.0
-        assert f.value_at_index(0) == 0.0
-        with pytest.raises(DomainError):
-            f.value_at_index(3)
+        sum_expectation(coin_set(0.5), 2, recording)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
 class TestOneStepOperator:
     def test_square_plus_variance(self):
         # for the fair +-1 coin, E[(x + X)^2] = x^2 + 1 exactly
         aset = coin_set()
-        f = GridFunction.sample(LatticeGrid(1.0, -10, 10), np.square)
-        tf = one_step_operator(aset, f)
-        assert tf.grid.min_index == -9
-        assert tf.grid.max_index == 9
-        np.testing.assert_array_equal(tf.values, tf.grid.points**2 + 1.0)
+        for x in range(-9, 10):
+            assert sum_expectation(aset, 1, lambda s: (s + x) ** 2) == x * x + 1.0
 
     def test_takes_max_over_laws(self, ref_set):
-        f = GridFunction.sample(LatticeGrid(0.5, -4, 4), np.square)
-        tf = one_step_operator(ref_set, f)
-        # at x=0 the wide coin wins: max(1, 0.25)
-        assert tf.value_at_index(0) == 1.0
-
-    def test_domain_shrinks_asymmetrically(self):
-        law = DiscreteDistribution.from_atoms(1.0, [(-2, 0.5), (1, 0.5)])
-        f = GridFunction.sample(LatticeGrid(1.0, -5, 5), np.abs)
-        tf = one_step_operator(AmbiguitySet((law,)), f)
-        assert tf.grid.min_index == -3
-        assert tf.grid.max_index == 4
-
-    def test_too_narrow_domain(self):
-        aset = coin_set()
-        f = GridFunction.sample(LatticeGrid(1.0, 0, 1), np.abs)
-        with pytest.raises(DomainError):
-            one_step_operator(aset, f)
-
-    def test_step_mismatch(self, ref_set):
-        f = GridFunction.sample(LatticeGrid(1.0, -4, 4), np.abs)
-        with pytest.raises(ValidationError):
-            one_step_operator(ref_set, f)
+        # x^2 + E[X^2]: the wide coin wins for the square, the narrow one for its negative
+        for x in (-1.0, 0.0, 1.5):
+            assert sum_expectation(ref_set, 1, lambda s: (s + x) ** 2) == x * x + 1.0
+            assert sum_expectation(ref_set, 1, lambda s: -((s + x) ** 2)) == -(x * x + 0.25)
 
 
 class TestSumExpectation:
@@ -144,13 +114,44 @@ class TestSumExpectation:
         assert normed == direct / 2.0
 
     def test_matches_full_history_oracle(self, rng):
-        for _ in range(4):
-            aset = random_oracle_set(rng, n=3)
+        # the last family's support {-2, -1, 1} shrinks each sweep's block unevenly
+        asym = DiscreteDistribution.from_atoms(1.0, [(-2, 0.5), (1, 0.5)])
+        sets = [random_oracle_set(rng, n=3) for _ in range(4)]
+        for aset in sets + [AmbiguitySet((asym,) + coin_set().laws)]:
             for n in (2, 3):
                 for phi in (np.abs, np.square, make_phi("cube")):
                     dp = sum_expectation(aset, n, phi)
                     ora = full_history_value(aset, n, phi)
                     assert dp == pytest.approx(ora, abs=1e-12)
+
+
+# Every public entry point that takes a step count, called with that count
+WHOLE_N_ENTRIES = {
+    "sum_expectation": lambda aset, n: sum_expectation(aset, n, np.abs),
+    "sum_expectations": lambda aset, n: sum_expectations(aset, [1, n], np.abs),
+    "normalized_sum_expectation": lambda aset, n: normalized_sum_expectation(aset, n, np.abs),
+    "count_adapted_strategies": count_adapted_strategies,
+    "brute_force_adapted_oracle_many": lambda aset, n: brute_force_adapted_oracle_many(aset, n, [np.abs]),
+    "variance_subadditivity_check": variance_subadditivity_check,
+    "moment_scan": lambda aset, n: moment_scan(aset, 3.0, [n, 4, 8, 16]),
+    "uniform_moment_check": lambda aset, n: uniform_moment_check(aset, 1.0, [n, 4, 8, 16]),
+    "clt_convergence": lambda aset, n: clt_convergence(aset, make_phi("abs"), [n, 4], dx=0.1),
+}
+
+
+@pytest.mark.parametrize("entry", WHOLE_N_ENTRIES.values(), ids=WHOLE_N_ENTRIES.keys())
+class TestWholeN:
+    def test_integral_values_accepted(self, ref_set, entry):
+        want = entry(ref_set, 2)
+        assert entry(ref_set, np.int64(2)) == want
+        assert entry(ref_set, 2.0) == want
+
+    # refused before any arithmetic: no 1/sqrt(0) warning, no truncation of 2.7 to 2
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2.7, 0.5, float("nan"), float("inf"), 0, -1, "2"])
+    def test_refused(self, ref_set, entry, n):
+        with pytest.raises(ValidationError):
+            entry(ref_set, n)
 
 
 class TestStrategyCounting:
@@ -177,7 +178,10 @@ class TestStrategyCounting:
                 laws.append(DiscreteDistribution(0.5, ks, np.full(ks.size, 1.0 / ks.size)))
             aset = AmbiguitySet(tuple(laws))
             n = int(rng.integers(1, 12))
-            n_states = sum(r.size for r in reachable_index_sets(aset, n)[:-1])
+            sets = reachable_index_sets(aset, n)
+            for prev, level in zip(sets, sets[1:]):
+                np.testing.assert_array_equal(level, np.unique(prev[:, None] + aset.indices))
+            n_states = sum(r.size for r in sets[:-1])
             assert count_adapted_strategies(aset, n) == len(laws) ** n_states
 
 

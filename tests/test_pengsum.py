@@ -80,6 +80,15 @@ class TestOneStepOperator:
             assert sum_expectation(ref_set, 1, lambda s: (s + x) ** 2) == x * x + 1.0
             assert sum_expectation(ref_set, 1, lambda s: -((s + x) ** 2)) == -(x * x + 0.25)
 
+    def test_domain_shrinks_asymmetrically(self):
+        # support {-2, +1}: one step reaches x - 2 and x + 1, two steps reach -4, -1, 2
+        aset = AmbiguitySet((DiscreteDistribution.from_atoms(1.0, [(-2, 0.5), (1, 0.5)]),))
+        for x in range(-5, 6):
+            want = 0.5 * abs(x - 2) + 0.5 * abs(x + 1)
+            assert sum_expectation(aset, 1, lambda s: np.abs(s + x)) == want
+        assert sum_expectation(aset, 2, np.abs) == 0.25 * 4 + 0.5 * 1 + 0.25 * 2
+        assert sum_expectation(aset, 2, lambda s: s) == -1.0
+
 
 class TestSumExpectation:
     def test_validation(self, ref_set):

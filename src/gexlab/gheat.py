@@ -115,7 +115,7 @@ class PdeSolution:
     def value_at(self, x: float) -> float:
         """Value of u(1, x) at a grid node."""
         pos = (x - self.grid.x_min) / self.grid.dx
-        idx = int(round(pos))
+        idx = int(round(pos)) if math.isfinite(pos) else -1  # nan and inf are no node
         if not (0 <= idx <= self.grid.n_cells) or abs(pos - idx) > 1e-6:
             raise DomainError(f"x={x!r} is not a grid node of {self.grid}")
         return float(self.u[idx])

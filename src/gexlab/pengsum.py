@@ -24,17 +24,18 @@ DEFAULT_STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
 
 
-def _check_n(n, too_small: str = "need n >= 1, got {}") -> int:
-    """``n`` as an int, refusing non-integral, non-finite or too small values.
+def _check_n(n, too_small: str = "need n >= 1, got {}", what: str = "n") -> int:
+    """``n`` as an int, refusing non-integral, non-finite, boolean or too small values.
 
     ``int(n)`` alone would truncate 2.7 to 2 and answer for the wrong n.
+    ``what`` names the quantity in the message.
     """
     try:
         whole = int(n)
     except (TypeError, ValueError, OverflowError):
         whole = None
-    if whole is None or whole != n:
-        raise ValidationError(f"need a whole number n, got {n!r}")
+    if whole is None or whole != n or isinstance(n, (bool, np.bool_)):
+        raise ValidationError(f"need a whole number {what}, got {n!r}")
     if whole < 1:
         raise ValidationError(too_small.format(whole))
     return whole
@@ -47,6 +48,8 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     support stays inside the previous block.  Yields ``(values, lo, hi)``
     for the block after each sweep.  The last block is non-empty only if
     ``hi - lo >= n_steps * (k_hi - k_lo)``, which ``[-n*K, n*K]`` meets.
+    Each yielded array lives in the sweep's plan and is valid only until
+    the next step: read what you need before resuming, or copy it.
     """
     k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
     sizes = [law.indices.size for law in aset.laws]
@@ -224,12 +227,13 @@ def brute_force_adapted_oracle_many(
 ) -> list[float]:
     """One enumeration shared across several payoff functions."""
     n = _check_n(n)
+    ceiling = _check_n(ceiling, "need ceiling >= 1, got {}", what="ceiling")
     n_laws = len(aset.laws)
     n_states = _reachable_state_count(aset, n)
     # With L >= 2 laws, L ** S exceeds the ceiling as soon as S exceeds its
     # bit length, so capping S there keeps the comparison exact and the
     # power small.
-    if n_laws ** min(n_states, int(ceiling).bit_length() + 1) > ceiling:
+    if n_laws ** min(n_states, ceiling.bit_length() + 1) > ceiling:
         raise CapacityError(
             f"{_count_text(n_laws, n_states)} adapted strategies exceed the ceiling {ceiling}; "
             "the brute-force oracle refuses to enumerate"

@@ -134,8 +134,9 @@ class TestSolver:
         grid = PdeGrid(-1.0, 1.0, 0.5, 0.01)
         sol = solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
         assert sol.value_at(-1.0) == 1.0
-        with pytest.raises(DomainError):
-            sol.value_at(0.3)
+        for x in (0.3, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DomainError):
+                sol.value_at(x)
 
 
 class TestGNormal:

@@ -39,6 +39,32 @@ def shared_dp_inputs(rng):
     return values, law_ptr, law_k, law_p, 3, out_len
 
 
+def three_law_inputs(rng, n_in):
+    """Three laws on {-2..2}: each has a probability only it uses and one
+    that two of its atoms share, so both the scratch and the shared path run."""
+    law_ptr = np.array([0, 3, 6, 9], dtype=np.int64)
+    law_k = np.array([-2, 0, 2, -1, 0, 1, -2, 1, 2], dtype=np.int64)
+    law_p = []
+    for _ in range(3):
+        a = float(rng.uniform(0.1, 0.9))
+        law_p += [a / 2, 1.0 - a, a / 2]
+    values = rng.normal(size=n_in)
+    return values, law_ptr, law_k, np.array(law_p), 2, n_in - 4
+
+
+def at_offset(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(a.size + 8)
+    skip = (offset - raw.ctypes.data) % 64 // 8
+    out = raw[skip : skip + a.size]
+    out[:] = a
+    return out
+
+
+def line_offset(a):
+    return a.ctypes.data % 64
+
+
 def dp_step_loop_reference(values, law_ptr, law_k, law_p, base, out_len):
     """The per-atom loop: one multiply and one add per atom, max over laws."""
     out = np.full(out_len, -np.inf)
@@ -105,8 +131,10 @@ class TestDpStep:
 
     @pytest.mark.parametrize("make_inputs", [random_dp_inputs, shared_dp_inputs])
     def test_matches_loop_bits(self, rng, make_inputs):
-        for _ in range(500):
+        for i in range(500):
             args = make_inputs(rng)
+            # NumPy's aligned and unaligned loops must agree: vary the input's offset
+            args = (at_offset(args[0], 8 * (i % 8)),) + args[1:]
             with np.errstate(invalid="ignore", over="ignore"):
                 got = _kernels.dp_step(*args)
                 planned = _kernels.dp_step(*args, plan=_kernels.dp_plan(*args[1:5]))
@@ -139,6 +167,39 @@ class TestDpStep:
         ps = np.array([0.5, 0.5])
         out = _kernels.dp_step(values, ptr, ks, ps, 1, 8)
         np.testing.assert_array_equal(out, np.arange(1.0, 9.0))
+
+
+class TestBufferContract:
+    """Where the kernels' work buffers live: aligned, reused, never aliased."""
+
+    def test_buffers_start_on_a_line(self, rng):
+        args = three_law_inputs(rng, 301)
+        plan = _kernels.dp_plan(*args[1:5])
+        out = _kernels.dp_step(*args, plan=plan)
+        buffers = [*plan.outs, plan.acc, plan.scratch, *plan.shared]
+        assert len(plan.shared) == 3
+        assert [line_offset(b) for b in buffers + [out]] == [0] * (len(buffers) + 1)
+        for n in (3, 9, 1201):
+            u, d2, tmp = _kernels._march_rows(n)
+            assert [line_offset(a) for a in (u[1:-1], d2, tmp)] == [0, 0, 0]
+            assert not any(np.shares_memory(a, b) for a, b in [(u, d2), (u, tmp), (d2, tmp)])
+        _, got = _kernels.gheat_march(np.abs(np.linspace(-1.0, 1.0, 301)), 0.2, 0.1, 3)
+        assert line_offset(got[1:-1]) == 0
+
+    @pytest.mark.parametrize("offset", range(0, 64, 8))
+    def test_plan_chain_matches_loop(self, rng, offset):
+        # each step reads the previous step's output, as a sweep does; the
+        # plan's two outputs take turns, so no step writes over its input
+        values, law_ptr, law_k, law_p, base, out_len = three_law_inputs(rng, 301)
+        plan = _kernels.dp_plan(law_ptr, law_k, law_p, base)
+        got, want = at_offset(values, offset), values
+        for _ in range(5):
+            prev, prev_bits = got, got.copy()
+            got = _kernels.dp_step(got, law_ptr, law_k, law_p, base, out_len, plan=plan)
+            want = dp_step_loop_reference(want, law_ptr, law_k, law_p, base, out_len)
+            assert same_bits(got, want)
+            assert same_bits(prev, prev_bits)  # valid until the next-but-one call
+            out_len -= 4
 
 
 class TestSweepBits:
@@ -229,8 +290,8 @@ class TestGheatMarchBits:
 
     @pytest.mark.parametrize("cd_share", [0.0, 0.25, 1.0])
     def test_random_profiles(self, rng, cd_share):
-        for _ in range(20):
-            u = rng.normal(size=int(rng.integers(3, 40)))
+        for i in range(24):
+            u = at_offset(rng.normal(size=int(rng.integers(3, 300))), 8 * (i % 8))
             cu = float(rng.uniform(0.05, 0.5))
             _, got = _kernels.gheat_march(u, cu, cu * cd_share, 30)
             _, want = gheat_march_formula(u, cu, cu * cd_share, 30)

@@ -157,7 +157,7 @@ class TestWholeN:
 
     # refused before any arithmetic: no 1/sqrt(0) warning, no truncation of 2.7 to 2
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n", [2.7, 0.5, float("nan"), float("inf"), 0, -1, "2"])
+    @pytest.mark.parametrize("n", [2.7, 0.5, float("nan"), float("inf"), 0, -1, "2", True])
     def test_refused(self, ref_set, entry, n):
         with pytest.raises(ValidationError):
             entry(ref_set, n)
@@ -206,6 +206,15 @@ class TestBruteForceOracle:
         assert len(brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=32)) == 1
         with pytest.raises(CapacityError, match="^32 adapted strategies exceed the ceiling 31;"):
             brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=31)
+
+    @pytest.mark.parametrize("ceiling", [float("inf"), float("nan"), -1, 0, 31.9, True, "32"])
+    def test_bad_ceiling_refused_before_counting(self, monkeypatch, ref_set, ceiling):
+        def refuse_to_count(aset, n):
+            raise AssertionError("a bad ceiling must be refused before counting")
+
+        monkeypatch.setattr(pengsum, "_reachable_state_count", refuse_to_count)
+        with pytest.raises(ValidationError, match=re.escape(repr(ceiling))):
+            brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=ceiling)
 
     def test_refusal_builds_no_count(self, monkeypatch):
         laws = (

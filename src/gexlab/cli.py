@@ -27,7 +27,8 @@ from .errors import (
 from .experiments import clt_convergence, moment_scan, reference_set
 from .fuzz import axiom_suite, independence_suite
 from .gheat import (
-    MIN_PAD_FACTOR,
+    DEFAULT_DX,
+    PAD_FACTOR,
     GParams,
     g_normal_solution,
     gaussian_quadrature_oracle,
@@ -240,8 +241,7 @@ def _cmd_moments(opts: dict, cfg: Config):
 
 def _cmd_clt(opts: dict, cfg: Config):
     report = clt_convergence(
-        _ambiguity_or_reference(cfg), parse_phi(opts["phi"]), opts["n"],
-        dx=opts["dx"], pad_factor=opts["pad"],
+        _ambiguity_or_reference(cfg), parse_phi(opts["phi"]), opts["n"], dx=opts["dx"]
     )
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.errors_decreasing
 
@@ -255,14 +255,14 @@ def _cmd_gheat(opts: dict, cfg: Config):
     else:
         params = GParams(sigma_lo, sigma_hi)
     phi = parse_phi(opts["phi"])
-    sol = g_normal_solution(params, phi, dx=opts["dx"], pad_factor=opts["pad"])
+    sol = g_normal_solution(params, phi, dx=opts["dx"])
     value = sol.value_at(0.0)
     report = {
         "sigmaLo": params.sigma_lo,
         "sigmaHi": params.sigma_hi,
         "phi": phi.to_dict(),
         "dx": opts["dx"],
-        "padFactor": opts["pad"],
+        "padFactor": PAD_FACTOR,
         "value": value,
         "steps": sol.steps_taken,
     }
@@ -344,9 +344,7 @@ _OPTIONS = {
                    {"clt": "abs", "gheat": "square",
                     "oracle": ("abs", "square", "cube", "quartic", "clamp:-1,1")}),
     "dx": _Option("dx", float, _scalar(float, 0.0, strict=True), "PDE space step",
-                  {"clt": 0.02, "gheat": 0.02}),
-    "pad": _Option("padFactor", float, _scalar(float, MIN_PAD_FACTOR), "PDE domain pad factor",
-                   {"clt": 6.0, "gheat": 6.0}),
+                  {"clt": DEFAULT_DX, "gheat": DEFAULT_DX}),
     "sigma_lo": _Option("sigmaLo", float, _scalar(float, 0.0), "lower volatility",
                         {"gheat": None}),
     "sigma_hi": _Option("sigmaHi", float, _scalar(float, 0.0), "upper volatility",

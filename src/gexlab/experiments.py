@@ -24,7 +24,7 @@ from .ambiguity import (
     upper_expectation,
 )
 from .errors import ConfigurationError, HypothesisError, ValidationError
-from .gheat import g_normal_expectation, params_from_envelope
+from .gheat import DEFAULT_DX, g_normal_expectation, params_from_envelope
 from .pengsum import _check_n, normalized_sum_expectation, sum_expectations
 from .phis import PhiSpec, make_phi
 # sum_expectation stays bound here: gexbench traces calls made through this
@@ -200,22 +200,19 @@ class CltReport:
 
 
 def clt_convergence(
-    aset: AmbiguitySet,
-    phi: PhiSpec,
-    n_list: Sequence[int],
-    dx: float = 0.02,
-    pad_factor: float = 6.0,
+    aset: AmbiguitySet, phi: PhiSpec, n_list: Sequence[int], dx: float = DEFAULT_DX
 ) -> CltReport:
     """Compare normalized-sum expectations with the limiting PDE value.
 
-    The volatility band comes from the set's second-moment envelope, so the
-    comparison needs no extra parameters beyond PDE accuracy.
+    The volatility band comes from the set's second-moment envelope and the
+    PDE domain from ``g_normal_solution``, so the comparison needs no extra
+    parameter beyond the PDE space step ``dx``.
     """
     require_mean_zero(aset)
     ns = _check_n_list(n_list)
     envelope = moment_envelope(aset)
     params = params_from_envelope(envelope)
-    pde_value = g_normal_expectation(params, phi, dx=dx, pad_factor=pad_factor)
+    pde_value = g_normal_expectation(params, phi, dx=dx)
     pairs = [(n, normalized_sum_expectation(aset, n, phi)) for n in ns]
     entries = tuple((n, dp, abs(dp - pde_value)) for n, dp in pairs)
     return CltReport(

@@ -14,7 +14,12 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, DiscreteDistribution, _lower, _upper, evaluate_on
 from .errors import ValidationError
-from .pengsum import DEFAULT_STRATEGY_CEILING, count_adapted_strategies, pairwise_independence_check
+from .pengsum import (
+    DEFAULT_STRATEGY_CEILING,
+    _check_n,
+    count_adapted_strategies,
+    pairwise_independence_check,
+)
 from .phis import CATALOG, PhiSpec, make_phi
 
 # supports stay inside [-2.5, 2.5] so quartic values stay small enough for
@@ -23,6 +28,7 @@ _STEPS = (0.25, 0.5)
 _MAX_ABS_INDEX = 5
 _ORACLE_MAX_TRIES = 1000
 SUITE_TOL = 1e-12
+THRESHOLD_GRID = 5  # thresholds per family in independence_suite's panel
 
 
 def random_catalog_phi(rng: np.random.Generator) -> PhiSpec:
@@ -158,6 +164,7 @@ def axiom_suite(seed: int, trials: int = 200) -> SuiteReport:
     constant, scale and interval event.  Residuals are one-sided where the
     axiom is an inequality.
     """
+    trials = _check_n(trials, what="trials")
     rng = np.random.default_rng(seed)
     worst = {
         "monotonicity": 0.0,
@@ -166,7 +173,7 @@ def axiom_suite(seed: int, trials: int = 200) -> SuiteReport:
         "positiveHomogeneity": 0.0,
         "capacityDuality": 0.0,
     }
-    for _ in range(int(trials)):
+    for _ in range(trials):
         aset = random_ambiguity_set(rng)
         fx = evaluate_on(random_catalog_phi(rng), aset.support)
         gx = evaluate_on(random_catalog_phi(rng), aset.support)
@@ -193,42 +200,45 @@ def axiom_suite(seed: int, trials: int = 200) -> SuiteReport:
         a, b = random_interval(rng, aset)
         worst["capacityDuality"] = max(worst["capacityDuality"], _duality_residual(aset, a, b))
     worst = {k: max(v, 0.0) for k, v in worst.items()}
-    return SuiteReport("axioms", int(trials), int(seed), SUITE_TOL, worst)
+    return SuiteReport("axioms", trials, int(seed), SUITE_TOL, worst)
 
 
 def capacity_duality_suite(seed: int, n_sets: int = 20, n_events: int = 100) -> SuiteReport:
     """V(A) + v(complement of A) = 1 over random interval events."""
+    n_sets = _check_n(n_sets, what="n_sets")
+    n_events = _check_n(n_events, what="n_events")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(int(n_sets)):
+    for _ in range(n_sets):
         aset = random_ambiguity_set(rng)
-        for _ in range(int(n_events)):
+        for _ in range(n_events):
             a, b = random_interval(rng, aset)
             worst = max(worst, _duality_residual(aset, a, b))
     return SuiteReport(
-        "capacityDuality", int(n_sets) * int(n_events), int(seed), SUITE_TOL,
+        "capacityDuality", n_sets * n_events, int(seed), SUITE_TOL,
         {"capacityDuality": worst},
     )
 
 
-def independence_suite(seed: int, n_pairs: int = 10, grid: int = 5) -> SuiteReport:
+def independence_suite(seed: int, n_pairs: int = 10) -> SuiteReport:
     """Product rule for both capacities over half-line threshold events.
 
-    For each random pair of families, a grid x grid panel of thresholds
-    produces rectangle events {X > s, Y > t}; the joint capacities must
-    factor into the marginal ones.
+    For each random pair of families, a THRESHOLD_GRID x THRESHOLD_GRID
+    panel of thresholds produces rectangle events {X > s, Y > t}; the joint
+    capacities must factor into the marginal ones.
     """
+    n_pairs = _check_n(n_pairs, what="n_pairs")
     rng = np.random.default_rng(seed)
     worst_upper = 0.0
     worst_lower = 0.0
-    for _ in range(int(n_pairs)):
+    for _ in range(n_pairs):
         xset = random_ambiguity_set(rng)
         yset = random_ambiguity_set(rng)
 
         def thresholds(aset: AmbiguitySet) -> np.ndarray:
             lo, hi = _support_range(aset)
             inset = 0.1 * (hi - lo)
-            return np.linspace(lo + inset, hi - inset, grid)
+            return np.linspace(lo + inset, hi - inset, THRESHOLD_GRID)
 
         for s in thresholds(xset):
             for t in thresholds(yset):
@@ -238,6 +248,6 @@ def independence_suite(seed: int, n_pairs: int = 10, grid: int = 5) -> SuiteRepo
                 worst_upper = max(worst_upper, chk.upper_gap)
                 worst_lower = max(worst_lower, chk.lower_gap)
     return SuiteReport(
-        "independence", int(n_pairs) * grid * grid, int(seed), SUITE_TOL,
+        "independence", n_pairs * THRESHOLD_GRID**2, int(seed), SUITE_TOL,
         {"upperFactorization": worst_upper, "lowerFactorization": worst_lower},
     )

@@ -29,7 +29,8 @@ from .errors import (
 from .pengsum import MAX_GRID_POINTS
 
 CFL_LIMIT = 0.5
-MIN_PAD_FACTOR = 4.0
+PAD_FACTOR = 6.0  # g_normal_solution's half width is PAD_FACTOR * sigma_hi + phi's margin
+DEFAULT_DX = 0.02
 QUAD_Z_MAX = 10.0
 QUAD_NODES = 10001  # odd, as the 1/3 rule needs
 
@@ -108,9 +109,12 @@ class PdeSolution:
     """Terminal-value problem solution marched back to time 0."""
 
     grid: PdeGrid
-    xs: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     steps_taken: int
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.grid.xs
 
     def value_at(self, x: float) -> float:
         """Value of u(1, x) at a grid node."""
@@ -144,8 +148,7 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
         raise ConfigurationError(
             f"unstable step: sigma_hi^2*dt/dx^2 = {cfl:.6g} exceeds {CFL_LIMIT}"
         )
-    xs = grid.xs
-    u = evaluate_on(phi, xs)
+    u = evaluate_on(phi, grid.xs)
     cu = 0.5 * grid.dt / r2
     cd = 0.5 * grid.dt * _square_ratio(params.sigma_lo, params.sigma_hi) / r2
     n_full = int(math.floor(1.0 / grid.dt + 1e-12))
@@ -154,41 +157,31 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
         raise DivergenceError(f"solution became non-finite at time step {bad}")
     rem = 1.0 - n_full * grid.dt
     if rem < 1e-12 * max(grid.dt, 1.0):
-        return PdeSolution(grid, xs, u, n_full)
+        return PdeSolution(grid, u, n_full)
     scale = rem / grid.dt
     bad, u = _kernels.gheat_march(u, cu * scale, cd * scale, 1)
     if bad >= 0:
         raise DivergenceError(f"solution became non-finite at time step {n_full}")
-    return PdeSolution(grid, xs, u, n_full + 1)
+    return PdeSolution(grid, u, n_full + 1)
 
 
-def g_normal_solution(
-    params: GParams,
-    phi: Callable,
-    dx: float = 0.02,
-    pad_factor: float = 6.0,
-) -> PdeSolution:
+def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> PdeSolution:
     """Solve to t = 1 on a symmetric domain sized from the volatility band.
 
-    The half width is ``pad_factor * sigma_hi`` plus any shift margin the
-    test function declares, rounded up to a whole number of cells; pad
-    factors below 4 are refused as too tight.  For ``u`` at another time
-    tau, solve with the band scaled by ``sqrt(tau)``:
+    The half width is ``PAD_FACTOR * sigma_hi`` plus any shift margin the
+    test function declares, rounded up to a whole number of cells.  For
+    ``u`` at another time tau, solve with the band scaled by ``sqrt(tau)``:
     ``GParams(lo * sqrt(tau), hi * sqrt(tau))``.
     """
-    if not (np.isfinite(pad_factor) and pad_factor >= MIN_PAD_FACTOR):
-        raise ConfigurationError(
-            f"pad_factor must be at least {MIN_PAD_FACTOR}, got {pad_factor!r}"
-        )
     if not (np.isfinite(dx) and dx > 0.0):
         raise ValidationError(f"dx must be positive, got {dx!r}")
     margin = float(getattr(phi, "margin", 0.0))
-    half_width = pad_factor * params.sigma_hi + margin
+    half_width = PAD_FACTOR * params.sigma_hi + margin
     half_cells = half_width / dx
     if not 2.0 * half_cells + 1.0 <= MAX_GRID_POINTS:
         raise SizeError(
             f"PDE grid would need {2.0 * half_cells + 1.0:.6g} nodes "
-            f"(limit {MAX_GRID_POINTS}); increase dx or lower pad_factor"
+            f"(limit {MAX_GRID_POINTS}); increase dx"
         )
     n_half = max(1, int(math.ceil(half_cells - 1e-9)))
     L = n_half * dx
@@ -197,14 +190,9 @@ def g_normal_solution(
     return solve_g_heat(params, phi, grid)
 
 
-def g_normal_expectation(
-    params: GParams,
-    phi: Callable,
-    dx: float = 0.02,
-    pad_factor: float = 6.0,
-) -> float:
+def g_normal_expectation(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> float:
     """Sublinear expectation of ``phi`` under the limit law of the band."""
-    sol = g_normal_solution(params, phi, dx=dx, pad_factor=pad_factor)
+    sol = g_normal_solution(params, phi, dx=dx)
     return sol.value_at(0.0)
 
 

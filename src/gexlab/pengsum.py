@@ -24,7 +24,7 @@ DEFAULT_STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
 
 
-def _check_n(n, too_small: str = "need n >= 1, got {}", what: str = "n") -> int:
+def _check_n(n, too_small: str = "need {what} >= 1, got {}", what: str = "n") -> int:
     """``n`` as an int, refusing non-integral, non-finite, boolean or too small values.
 
     ``int(n)`` alone would truncate 2.7 to 2 and answer for the wrong n.
@@ -37,7 +37,7 @@ def _check_n(n, too_small: str = "need n >= 1, got {}", what: str = "n") -> int:
     if whole is None or whole != n or isinstance(n, (bool, np.bool_)):
         raise ValidationError(f"need a whole number {what}, got {n!r}")
     if whole < 1:
-        raise ValidationError(too_small.format(whole))
+        raise ValidationError(too_small.format(whole, what=what))
     return whole
 
 
@@ -227,7 +227,7 @@ def brute_force_adapted_oracle_many(
 ) -> list[float]:
     """One enumeration shared across several payoff functions."""
     n = _check_n(n)
-    ceiling = _check_n(ceiling, "need ceiling >= 1, got {}", what="ceiling")
+    ceiling = _check_n(ceiling, what="ceiling")
     n_laws = len(aset.laws)
     n_states = _reachable_state_count(aset, n)
     # With L >= 2 laws, L ** S exceeds the ceiling as soon as S exceeds its

@@ -13,6 +13,7 @@ import numpy as np
 from gexlab.ambiguity import evaluate_on, indicator_of
 from gexlab.fuzz import (
     SUITE_TOL,
+    THRESHOLD_GRID,
     SuiteReport,
     random_ambiguity_set,
     random_catalog_phi,
@@ -102,7 +103,7 @@ def axiom_suite(seed, trials):
     return SuiteReport("axioms", trials, seed, SUITE_TOL, worst)
 
 
-def independence_suite(seed, n_pairs, grid=5):
+def independence_suite(seed, n_pairs):
     """``gexlab.fuzz.independence_suite`` with the same draws, evaluated per law."""
     rng = np.random.default_rng(seed)
     worst_upper = worst_lower = 0.0
@@ -113,7 +114,7 @@ def independence_suite(seed, n_pairs, grid=5):
         def thresholds(aset):
             lo, hi = _support_range(aset)
             inset = 0.1 * (hi - lo)
-            return np.linspace(lo + inset, hi - inset, grid)
+            return np.linspace(lo + inset, hi - inset, THRESHOLD_GRID)
 
         for s in thresholds(xset):
             for t in thresholds(yset):
@@ -126,6 +127,6 @@ def independence_suite(seed, n_pairs, grid=5):
                 worst_upper = max(worst_upper, abs(joint_upper - up_x * up_y))
                 worst_lower = max(worst_lower, abs(joint_lower - low_x * low_y))
     return SuiteReport(
-        "independence", n_pairs * grid * grid, seed, SUITE_TOL,
+        "independence", n_pairs * THRESHOLD_GRID**2, seed, SUITE_TOL,
         {"upperFactorization": worst_upper, "lowerFactorization": worst_lower},
     )

@@ -92,7 +92,7 @@ def test_criterion_02_capacity_duality():
 
 def test_criterion_03_independence_factorization():
     t0 = time.perf_counter()
-    suite = independence_suite(303, n_pairs=10, grid=5)
+    suite = independence_suite(303, n_pairs=10)
     worst = suite.max_violation
     verdict(
         3,

@@ -142,15 +142,36 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_malformed_n_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["moments", "--n", "a,b"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        for text in ("a,b", ","):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["moments", "--n", text])
+            assert exc.value.code == 2
+        assert "expected at least one integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ({"ambiguity": []}, "/ambiguity: expected a non-empty list of law specs"),
+            ({"ambiguity": [{"step": 1.0, "atoms": []}]},
+             "/ambiguity/0/atoms: expected a non-empty list"),
+            ({"ambiguity": [{"step": 1.0, "atoms": [{"k": 0}]}]},
+             "/ambiguity/0/atoms/0: missing required key 'p'"),
+            ({"ambiguity": [dict(REFERENCE_LAWS[0], label=3)]},
+             "/ambiguity/0/label: expected a string, got 3"),
+            ({"experiment": {"padFactor": 6.0}}, "/experiment/padFactor: unknown key"),
+        ],
+        ids=["no-laws", "no-atoms", "atom-without-p", "numeric-label", "pad-factor"],
+    )
+    def test_bad_config_is_config_error(self, obj, message, tmp_path, capsys):
+        path = write_config(tmp_path, obj)
+        assert cli.main(["clt", "--config", path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"gexlab: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",
         [["axioms", "--dx", "0.1"], ["oracle", "--sigma-lo", "1"], ["gheat", "--n", "4"],
-         ["moments", "--seed", "1"], ["clt", "--r", "3"], ["independence", "--phi", "abs"]],
+         ["moments", "--seed", "1"], ["clt", "--r", "3"], ["independence", "--phi", "abs"],
+         ["clt", "--pad", "6"], ["gheat", "--pad", "6"]],
     )
     def test_unread_flag_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -200,7 +221,6 @@ OUT_OF_RANGE = [
     ("n", "moments", "0"),
     ("phi", "clt", "frobnicate"),
     ("dx", "gheat", "0"),
-    ("pad", "gheat", "2"),
     ("sigma_lo", "gheat", "-1"),
     ("sigma_hi", "gheat", "-1"),
     ("seed", "axioms", "-3"),

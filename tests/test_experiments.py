@@ -129,6 +129,10 @@ class TestCltConvergence:
         with pytest.raises(HypothesisError):
             clt_convergence(biased_set(), make_phi("abs"), [2, 4])
 
+    def test_rejects_empty_n_list(self, ref_set):
+        with pytest.raises(ValidationError, match="nList must be non-empty"):
+            clt_convergence(ref_set, make_phi("abs"), [])
+
     def test_reference_abs_converges(self, ref_set):
         report = clt_convergence(ref_set, make_phi("abs"), [4, 16, 64])
         assert report.envelope.var_upper == 1.0

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import per_law_reference as ref
+from gexlab.errors import ValidationError
 from gexlab.experiments import require_mean_zero
 from gexlab.fuzz import (
     SuiteReport,
@@ -98,6 +101,21 @@ class TestSuites:
         report = independence_suite(3, n_pairs=2)
         assert report.passed
         assert set(report.checks) == {"upperFactorization", "lowerFactorization"}
+
+    @pytest.mark.parametrize("bad", [0, -5, 2.7, True, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name,run",
+        [
+            ("trials", lambda v: axiom_suite(0, v)),
+            ("n_pairs", lambda v: independence_suite(0, n_pairs=v)),
+            ("n_sets", lambda v: capacity_duality_suite(0, n_sets=v, n_events=3)),
+            ("n_events", lambda v: capacity_duality_suite(0, n_sets=3, n_events=v)),
+        ],
+        ids=["trials", "n_pairs", "n_sets", "n_events"],
+    )
+    def test_refuses_counts_that_are_not_whole_and_positive(self, name, run, bad):
+        with pytest.raises(ValidationError, match=f"need (a whole number )?{name}"):
+            run(bad)
 
 
 class TestSuitesMatchPerLawRoute:

@@ -14,6 +14,7 @@ from gexlab.errors import (
     ValidationError,
 )
 from gexlab.gheat import (
+    PAD_FACTOR,
     GParams,
     PdeGrid,
     g_function,
@@ -140,13 +141,18 @@ class TestSolver:
 
 
 class TestGNormal:
-    def test_pad_guard(self):
-        with pytest.raises(ConfigurationError):
-            g_normal_solution(BAND, make_phi("square"), pad_factor=3.9)
+    @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_dx(self, dx):
+        with pytest.raises(ValidationError, match="dx must be positive"):
+            g_normal_solution(BAND, make_phi("square"), dx=dx)
 
     def test_margin_widens_domain(self):
-        sol = g_normal_solution(BAND, make_phi("ramp", 3.0), dx=0.1)
-        assert sol.grid.x_max >= 6.0 + 3.0 - 1e-9
+        margin, dx = 3.0, 0.1
+        sol = g_normal_solution(BAND, make_phi("ramp", margin), dx=dx)
+        half_width = math.ceil((PAD_FACTOR * BAND.sigma_hi + margin) / dx) * dx
+        assert sol.grid.x_max == half_width
+        assert sol.grid.x_min == -sol.grid.x_max
+        np.testing.assert_array_equal(sol.xs, sol.grid.xs)
 
     def test_degenerate_square_exact(self):
         # classical heat equation: E[(sigma Z)^2] = sigma^2

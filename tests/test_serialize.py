@@ -67,6 +67,13 @@ class TestDumpsJson:
         with pytest.raises(ValidationError):
             dumps_json({"a": math.nan})
 
+    def test_empty_containers_inline(self):
+        assert dumps_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+
+    def test_rejects_unknown_object_type(self):
+        with pytest.raises(ValidationError, match="cannot serialize object of type object"):
+            dumps_json({"a": object()})
+
 
 class TestDumpsCsv:
     def test_cells_and_header(self):

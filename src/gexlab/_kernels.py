@@ -78,46 +78,58 @@ def _aligned_rows(*sizes):
 # probability that several atoms share is applied to the whole input and
 # each of those atoms reads its shifted slice of that product (four atoms of
 # probability 1/2 cost one multiply); a probability used by one atom is
-# applied to that atom's slice only, in one scratch buffer, so a family of
-# distinct probabilities holds no more than one slice at a time.  Each law's
-# sum is 0.0 + its first term plus its other terms in atom order; the first
-# law writes straight into the output and every later law is merged with an
-# in-place maximum.  This is the per-atom loop
+# applied to that atom's slice only, in one scratch buffer (or, for a law's
+# first atom, straight into the law's sum), so a family of distinct
+# probabilities holds no more than one slice at a time.  Each law's sum is
+# its first term plus its second in one add, then its other terms in atom
+# order; a one-atom law whose probability is shared is copied as 0.0 + its
+# term.  The first law writes straight into the output and every later law
+# is merged with an in-place maximum.  One last add of 0.0 to the output
+# ends the step, unless every law is a one-atom shared law.  This is the
+# per-atom loop
 #   acc = 0; acc += p_j * f[...]; out = max(out, acc)   (out = -inf at start)
 # bit for bit:
 # - a product computed once rounds like one computed per atom;
 # - the additions run in the same order;
-# - the leading 0.0 + turns a -0.0 first term into +0.0, as the zero-filled
-#   accumulator did;
+# - the loop's leading 0 + is dropped, and in round-to-nearest x + y is -0.0
+#   only if both are, so a sum differs from the loop's only where all its
+#   terms are -0.0: -0.0 here, +0.0 there.  x + 0.0 maps -0.0 to +0.0 and
+#   keeps every other value and NaN, and it commutes with the maximum
+#   whichever zero that picks on a tie, so the last add restores the loop's
+#   bits;
 # - max(-inf, x) is x, NaN included;
 # - +0.0 and -0.0 probabilities count as one (they compare equal) although
-#   their products differ in the sign of a zero: the accumulator is never
-#   -0.0 after its first term (x + y is -0.0 only if both are), so adding
-#   either zero gives the same bits, and a zero times inf or NaN gives the
-#   same NaN whatever the zero's sign.
+#   their products differ in the sign of a zero: a zero term changes a sum
+#   only where the partial sum is a zero too, and then only that zero's
+#   sign, which the last add erases; a zero times inf or NaN gives the same
+#   NaN whatever the zero's sign.
 # Precondition: at least one law, and every law has at least one atom.
 #
 # dp_plan holds what depends on the family only: the distinct shared
-# probabilities, each atom's start and the 0-d probabilities.  It also owns
-# the work buffers: two outputs used in turn, the law accumulator, the
-# unshared-product scratch and one product per shared probability, sized by
-# the first step (a sweep's largest) and regrown only if a later step needs
-# more, so a step writes prefix views and allocates nothing.  `plan` is
-# optional: a sweep builds it once and passes it to every step, and without
-# it dp_step builds its own, so the six positional arguments alone still
-# work.  Result lifetime: with a plan, dp_step returns a view into the plan
-# that stays valid until the plan's next-but-one call (so it may be the
-# next call's input); without one it returns a fresh 1-D array.
+# probabilities, each atom's start, the 0-d probabilities and whether a step
+# ends with the add of 0.0.  It also owns the work buffers: two outputs used
+# in turn, the law accumulator, the unshared-product scratch and one product
+# per shared probability, sized by the first step (a sweep's largest) and
+# regrown only if a later step needs more, so a step writes prefix views and
+# allocates nothing.  `plan` is optional: a sweep builds it once and passes
+# it to every step, and without it dp_step builds its own, so the six
+# positional arguments alone still work.  Result lifetime: with a plan,
+# dp_step returns a view into the plan that stays valid until the plan's
+# next-but-one call (so it may be the next call's input); without one it
+# returns a fresh 1-D array.
 # ---------------------------------------------------------------------------
 
 
 class _DpPlan:
     """Per-family constants and work buffers of ``dp_step``; see ``dp_plan``."""
 
-    __slots__ = ("shared_p", "laws", "zero", "n_in", "n_out", "outs", "acc", "scratch", "shared", "turn")
+    __slots__ = (
+        "shared_p", "laws", "zero", "zero_pass", "n_in", "n_out", "outs", "acc", "scratch", "shared", "turn"
+    )
 
     def __init__(self, shared_p, laws):
         self.shared_p, self.laws, self.zero = shared_p, laws, np.array(0.0)
+        self.zero_pass = any(rest or first[1] < 0 for first, rest in laws)
         self.n_in = self.n_out = -1
         self.turn = 0
 
@@ -132,10 +144,12 @@ def dp_plan(law_ptr, law_k, law_p, base):
     """Per-family constants and work buffers of ``dp_step``.
 
     ``shared_p`` holds one 0-d probability per distinct value that several
-    atoms use; ``laws`` holds per law a list of ``(start, slot, p)`` per
-    atom, with ``slot`` the index into ``shared_p`` or -1 and ``p`` the
-    atom's 0-d probability; ``zero`` is a 0-d 0.0.  The buffers are
-    allocated by the first ``dp_step`` that uses the plan.
+    atoms use; ``laws`` holds per law its first atom and the list of its
+    other atoms, each atom as ``(start, slot, p)`` with ``slot`` the index
+    into ``shared_p`` or -1 and ``p`` the atom's 0-d probability; ``zero``
+    is a 0-d 0.0; ``zero_pass`` tells whether a step ends with an add of
+    0.0, i.e. whether some law has several atoms or an unshared one.  The
+    buffers are allocated by the first ``dp_step`` that uses the plan.
     """
     probs = law_p.tolist()
     uses = {}
@@ -147,7 +161,7 @@ def dp_plan(law_ptr, law_k, law_p, base):
             slot[p] = len(slot)
     atoms = [(k + base, slot.get(p, -1), np.array(p)) for k, p in zip(law_k.tolist(), probs)]
     ptr = law_ptr.tolist()
-    laws = [atoms[a:b] for a, b in zip(ptr, ptr[1:])]
+    laws = [(atoms[a], atoms[a + 1 : b]) for a, b in zip(ptr, ptr[1:])]
     return _DpPlan([np.array(p) for p in slot], laws)
 
 
@@ -162,19 +176,21 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     plan.turn ^= 1
     out = plan.outs[plan.turn][:out_len]
     acc, scratch = plan.acc[:out_len], plan.scratch[:out_len]
-    for l, atoms in enumerate(plan.laws):
+    for l, ((s, i, p), rest) in enumerate(plan.laws):
         target = acc if l else out
-        for j, (s, i, p) in enumerate(atoms):
-            if i >= 0:
-                term = shared[i][s : s + out_len]
-            else:
-                term = mul(values[s : s + out_len], p, scratch)
-            if j:
-                add(target, term, target)
-            else:
-                add(term, zero, target)
+        if i < 0:
+            total = mul(values[s : s + out_len], p, target)
+        elif rest:
+            total = shared[i][s : s + out_len]
+        else:
+            add(shared[i][s : s + out_len], zero, target)
+        for s, i, p in rest:
+            term = shared[i][s : s + out_len] if i >= 0 else mul(values[s : s + out_len], p, scratch)
+            total = add(total, term, target)
         if l:
             np.maximum(out, acc, out=out)
+    if plan.zero_pass:
+        add(out, zero, out)
     return out
 
 

@@ -89,6 +89,7 @@ def random_oracle_set(
     Atoms come from {-1, 0, 1} with at most 3 laws; draws whose adapted
     strategy count at n exceeds the ceiling are rejected and resampled.
     """
+    ceiling = _check_n(ceiling, what="ceiling")
     for _ in range(_ORACLE_MAX_TRIES):
         step = float(rng.choice((0.25, 0.5, 1.0)))
         n_laws = int(rng.integers(1, 4))
@@ -165,6 +166,7 @@ def axiom_suite(seed: int, trials: int = 200) -> SuiteReport:
     axiom is an inequality.
     """
     trials = _check_n(trials, what="trials")
+    seed = _check_n(seed, what="seed", low=0)
     rng = np.random.default_rng(seed)
     worst = {
         "monotonicity": 0.0,
@@ -200,13 +202,14 @@ def axiom_suite(seed: int, trials: int = 200) -> SuiteReport:
         a, b = random_interval(rng, aset)
         worst["capacityDuality"] = max(worst["capacityDuality"], _duality_residual(aset, a, b))
     worst = {k: max(v, 0.0) for k, v in worst.items()}
-    return SuiteReport("axioms", trials, int(seed), SUITE_TOL, worst)
+    return SuiteReport("axioms", trials, seed, SUITE_TOL, worst)
 
 
 def capacity_duality_suite(seed: int, n_sets: int = 20, n_events: int = 100) -> SuiteReport:
     """V(A) + v(complement of A) = 1 over random interval events."""
     n_sets = _check_n(n_sets, what="n_sets")
     n_events = _check_n(n_events, what="n_events")
+    seed = _check_n(seed, what="seed", low=0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_sets):
@@ -215,7 +218,7 @@ def capacity_duality_suite(seed: int, n_sets: int = 20, n_events: int = 100) -> 
             a, b = random_interval(rng, aset)
             worst = max(worst, _duality_residual(aset, a, b))
     return SuiteReport(
-        "capacityDuality", n_sets * n_events, int(seed), SUITE_TOL,
+        "capacityDuality", n_sets * n_events, seed, SUITE_TOL,
         {"capacityDuality": worst},
     )
 
@@ -228,6 +231,7 @@ def independence_suite(seed: int, n_pairs: int = 10) -> SuiteReport:
     capacities must factor into the marginal ones.
     """
     n_pairs = _check_n(n_pairs, what="n_pairs")
+    seed = _check_n(seed, what="seed", low=0)
     rng = np.random.default_rng(seed)
     worst_upper = 0.0
     worst_lower = 0.0
@@ -248,6 +252,6 @@ def independence_suite(seed: int, n_pairs: int = 10) -> SuiteReport:
                 worst_upper = max(worst_upper, chk.upper_gap)
                 worst_lower = max(worst_lower, chk.lower_gap)
     return SuiteReport(
-        "independence", n_pairs * THRESHOLD_GRID**2, int(seed), SUITE_TOL,
+        "independence", n_pairs * THRESHOLD_GRID**2, seed, SUITE_TOL,
         {"upperFactorization": worst_upper, "lowerFactorization": worst_lower},
     )

@@ -24,11 +24,12 @@ DEFAULT_STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
 
 
-def _check_n(n, too_small: str = "need {what} >= 1, got {}", what: str = "n") -> int:
+def _check_n(n, too_small: str = "need {what} >= {low}, got {}", what: str = "n", low: int = 1) -> int:
     """``n`` as an int, refusing non-integral, non-finite, boolean or too small values.
 
     ``int(n)`` alone would truncate 2.7 to 2 and answer for the wrong n.
-    ``what`` names the quantity in the message.
+    ``what`` names the quantity in the message and ``low`` is the least
+    value accepted.
     """
     try:
         whole = int(n)
@@ -36,8 +37,8 @@ def _check_n(n, too_small: str = "need {what} >= 1, got {}", what: str = "n") ->
         whole = None
     if whole is None or whole != n or isinstance(n, (bool, np.bool_)):
         raise ValidationError(f"need a whole number {what}, got {n!r}")
-    if whole < 1:
-        raise ValidationError(too_small.format(whole, what=what))
+    if whole < low:
+        raise ValidationError(too_small.format(whole, what=what, low=low))
     return whole
 
 

@@ -50,6 +50,11 @@ class TestGenerators:
         aset = random_oracle_set(rng, n=3, ceiling=1)
         assert len(aset.laws) == 1
 
+    @pytest.mark.parametrize("ceiling", [float("nan"), -1, 0, 2.5, "x", True])
+    def test_oracle_set_refuses_bad_ceiling(self, rng, ceiling):
+        with pytest.raises(ValidationError, match="ceiling"):
+            random_oracle_set(rng, 3, ceiling=ceiling)
+
     def test_interval_overlaps_support(self, rng):
         aset = random_ambiguity_set(rng)
         pts = np.concatenate([law.support for law in aset.laws])
@@ -58,6 +63,27 @@ class TestGenerators:
             assert a <= b
             assert a >= pts.min() - aset.step - 1e-12
             assert b <= pts.max() + aset.step + 1e-12
+
+
+SUITES = [
+    lambda seed: axiom_suite(seed, 2),
+    lambda seed: capacity_duality_suite(seed, 2, 2),
+    lambda seed: independence_suite(seed, 1),
+]
+
+
+class TestSuiteSeeds:
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("seed", [-1, 2.7, float("nan"), "3", True, None])
+    def test_bad_seed_refused(self, suite, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            suite(seed)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_whole_seeds_accepted(self, suite):
+        assert suite(3.0).to_dict() == suite(3).to_dict() == suite(np.int64(3)).to_dict()
+        assert suite(0).seed == 0
+        assert suite(2**80).seed == 2**80
 
 
 class TestSuiteReport:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gexlab import _kernels, gheat, pengsum
+from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution
 from gexlab.experiments import uniform_moment_check
 from gexlab.gheat import GParams, PdeGrid, g_normal_solution, solve_g_heat
 from gexlab.pengsum import sum_expectations
@@ -122,6 +123,42 @@ CATALOG = [
     make_phi("ramp", 0.3), make_phi("clamp", -1.0, 0.5), make_phi("indicator", -0.5, 1.0),
 ]
 
+# Families that take every branch of dp_step, each with the multiply, add and
+# maximum calls of one step, and the calls of the step that began every law's
+# sum with 0.0 + its first term.
+BRANCH_FAMILIES = {
+    # dp-scan's seeded shape: outer probabilities shared, centre ones not
+    "dp-scan": ([[(-2, 0.4), (0, 0.2), (2, 0.4)], [(-1, 0.25), (0, 0.5), (1, 0.25)]], 10, 11),
+    "one-atom-unshared": ([[(0, 1.0)], [(-1, 0.5), (1, 0.5)]], 5, 6),
+    "one-atom-shared": ([[(-1, 1.0)], [(1, 1.0)], [(-2, 0.25), (0, 0.5), (2, 0.25)]], 10, 10),
+    # every sum is 0.0 + its one term, so the step ends without the add of 0.0
+    "all-dirac": ([[(-1, 1.0)], [(1, 1.0)]], 4, 4),
+    "unshared-first": ([[(-1, 0.3), (1, 0.7)], [(-2, 0.5), (2, 0.5)]], 7, 8),
+}
+
+
+def branch_family(name):
+    laws = BRANCH_FAMILIES[name][0]
+    return AmbiguitySet(tuple(DiscreteDistribution.from_atoms(0.5, atoms) for atoms in laws))
+
+
+class CountingNumpy:
+    """numpy with calls to multiply, add and maximum counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("multiply", "add", "maximum"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
 
 class TestDpStep:
     def test_numpy_matches_reference(self, rng):
@@ -149,6 +186,22 @@ class TestDpStep:
         ks = np.array([0], dtype=np.int64)
         assert same_bits(_kernels.dp_step(values, ptr, ks, np.array([1.0]), 0, 3), [0.0, 1.0, 0.0])
         assert same_bits(_kernels.dp_step(values, ptr, ks, np.array([-0.0]), 0, 3), np.zeros(3))
+
+    def test_negative_zero_law_sums_end_positive(self):
+        # no law's sum starts from 0.0, so on a window of -0.0 each sum is
+        # -0.0 + -0.0; only the add of 0.0 that ends the step gives the
+        # loop's +0.0, after the maximum of the two laws
+        values = np.array([-0.0, -0.0, -0.0, -0.0, 3.0])
+        ptr = np.array([0, 2, 4], dtype=np.int64)
+        ks = np.array([0, 1, 0, 2], dtype=np.int64)
+        ps = np.array([0.5, 0.5, 0.25, 0.75])
+        want = dp_step_loop_reference(values, ptr, ks, ps, 0, 3)
+        assert same_bits(want, [0.0, 0.0, 2.25])
+        assert same_bits(_kernels.dp_step(values, ptr, ks, ps, 0, 3), want)
+        plan = _kernels.dp_plan(ptr, ks, ps, 0)
+        assert same_bits(_kernels.dp_step(values, ptr, ks, ps, 0, 3, plan=plan), want)
+        one_law = (values, ptr[:2], ks[:2], ps[:2], 0, 3)
+        assert same_bits(_kernels.dp_step(*one_law), np.zeros(3))
 
     def test_signed_zero_probabilities_share_a_product(self):
         # p = +0.0 and p = -0.0 give zero products of opposite sign (NaN at
@@ -202,20 +255,43 @@ class TestBufferContract:
             out_len -= 4
 
 
+def assert_sweeps_match_loop(monkeypatch, aset, phi):
+    ns = [1, 2, 17, 128, 256]
+    got = sum_expectations(aset, ns, phi)
+
+    def loop_step(*args, plan):
+        return dp_step_loop_reference(*args)
+
+    monkeypatch.setattr(pengsum._kernels, "dp_step", loop_step)
+    want = sum_expectations(aset, ns, phi)
+    assert same_bits(got, want)
+
+
 class TestSweepBits:
     """Whole backward sweeps against the same sweeps through the per-atom loop."""
 
     @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
     def test_reference_family_n256(self, monkeypatch, ref_set, phi):
-        ns = [1, 2, 17, 128, 256]
-        got = sum_expectations(ref_set, ns, phi)
+        assert_sweeps_match_loop(monkeypatch, ref_set, phi)
 
-        def loop_step(*args, plan):
-            return dp_step_loop_reference(*args)
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+    @pytest.mark.parametrize("name", list(BRANCH_FAMILIES))
+    def test_branch_families_n256(self, monkeypatch, name, phi):
+        assert_sweeps_match_loop(monkeypatch, branch_family(name), phi)
 
-        monkeypatch.setattr(pengsum._kernels, "dp_step", loop_step)
-        want = sum_expectations(ref_set, ns, phi)
-        assert same_bits(got, want)
+    @pytest.mark.parametrize("name", ["reference", *BRANCH_FAMILIES])
+    def test_ufunc_calls_per_step(self, monkeypatch, ref_set, name):
+        # the reference family: one shared multiply, one add per law, one
+        # maximum and the add of 0.0, where each law's 0.0 + took one more
+        if name == "reference":
+            aset, calls, before = ref_set, 5, 6
+        else:
+            aset, (_, calls, before) = branch_family(name), BRANCH_FAMILIES[name]
+        counting = CountingNumpy()
+        monkeypatch.setattr(_kernels, "np", counting)
+        sum_expectations(aset, [4], make_phi("abs"))
+        assert counting.calls == 4 * calls
+        assert calls <= before
 
     def test_one_plan_per_sweep(self, monkeypatch, ref_set):
         built = []

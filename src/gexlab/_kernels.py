@@ -72,7 +72,8 @@ def _aligned_rows(*sizes):
 # One sweep of the lattice dynamic-programming operator.
 #
 # For output slot i the value is  max over laws of  sum_j p_j * f[i + base + k_j]
-# where base aligns the shrunken output grid inside the input grid.
+# where base aligns the shrunken output grid inside the input grid, so
+# output i reads the inputs i .. i + reach, with reach = base + max_j k_j.
 #
 # Shared products: each distinct probability multiplies the input once.  A
 # probability that several atoms share is applied to the whole input and
@@ -84,72 +85,117 @@ def _aligned_rows(*sizes):
 # its first term plus its second in one add, then its other terms in atom
 # order; a one-atom law whose probability is shared is copied as 0.0 + its
 # term.  The first law writes straight into the output and every later law
-# is merged with an in-place maximum.  One last add of 0.0 to the output
-# ends the step, unless every law is a one-atom shared law.  This is the
-# per-atom loop
+# is merged with an in-place maximum.
+#
+# Zero signs.  The result equals the per-atom loop
 #   acc = 0; acc += p_j * f[...]; out = max(out, acc)   (out = -inf at start)
-# bit for bit:
+# elementwise, NaN where the loop has NaN, but a zero may carry either sign;
+# x + 0.0 of it gives the loop's bits:
 # - a product computed once rounds like one computed per atom;
 # - the additions run in the same order;
 # - the loop's leading 0 + is dropped, and in round-to-nearest x + y is -0.0
 #   only if both are, so a sum differs from the loop's only where all its
-#   terms are -0.0: -0.0 here, +0.0 there.  x + 0.0 maps -0.0 to +0.0 and
-#   keeps every other value and NaN, and it commutes with the maximum
-#   whichever zero that picks on a tie, so the last add restores the loop's
-#   bits;
+#   terms are zeros: -0.0 here, +0.0 there;
 # - max(-inf, x) is x, NaN included;
 # - +0.0 and -0.0 probabilities count as one (they compare equal) although
-#   their products differ in the sign of a zero: a zero term changes a sum
-#   only where the partial sum is a zero too, and then only that zero's
-#   sign, which the last add erases; a zero times inf or NaN gives the same
-#   NaN whatever the zero's sign.
-# Precondition: at least one law, and every law has at least one atom.
+#   their products differ in the sign of a zero, and a zero times inf or NaN
+#   gives the same NaN whatever the zero's sign.
+# Values that differ only in the sign of a zero stay so through every later
+# product, sum and maximum (a zero added to a non-zero x gives x, and the
+# maximum picks the same value or one of two zeros), so a whole sweep keeps
+# this contract, and one + 0.0 where a value is read (sum_expectations, at
+# the origin) restores the loop's bits.  An add(out, 0.0, out) ending every
+# step would cost two of the reference family's 13 array streams per step,
+# for zeros that nothing reads before the origin.
+#
+# Call lists per block.  A step's calls depend only on the family, on the
+# rows they read and write, and on the number of outputs, yet slicing the
+# plan's buffers anew at every length cost a third of a short step: over an
+# n = 64 reference-family sweep (129 points down to 1) a step took 5.29 us
+# sliced anew and 3.58 us with kept lists, both still ending with the add
+# of 0.0 (3.15 us without it).  So a step's calls are built as one list
+# over views of a fixed length, and the plan keeps one list per ping-pong
+# direction.  A step reuses the list of its direction only when
+# - it is handed back the plan's last output (its input is then that row),
+# - len(values) >= out_len + reach, and
+# - the list's length, its block, is out_len .. out_len + _SLACK points;
+# otherwise it builds a list at exactly out_len, as a sweep's first step
+# and the no-plan form always do.  A reused list computes `block` outputs,
+# and slots [out_len, block) hold don't-care values.  No valid output reads
+# one: output i < out_len reads inputs up to i + reach < out_len + reach <=
+# len(values), all of them the previous step's valid outputs.  A list is
+# kept only when its whole input span held valid values, and new buffers
+# drop it, so past len(values) it reads earlier outputs of the plan; reserve
+# also zero-fills both rows, so no step reads uninitialised memory.  On
+# finite data a don't-care value is thus a probability-weighted sum of
+# finite values like any other.  A list of a block near out_len wastes a
+# few points of arithmetic per call and saves one Python slice per view.
+# _SLACK was chosen by timing sweeps of one process over every candidate in
+# turn (2-vCPU Xeon guest, NumPy 2.4, thread time, medians of 21 rounds):
+# at n = 4096 and _SLACK = 0 / 32 / 64 / 128 / 256 / 512 the reference
+# family took 78.1 / 61.1 / 58.9 / 57.6 / 59.0 / 57.8 ms and dp-scan's
+# two-law, three-atom shape 151.3 / 125.9 / 122.0 / 118.9 / 118.5 /
+# 116.3 ms; at n = 512 both stay flat from 64 to 512.  256 sits mid-plateau.
+# Precondition: at least one law, every law has at least one atom, and
+# every atom's start base + k_j is >= 0.
 #
 # dp_plan holds what depends on the family only: the distinct shared
-# probabilities, each atom's start, the 0-d probabilities and whether a step
-# ends with the add of 0.0.  It also owns the work buffers: two outputs used
-# in turn, the law accumulator, the unshared-product scratch and one product
-# per shared probability, sized by the first step (a sweep's largest) and
-# regrown only if a later step needs more, so a step writes prefix views and
-# allocates nothing.  `plan` is optional: a sweep builds it once and passes
-# it to every step, and without it dp_step builds its own, so the six
-# positional arguments alone still work.  Result lifetime: with a plan,
-# dp_step returns a view into the plan that stays valid until the plan's
+# probabilities, each atom's start, the 0-d probabilities and reach.  It
+# also owns the work buffers: two outputs used in turn, the law
+# accumulator, the unshared-product scratch and one product per shared
+# probability, sized by the first step (a sweep's largest) and regrown only
+# if a later step needs more, which drops both kept lists.  `plan` is
+# optional: a sweep builds it once and passes it to every step, and without
+# it dp_step builds its own, so the six positional arguments alone still
+# work.  Result lifetime: with a plan, dp_step returns exactly
+# outs[turn][:out_len], a view that stays valid until the plan's
 # next-but-one call (so it may be the next call's input); without one it
 # returns a fresh 1-D array.
 # ---------------------------------------------------------------------------
 
 
+_SLACK = 256  # points a kept call list may compute beyond out_len
+
+
 class _DpPlan:
-    """Per-family constants and work buffers of ``dp_step``; see ``dp_plan``."""
+    """Per-family constants, work buffers and call lists of ``dp_step``; see ``dp_plan``."""
 
     __slots__ = (
-        "shared_p", "laws", "zero", "zero_pass", "n_in", "n_out", "outs", "acc", "scratch", "shared", "turn"
+        "shared_p", "laws", "zero", "reach", "n_in", "n_out", "outs", "acc", "scratch", "shared",
+        "turn", "last", "lists",
     )
 
-    def __init__(self, shared_p, laws):
-        self.shared_p, self.laws, self.zero = shared_p, laws, np.array(0.0)
-        self.zero_pass = any(rest or first[1] < 0 for first, rest in laws)
+    def __init__(self, shared_p, laws, reach):
+        self.shared_p, self.laws, self.zero, self.reach = shared_p, laws, np.array(0.0), reach
         self.n_in = self.n_out = -1
         self.turn = 0
 
     def reserve(self, n_in, n_out):
-        """Buffers for inputs of ``n_in`` and outputs of ``n_out`` points."""
+        """Buffers for inputs of ``n_in`` and outputs of ``n_out`` points.
+
+        Both output rows start zeroed, because a kept call list reads its
+        input row past the end of the valid values.  New buffers drop the
+        kept lists and the last output.
+        """
         self.n_in, self.n_out = n_in, n_out
         rows = _aligned_rows(n_out, n_out, n_out, n_out, *[n_in] * len(self.shared_p))
         self.outs, self.acc, self.scratch, self.shared = rows[:2], rows[2], rows[3], rows[4:]
+        for row in self.outs:
+            row.fill(0.0)
+        self.last = None
+        self.lists = [None, None]
 
 
 def dp_plan(law_ptr, law_k, law_p, base):
-    """Per-family constants and work buffers of ``dp_step``.
+    """Per-family constants, work buffers and call lists of ``dp_step``.
 
     ``shared_p`` holds one 0-d probability per distinct value that several
     atoms use; ``laws`` holds per law its first atom and the list of its
     other atoms, each atom as ``(start, slot, p)`` with ``slot`` the index
     into ``shared_p`` or -1 and ``p`` the atom's 0-d probability; ``zero``
-    is a 0-d 0.0; ``zero_pass`` tells whether a step ends with an add of
-    0.0, i.e. whether some law has several atoms or an unshared one.  The
-    buffers are allocated by the first ``dp_step`` that uses the plan.
+    is a 0-d 0.0; ``reach`` is the largest start.  The buffers are
+    allocated by the first ``dp_step`` that uses the plan, and the call
+    lists are kept by the steps that reuse them.
     """
     probs = law_p.tolist()
     uses = {}
@@ -159,39 +205,66 @@ def dp_plan(law_ptr, law_k, law_p, base):
     for p, n in uses.items():
         if n > 1:
             slot[p] = len(slot)
-    atoms = [(k + base, slot.get(p, -1), np.array(p)) for k, p in zip(law_k.tolist(), probs)]
+    starts = [k + base for k in law_k.tolist()]
+    atoms = [(s, slot.get(p, -1), np.array(p)) for s, p in zip(starts, probs)]
     ptr = law_ptr.tolist()
     laws = [(atoms[a], atoms[a + 1 : b]) for a, b in zip(ptr, ptr[1:])]
-    return _DpPlan([np.array(p) for p in slot], laws)
+    return _DpPlan([np.array(p) for p in slot], laws, max(starts))
+
+
+def _step_calls(plan, values, out, n):
+    """The ufunc calls of a step writing ``n`` outputs into ``out`` from ``values``.
+
+    Each call is ``(ufunc, a, b, result)`` over views fixed at this length;
+    ``None`` in place of the ufunc marks the in-place ``np.maximum``, whose
+    ``out`` must be a keyword.  Shared products cover the ``n + reach``
+    inputs the outputs read, or all of ``values`` if it is shorter.
+    """
+    mul, add = np.multiply, np.add
+    m = min(len(values), n + plan.reach)
+    shared = [buf[:m] for buf in plan.shared]
+    calls = [(mul, values[:m], p, buf) for p, buf in zip(plan.shared_p, shared)]
+    out, acc, scratch = out[:n], plan.acc[:n], plan.scratch[:n]
+    for l, ((s, i, p), rest) in enumerate(plan.laws):
+        target = acc if l else out
+        if i < 0:
+            calls.append((mul, values[s : s + n], p, target))
+            total = target
+        elif rest:
+            total = shared[i][s : s + n]
+        else:
+            calls.append((add, shared[i][s : s + n], plan.zero, target))
+        for s, i, p in rest:
+            if i < 0:
+                calls.append((mul, values[s : s + n], p, scratch))
+            calls.append((add, total, shared[i][s : s + n] if i >= 0 else scratch, target))
+            total = target
+        if l:
+            calls.append((None, out, acc, out))
+    return calls
 
 
 def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     if plan is None:
         plan = dp_plan(law_ptr, law_k, law_p, base)
-    n_in = len(values)
-    if n_in > plan.n_in or out_len > plan.n_out:
-        plan.reserve(n_in, out_len)
-    mul, add, zero = np.multiply, np.add, plan.zero
-    shared = [mul(values, p, buf[:n_in]) for p, buf in zip(plan.shared_p, plan.shared)]
-    plan.turn ^= 1
-    out = plan.outs[plan.turn][:out_len]
-    acc, scratch = plan.acc[:out_len], plan.scratch[:out_len]
-    for l, ((s, i, p), rest) in enumerate(plan.laws):
-        target = acc if l else out
-        if i < 0:
-            total = mul(values[s : s + out_len], p, target)
-        elif rest:
-            total = shared[i][s : s + out_len]
+    if len(values) > plan.n_in or out_len > plan.n_out:
+        plan.reserve(len(values), out_len)
+    turn = plan.turn = plan.turn ^ 1
+    handed_back = values is plan.last and len(values) >= out_len + plan.reach
+    kept = plan.lists[turn]
+    if handed_back and kept is not None and out_len <= kept[0] <= out_len + _SLACK:
+        calls = kept[1]
+    else:
+        calls = _step_calls(plan, values, plan.outs[turn], out_len)
+        if handed_back:
+            plan.lists[turn] = (out_len, calls)
+    for f, a, b, result in calls:
+        if f is None:
+            np.maximum(a, b, out=result)
         else:
-            add(shared[i][s : s + out_len], zero, target)
-        for s, i, p in rest:
-            term = shared[i][s : s + out_len] if i >= 0 else mul(values[s : s + out_len], p, scratch)
-            total = add(total, term, target)
-        if l:
-            np.maximum(out, acc, out=out)
-    if plan.zero_pass:
-        add(out, zero, out)
-    return out
+            f(a, b, result)
+    plan.last = plan.outs[turn][:out_len]
+    return plan.last
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     for the block after each sweep.  The last block is non-empty only if
     ``hi - lo >= n_steps * (k_hi - k_lo)``, which ``[-n*K, n*K]`` meets.
     Each yielded array lives in the sweep's plan and is valid only until
-    the next step: read what you need before resuming, or copy it.
+    the next step: read what you need before resuming, or copy it.  It
+    equals the per-atom loop's values, but may hold -0.0 where the loop
+    holds +0.0; add 0.0 to what you read to get the loop's bits.
     """
     k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
     sizes = [law.indices.size for law in aset.laws]
@@ -72,7 +74,9 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     on the block ``[-N*K, N*K]`` (N the largest n, K the largest absolute
     atom index) passes every n on its way and reads ``W_n`` at the origin.
     Each output node depends only on its own inputs, so every entry equals
-    ``sum_expectation(aset, n, phi)`` bit for bit.
+    ``sum_expectation(aset, n, phi)`` bit for bit.  The sweep's arrays may
+    hold -0.0 where the per-atom loop holds +0.0, so each value read at
+    the origin gets + 0.0, which gives the loop's bits.
     """
     ns = [_check_n(n) for n in ns]
     if not ns:
@@ -91,8 +95,9 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     sweeps = _sweep(aset, evaluate_on(phi, points), -n_max * K, n_max * K, n_max)
     for m, (values, lo, _) in enumerate(sweeps, start=1):
         if m in wanted:
-            # every block of the sweep contains index 0
-            at_origin[m] = float(values[-lo])
+            # every block of the sweep contains index 0; + 0.0 turns a
+            # -0.0 the kernel may leave there into the per-atom loop's +0.0
+            at_origin[m] = float(values[-lo]) + 0.0
     return [at_origin[n] for n in ns]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from gexlab import cli, pengsum
 from gexlab.errors import ValidationError
+from test_kernels import dp_step_loop_reference
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -519,3 +520,19 @@ class TestSubprocessEntry:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestReportBytesThroughLoop:
+    """The lattice reports at their defaults print the per-atom loop's bytes."""
+
+    @pytest.mark.parametrize("command", ["moments", "clt", "oracle"])
+    def test_default_report_matches_loop(self, monkeypatch, capsys, command):
+        assert cli.main([command]) == cli.EXIT_PASS
+        got = capsys.readouterr().out
+
+        def loop_step(*args, plan):
+            return dp_step_loop_reference(*args)
+
+        monkeypatch.setattr(pengsum._kernels, "dp_step", loop_step)
+        assert cli.main([command]) == cli.EXIT_PASS
+        assert capsys.readouterr().out == got

@@ -17,6 +17,14 @@ def random_dp_inputs(rng):
     return values, law_ptr, law_k, law_p, 2, 12
 
 
+def sprinkled(rng, values):
+    """``values`` with about 30% of its entries set to signed zeros and subnormals."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+    mask = rng.random(values.size) < 0.3
+    values[mask] = rng.choice(special, size=int(mask.sum()))
+    return values
+
+
 def shared_dp_inputs(rng):
     """Laws whose probabilities come from a small pool, so atoms share products.
 
@@ -31,10 +39,7 @@ def shared_dp_inputs(rng):
     pool = np.array([0.5, 0.25, -0.0, 0.0, 5e-324, rng.uniform(0.05, 1.0)])
     law_p = rng.choice(pool[: int(rng.integers(1, pool.size + 1))], size=n_atoms)
     out_len = int(rng.integers(1, 20))
-    values = rng.normal(size=out_len + 6) * 10.0 ** float(rng.choice([-310, 0, 300]))
-    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
-    mask = rng.random(values.size) < 0.3
-    values[mask] = rng.choice(special, size=int(mask.sum()))
+    values = sprinkled(rng, rng.normal(size=out_len + 6) * 10.0 ** float(rng.choice([-310, 0, 300])))
     if rng.random() < 0.1:
         values[rng.integers(values.size)] = rng.choice([np.inf, -np.inf])
     return values, law_ptr, law_k, law_p, 3, out_len
@@ -64,6 +69,46 @@ def at_offset(a, offset):
 
 def line_offset(a):
     return a.ctypes.data % 64
+
+
+def kept_list_bound(n_steps, reach):
+    """Call lists a chain of ``n_steps`` planned steps builds under the slack rule.
+
+    Each step's output is ``reach`` points shorter than its input.  The
+    first step builds one list and keeps none; later steps alternate
+    between the plan's two directions, so within one direction the output
+    shrinks by ``2 * reach`` per step, and a list built at block B serves
+    its direction while B - out_len <= _SLACK: for 1 + _SLACK // (2 * reach)
+    of that direction's steps.
+    """
+    per_list = 1 + _kernels._SLACK // (2 * reach)
+    later = n_steps - 1
+    return 1 + -(-((later + 1) // 2) // per_list) + -(-(later // 2) // per_list)
+
+
+def counting_step_calls(monkeypatch):
+    """Record the number of outputs of every call list ``dp_step`` builds."""
+    built = []
+    step_calls = _kernels._step_calls
+
+    def counting(plan, values, out, n):
+        built.append(n)
+        return step_calls(plan, values, out, n)
+
+    monkeypatch.setattr(_kernels, "_step_calls", counting)
+    return built
+
+
+def run_chain(values, law_ptr, law_k, law_p, base, out_len, n_steps):
+    """``n_steps`` planned steps, each on the previous output as a sweep does,
+    checked against the per-atom loop after every step."""
+    plan = _kernels.dp_plan(law_ptr, law_k, law_p, base)
+    got, want = values, values.copy()
+    for _ in range(n_steps):
+        got = _kernels.dp_step(got, law_ptr, law_k, law_p, base, out_len, plan=plan)
+        want = dp_step_loop_reference(want, law_ptr, law_k, law_p, base, out_len)
+        assert_loop_values(got, want)
+        out_len -= plan.reach
 
 
 def dp_step_loop_reference(values, law_ptr, law_k, law_p, base, out_len):
@@ -117,6 +162,19 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
+def assert_loop_values(got, want):
+    """``got`` holds the per-atom loop's ``want`` with zeros of either sign.
+
+    NaN in the same places and ``==`` everywhere else, and ``got + 0.0``
+    has the loop's bits.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert same_bits(got + 0.0, want)
+
+
 CATALOG = [
     make_phi("abs"), make_phi("square"), make_phi("cube"), make_phi("quartic"),
     make_phi("negsquare"), make_phi("negabs"), make_phi("abspow", 2.5),
@@ -124,16 +182,16 @@ CATALOG = [
 ]
 
 # Families that take every branch of dp_step, each with the multiply, add and
-# maximum calls of one step, and the calls of the step that began every law's
-# sum with 0.0 + its first term.
+# maximum calls of one step, and the calls of the step that ended with an add
+# of 0.0 wherever some law had several atoms or an unshared one.
 BRANCH_FAMILIES = {
     # dp-scan's seeded shape: outer probabilities shared, centre ones not
-    "dp-scan": ([[(-2, 0.4), (0, 0.2), (2, 0.4)], [(-1, 0.25), (0, 0.5), (1, 0.25)]], 10, 11),
-    "one-atom-unshared": ([[(0, 1.0)], [(-1, 0.5), (1, 0.5)]], 5, 6),
-    "one-atom-shared": ([[(-1, 1.0)], [(1, 1.0)], [(-2, 0.25), (0, 0.5), (2, 0.25)]], 10, 10),
-    # every sum is 0.0 + its one term, so the step ends without the add of 0.0
+    "dp-scan": ([[(-2, 0.4), (0, 0.2), (2, 0.4)], [(-1, 0.25), (0, 0.5), (1, 0.25)]], 9, 10),
+    "one-atom-unshared": ([[(0, 1.0)], [(-1, 0.5), (1, 0.5)]], 4, 5),
+    "one-atom-shared": ([[(-1, 1.0)], [(1, 1.0)], [(-2, 0.25), (0, 0.5), (2, 0.25)]], 9, 10),
+    # every sum is 0.0 + its one term, so that step had no add of 0.0 either
     "all-dirac": ([[(-1, 1.0)], [(1, 1.0)]], 4, 4),
-    "unshared-first": ([[(-1, 0.3), (1, 0.7)], [(-2, 0.5), (2, 0.5)]], 7, 8),
+    "unshared-first": ([[(-1, 0.3), (1, 0.7)], [(-2, 0.5), (2, 0.5)]], 6, 7),
 }
 
 
@@ -176,32 +234,33 @@ class TestDpStep:
                 got = _kernels.dp_step(*args)
                 planned = _kernels.dp_step(*args, plan=_kernels.dp_plan(*args[1:5]))
                 want = dp_step_loop_reference(*args)
-            assert same_bits(got, want)
-            assert same_bits(planned, want)
+            assert_loop_values(got, want)
+            assert_loop_values(planned, want)
 
     def test_first_term_negative_zero_becomes_positive(self):
-        # the loop adds onto a zero-filled accumulator: 0.0 + -0.0 = +0.0
+        # the loop adds onto a zero-filled accumulator: 0.0 + -0.0 = +0.0;
+        # the kernel may keep -0.0, and + 0.0 where a value is read gives +0.0
         values = np.array([-0.0, 1.0, 0.0])
         ptr = np.array([0, 1], dtype=np.int64)
         ks = np.array([0], dtype=np.int64)
-        assert same_bits(_kernels.dp_step(values, ptr, ks, np.array([1.0]), 0, 3), [0.0, 1.0, 0.0])
-        assert same_bits(_kernels.dp_step(values, ptr, ks, np.array([-0.0]), 0, 3), np.zeros(3))
+        assert_loop_values(_kernels.dp_step(values, ptr, ks, np.array([1.0]), 0, 3), [0.0, 1.0, 0.0])
+        assert_loop_values(_kernels.dp_step(values, ptr, ks, np.array([-0.0]), 0, 3), np.zeros(3))
 
     def test_negative_zero_law_sums_end_positive(self):
         # no law's sum starts from 0.0, so on a window of -0.0 each sum is
-        # -0.0 + -0.0; only the add of 0.0 that ends the step gives the
-        # loop's +0.0, after the maximum of the two laws
+        # -0.0 + -0.0; the loop's +0.0 comes back with + 0.0 at the read,
+        # after the maximum of the two laws
         values = np.array([-0.0, -0.0, -0.0, -0.0, 3.0])
         ptr = np.array([0, 2, 4], dtype=np.int64)
         ks = np.array([0, 1, 0, 2], dtype=np.int64)
         ps = np.array([0.5, 0.5, 0.25, 0.75])
         want = dp_step_loop_reference(values, ptr, ks, ps, 0, 3)
         assert same_bits(want, [0.0, 0.0, 2.25])
-        assert same_bits(_kernels.dp_step(values, ptr, ks, ps, 0, 3), want)
+        assert_loop_values(_kernels.dp_step(values, ptr, ks, ps, 0, 3), want)
         plan = _kernels.dp_plan(ptr, ks, ps, 0)
-        assert same_bits(_kernels.dp_step(values, ptr, ks, ps, 0, 3, plan=plan), want)
+        assert_loop_values(_kernels.dp_step(values, ptr, ks, ps, 0, 3, plan=plan), want)
         one_law = (values, ptr[:2], ks[:2], ps[:2], 0, 3)
-        assert same_bits(_kernels.dp_step(*one_law), np.zeros(3))
+        assert_loop_values(_kernels.dp_step(*one_law), np.zeros(3))
 
     def test_signed_zero_probabilities_share_a_product(self):
         # p = +0.0 and p = -0.0 give zero products of opposite sign (NaN at
@@ -255,8 +314,54 @@ class TestBufferContract:
             out_len -= 4
 
 
-def assert_sweeps_match_loop(monkeypatch, aset, phi):
-    ns = [1, 2, 17, 128, 256]
+CHAIN_STEPS = 130  # reach 4: 541 points down to 21
+COIN = (np.array([0, 2]), np.array([-1, 1]), np.array([0.5, 0.5]), 1)  # one law on +-1, reach 2
+
+
+class TestCallLists:
+    """Kept call lists: reused within their slack, never past valid input."""
+
+    @pytest.mark.parametrize("offset", range(0, 64, 8))
+    def test_long_chain_matches_loop(self, monkeypatch, rng, offset):
+        built = counting_step_calls(monkeypatch)
+        values, *family, out_len = three_law_inputs(rng, 4 * CHAIN_STEPS + 21)
+        values = at_offset(sprinkled(rng, values), offset)
+        run_chain(values, *family, out_len, CHAIN_STEPS)
+        # the chain outlasts a kept list in each direction, so lists are
+        # both reused and rebuilt
+        assert len(built) == kept_list_bound(CHAIN_STEPS, 4) > 3
+
+    def test_reserve_zeroes_both_output_rows(self):
+        plan = _kernels.dp_plan(*COIN)
+        plan.reserve(40, 38)
+        assert all(same_bits(row, np.zeros(38)) for row in plan.outs)
+
+    def test_dont_care_slots_raise_no_flag(self, rng):
+        values, *family, out_len = three_law_inputs(rng, 4 * CHAIN_STEPS + 21)
+        with np.errstate(all="raise"):
+            run_chain(values, *family, out_len, CHAIN_STEPS)
+
+    @pytest.mark.parametrize("out_len", [2, 3, 4])
+    def test_short_handed_back_input_is_read_as_given(self, rng, out_len):
+        # a kept list would read the row past the 3 valid points; the step
+        # must instead read only what it is given, as the per-atom loop does:
+        # a 1-point slice broadcasts (out_len 2 and 3), a longer short one fails
+        plan = _kernels.dp_plan(*COIN)
+        last = rng.normal(size=9)
+        for n in (7, 5, 3):
+            last = _kernels.dp_step(last, *COIN, n, plan=plan)
+        assert plan.lists[0] is not None and plan.lists[0][0] >= out_len
+        given = last.copy()
+        try:
+            want = dp_step_loop_reference(given, *COIN, out_len)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _kernels.dp_step(last, *COIN, out_len, plan=plan)
+        else:
+            assert_loop_values(_kernels.dp_step(last, *COIN, out_len, plan=plan), want)
+
+
+def assert_sweeps_match_loop(monkeypatch, aset, phi, ns=(1, 2, 17, 128, 256)):
     got = sum_expectations(aset, ns, phi)
 
     def loop_step(*args, plan):
@@ -279,12 +384,30 @@ class TestSweepBits:
     def test_branch_families_n256(self, monkeypatch, name, phi):
         assert_sweeps_match_loop(monkeypatch, branch_family(name), phi)
 
+    @pytest.mark.parametrize("phi", [make_phi("square"), make_phi("negabs")], ids=lambda p: p.label)
+    @pytest.mark.parametrize("name", ["reference", "dp-scan"])
+    def test_n4096(self, monkeypatch, ref_set, name, phi):
+        # 16 385-point blocks: each direction's call list is reused and rebuilt
+        aset = ref_set if name == "reference" else branch_family(name)
+        assert_sweeps_match_loop(monkeypatch, aset, phi, ns=(1, 17, 256, 4095, 4096))
+
+    def test_origin_zero_is_positive(self, monkeypatch):
+        # negabs is -0.0 at 0 and the Dirac law at 0 keeps that zero at the
+        # origin, where the loop's 0.0 + makes it +0.0; the read's + 0.0 must
+        aset = AmbiguitySet((
+            DiscreteDistribution.from_atoms(1.0, [(0, 1.0)]),
+            DiscreteDistribution.from_atoms(1.0, [(-1, 0.5), (1, 0.5)]),
+        ))
+        got = sum_expectations(aset, [1, 2, 17], make_phi("negabs"))
+        assert same_bits(got, [0.0, 0.0, 0.0])
+        assert_sweeps_match_loop(monkeypatch, aset, make_phi("negabs"), ns=(1, 2, 17))
+
     @pytest.mark.parametrize("name", ["reference", *BRANCH_FAMILIES])
     def test_ufunc_calls_per_step(self, monkeypatch, ref_set, name):
-        # the reference family: one shared multiply, one add per law, one
-        # maximum and the add of 0.0, where each law's 0.0 + took one more
+        # the reference family: one shared multiply, one add per law and one
+        # maximum; the step that ended with an add of 0.0 made one more
         if name == "reference":
-            aset, calls, before = ref_set, 5, 6
+            aset, calls, before = ref_set, 4, 5
         else:
             aset, (_, calls, before) = branch_family(name), BRANCH_FAMILIES[name]
         counting = CountingNumpy()
@@ -306,6 +429,12 @@ class TestSweepBits:
         assert len(built) == 1
         uniform_moment_check(ref_set, 1.0, [2, 4, 8, 16])
         assert len(built) == 2
+
+    def test_call_lists_per_sweep(self, monkeypatch, ref_set):
+        built = counting_step_calls(monkeypatch)
+        sum_expectations(ref_set, [4096], make_phi("abs"))
+        reach = int(ref_set.indices[-1] - ref_set.indices[0])
+        assert len(built) <= kept_list_bound(4096, reach)
 
 
 class TestGheatMarch:

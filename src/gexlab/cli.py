@@ -34,7 +34,7 @@ from .gheat import (
     gaussian_quadrature_oracle,
     params_from_envelope,
 )
-from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectation
+from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectations
 from .phis import parse_phi
 from .serialize import dumps_csv, dumps_json, write_csv, write_json
 
@@ -277,14 +277,16 @@ def _cmd_oracle(opts: dict, cfg: Config):
     aset = _ambiguity_or_reference(cfg)
     texts = [opts["phi"]] if isinstance(opts["phi"], str) else opts["phi"]
     phis = [parse_phi(text) for text in texts]
+    ns = sorted(set(opts["n"]))
+    oracle_rows = [brute_force_adapted_oracle_many(aset, n, phis) for n in ns]
+    strategy_counts = [{"n": n, "strategies": count_adapted_strategies(aset, n)} for n in ns]
+    # one sweep per phi reads every n, with the same bits as one sweep per n
+    dp_columns = [sum_expectations(aset, ns, phi) for phi in phis]
     entries = []
-    strategy_counts = []
     max_diff = 0.0
-    for n in sorted(set(opts["n"])):
-        oracle_vals = brute_force_adapted_oracle_many(aset, n, phis)
-        strategy_counts.append({"n": n, "strategies": count_adapted_strategies(aset, n)})
-        for phi, oracle_val in zip(phis, oracle_vals):
-            dp_val = sum_expectation(aset, n, phi)
+    for i, n in enumerate(ns):
+        for phi, oracle_val, dp_vals in zip(phis, oracle_rows[i], dp_columns):
+            dp_val = dp_vals[i]
             diff = abs(dp_val - oracle_val)
             max_diff = max(max_diff, diff)
             entries.append(

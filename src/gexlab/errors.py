@@ -22,7 +22,7 @@ class SizeError(GexlabError):
 
 
 class CapacityError(GexlabError):
-    """Brute-force enumeration would exceed the configured ceiling."""
+    """Brute-force enumeration would exceed the fixed strategy ceiling."""
 
 
 class ConfigurationError(GexlabError, ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, DiscreteDistribution, _lower, _upper, evaluate_on
 from .errors import ValidationError
 from .pengsum import (
-    DEFAULT_STRATEGY_CEILING,
+    STRATEGY_CEILING,
     _check_n,
     count_adapted_strategies,
     pairwise_independence_check,
@@ -79,17 +79,13 @@ def random_ambiguity_set(
     return AmbiguitySet(tuple(make(rng, step, max_atoms) for _ in range(n_laws)))
 
 
-def random_oracle_set(
-    rng: np.random.Generator,
-    n: int = 4,
-    ceiling: int = DEFAULT_STRATEGY_CEILING,
-) -> AmbiguitySet:
+def random_oracle_set(rng: np.random.Generator, n: int = 4) -> AmbiguitySet:
     """Small random family the brute-force oracle can enumerate up to n steps.
 
     Atoms come from {-1, 0, 1} with at most 3 laws; draws whose adapted
-    strategy count at n exceeds the ceiling are rejected and resampled.
+    strategy count at n exceeds ``STRATEGY_CEILING`` are rejected and
+    resampled.
     """
-    ceiling = _check_n(ceiling, what="ceiling")
     for _ in range(_ORACLE_MAX_TRIES):
         step = float(rng.choice((0.25, 0.5, 1.0)))
         n_laws = int(rng.integers(1, 4))
@@ -99,7 +95,7 @@ def random_oracle_set(
             ks = np.sort(rng.choice(np.array([-1, 0, 1]), size=size, replace=False))
             laws.append(DiscreteDistribution(step, ks, _random_probs(rng, size)))
         aset = AmbiguitySet(tuple(laws))
-        if count_adapted_strategies(aset, n) <= ceiling:
+        if count_adapted_strategies(aset, n) <= STRATEGY_CEILING:
             return aset
     raise ValidationError(f"no oracle-feasible family found in {_ORACLE_MAX_TRIES} draws")
 

@@ -26,7 +26,7 @@ from .errors import (
     SizeError,
     ValidationError,
 )
-from .pengsum import MAX_GRID_POINTS
+from .pengsum import MAX_GRID_POINTS, MAX_WORK
 
 CFL_LIMIT = 0.5
 PAD_FACTOR = 6.0  # g_normal_solution's half width is PAD_FACTOR * sigma_hi + phi's margin
@@ -138,7 +138,8 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
     remainder, if any.  The second difference is frozen to zero at both
     boundaries, so the domain must be wide enough that the boundary error
     stays negligible.  Raises ConfigurationError when the parabolic step
-    bound ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails.
+    bound ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails, and SizeError, before
+    any step, when nodes times steps exceed ``MAX_WORK``.
     """
     # The squares of dx and sigma_hi can overflow or underflow a float on
     # their own; the scheme needs only their ratio.
@@ -148,10 +149,16 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
         raise ConfigurationError(
             f"unstable step: sigma_hi^2*dt/dx^2 = {cfl:.6g} exceeds {CFL_LIMIT}"
         )
+    n_full = int(math.floor(1.0 / grid.dt + 1e-12))
+    work = (grid.n_cells + 1) * n_full
+    if work > MAX_WORK:
+        raise SizeError(
+            f"PDE march would need about {work:.3g} node-steps "
+            f"(limit {MAX_WORK:.3g}); increase dx"
+        )
     u = evaluate_on(phi, grid.xs)
     cu = 0.5 * grid.dt / r2
     cd = 0.5 * grid.dt * _square_ratio(params.sigma_lo, params.sigma_hi) / r2
-    n_full = int(math.floor(1.0 / grid.dt + 1e-12))
     bad, u = _kernels.gheat_march(u, cu, cd, n_full)
     if bad >= 0:
         raise DivergenceError(f"solution became non-finite at time step {bad}")

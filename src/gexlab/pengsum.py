@@ -20,7 +20,11 @@ from .ambiguity import AmbiguitySet, _lower, _upper, evaluate_on, indicator_of
 from .errors import CapacityError, SizeError, ValidationError
 
 MAX_GRID_POINTS = 1 << 26
-DEFAULT_STRATEGY_CEILING = 10**6
+# Atom updates of one lattice sweep or node-steps of one PDE march, whichever
+# the run makes; an accepted march at the limit takes about a minute on a
+# 2-vCPU x86 host (~3e8 node-steps/s), a sweep several times less.
+MAX_WORK = 2 * 10**10
+STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
 
 
@@ -76,7 +80,9 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     Each output node depends only on its own inputs, so every entry equals
     ``sum_expectation(aset, n, phi)`` bit for bit.  The sweep's arrays may
     hold -0.0 where the per-atom loop holds +0.0, so each value read at
-    the origin gets + 0.0, which gives the loop's bits.
+    the origin gets + 0.0, which gives the loop's bits.  Raises SizeError,
+    before any step, when steps times block points times atoms exceed
+    ``MAX_WORK``.
     """
     ns = [_check_n(n) for n in ns]
     if not ns:
@@ -88,6 +94,12 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
         raise SizeError(
             f"lattice block would need {size} points "
             f"(limit {MAX_GRID_POINTS}); reduce n or the atom span"
+        )
+    work = n_max * size * sum(law.indices.size for law in aset.laws)
+    if work > MAX_WORK:
+        raise SizeError(
+            f"lattice sweep would need about {work:.3g} atom updates "
+            f"(limit {MAX_WORK:.3g}); reduce n"
         )
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
     wanted = set(ns)
@@ -121,29 +133,18 @@ def normalized_sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> flo
     return sum_expectation(aset, n, scaled)
 
 
-def reachable_index_sets(aset: AmbiguitySet, n: int) -> list[np.ndarray]:
-    """Sorted lattice-index sets reachable by the partial sums S_0 .. S_n."""
-    sets = [np.zeros(1, dtype=np.int64)]
-    for _ in range(n):
-        # not np.unique: its first call imports numpy.ma, ~17 ms per CLI call
-        nxt = np.sort((sets[-1][:, None] + aset.indices[None, :]).ravel())
-        sets.append(nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))])
-    return sets
+def _reachable_runs(aset: AmbiguitySet, n: int):
+    """Yield the reachable index sets of S_0 .. S_n as maximal runs.
 
-
-def _reachable_state_count(aset: AmbiguitySet, n: int) -> int:
-    """Total size of the reachable index sets of S_0 .. S_{n-1}.
-
-    One level is kept at a time, as maximal runs ``[starts[i], ends[i]]`` of
-    consecutive indices: the next level is the union of the runs shifted by
-    every atom, merged where they overlap or touch.  A level never has more
-    runs than points, and once a walk fills its span it is a single run, so
-    this costs far less than listing the sets.
+    A level is the pair ``(starts, ends)`` of its runs ``[starts[i], ends[i]]``
+    of consecutive indices: the next level is the union of the runs shifted
+    by every atom, merged where they overlap or touch.  A level never has
+    more runs than points, and once a walk fills its span it is a single
+    run, so this costs far less than listing the sets.
     """
     starts = ends = np.zeros(1, dtype=np.int64)
-    total = 0
+    yield starts, ends
     for _ in range(n):
-        total += int((ends - starts).sum()) + starts.size
         s = (starts[:, None] + aset.indices).ravel()
         e = (ends[:, None] + aset.indices).ravel()
         order = np.argsort(s)
@@ -152,7 +153,24 @@ def _reachable_state_count(aset: AmbiguitySet, n: int) -> int:
         head = np.flatnonzero(s[1:] > reach[:-1] + 1) + 1
         starts = np.concatenate((s[:1], s[head]))
         ends = np.append(reach[head - 1], reach[-1])
-    return total
+        yield starts, ends
+
+
+def reachable_index_sets(aset: AmbiguitySet, n: int) -> list[np.ndarray]:
+    """Sorted lattice-index sets reachable by the partial sums S_0 .. S_n."""
+    sets = []
+    for starts, ends in _reachable_runs(aset, n):
+        lengths = ends - starts + 1
+        # run i's points are starts[i] + 0 .. lengths[i] - 1, laid end to end
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        sets.append(offsets + np.arange(offsets.size))
+    return sets
+
+
+def _reachable_state_count(aset: AmbiguitySet, n: int) -> int:
+    """Total size of the reachable index sets of S_0 .. S_{n-1}."""
+    runs = _reachable_runs(aset, n - 1)
+    return sum(int((ends - starts).sum()) + starts.size for starts, ends in runs)
 
 
 def count_adapted_strategies(aset: AmbiguitySet, n: int) -> int:
@@ -210,39 +228,29 @@ def _count_text(n_laws: int, n_states: int) -> str:
     return f"at least 10^{int(bits * math.log10(2.0))}"
 
 
-def brute_force_adapted_oracle(
-    aset: AmbiguitySet,
-    n: int,
-    phi: Callable,
-    ceiling: int = DEFAULT_STRATEGY_CEILING,
-) -> float:
+def brute_force_adapted_oracle(aset: AmbiguitySet, n: int, phi: Callable) -> float:
     """Max of ``E[phi(S_n)]`` over every adapted law-choice strategy.
 
     Exponential in the reachable state counts; refuses to start when the
-    strategy count exceeds ``ceiling``.
+    strategy count exceeds ``STRATEGY_CEILING``.
     """
-    vals = brute_force_adapted_oracle_many(aset, n, [phi], ceiling)
-    return vals[0]
+    return brute_force_adapted_oracle_many(aset, n, [phi])[0]
 
 
 def brute_force_adapted_oracle_many(
-    aset: AmbiguitySet,
-    n: int,
-    phis: Sequence[Callable],
-    ceiling: int = DEFAULT_STRATEGY_CEILING,
+    aset: AmbiguitySet, n: int, phis: Sequence[Callable]
 ) -> list[float]:
     """One enumeration shared across several payoff functions."""
     n = _check_n(n)
-    ceiling = _check_n(ceiling, what="ceiling")
     n_laws = len(aset.laws)
     n_states = _reachable_state_count(aset, n)
     # With L >= 2 laws, L ** S exceeds the ceiling as soon as S exceeds its
     # bit length, so capping S there keeps the comparison exact and the
     # power small.
-    if n_laws ** min(n_states, ceiling.bit_length() + 1) > ceiling:
+    if n_laws ** min(n_states, STRATEGY_CEILING.bit_length() + 1) > STRATEGY_CEILING:
         raise CapacityError(
-            f"{_count_text(n_laws, n_states)} adapted strategies exceed the ceiling {ceiling}; "
-            "the brute-force oracle refuses to enumerate"
+            f"{_count_text(n_laws, n_states)} adapted strategies exceed the ceiling "
+            f"{STRATEGY_CEILING}; the brute-force oracle refuses to enumerate"
         )
     dists, terminal = _enumerate_strategy_distributions(aset, n)
     points = terminal * aset.step
@@ -263,13 +271,7 @@ def joint_expectation(xset: AmbiguitySet, yset: AmbiguitySet, f: Callable) -> fl
 
 def _iterated_upper(xset: AmbiguitySet, yset: AmbiguitySet, grid: np.ndarray) -> float:
     """``joint_expectation`` of ``grid[i, j] = f(xset.support[i], yset.support[j])``."""
-    inner = np.full(xset.support.size, -np.inf)
-    for law, cols in zip(yset.laws, yset.columns):
-        # np.take keeps rows C-contiguous; a strided dot may sum in another order
-        rows = np.take(grid, cols, axis=1)
-        for i in range(xset.support.size):
-            inner[i] = max(inner[i], float(law.probs @ rows[i]))
-    return float(xset.expectations(inner).max())
+    return _upper(xset, np.array([_upper(yset, row) for row in grid]))
 
 
 @dataclass(frozen=True)

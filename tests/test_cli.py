@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -183,6 +184,18 @@ class TestExitCodes:
     def test_unattainable_oracle_is_runtime_error(self, capsys):
         assert cli.main(["oracle", "--n", "4"]) == cli.EXIT_RUNTIME
         assert "refuses to enumerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gheat", "--dx", "1e-4"], ["moments", "--n", "4,8,16,2097152"], ["clt", "--n", "8,32,4000000"]],
+    )
+    def test_unfinishable_work_is_runtime_error(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert out == ""
+        limit = re.escape(f"(limit {pengsum.MAX_WORK:.3g})")
+        assert err.count("\n") == 1
+        assert re.search(r"would need about [0-9.e+]+ (node-steps|atom updates) " + limit, err)
 
     def test_half_sigma_pair_rejected(self, capsys):
         assert cli.main(["gheat", "--sigma-lo", "1.0"]) == cli.EXIT_CONFIG
@@ -413,6 +426,18 @@ class TestOracleCommand:
         # a refused n is never counted
         assert seen == [1, 2]
 
+    def test_one_sweep_per_phi(self, monkeypatch, capsys):
+        seen = []
+
+        def recording(aset, ns, phi):
+            seen.append((list(ns), phi.label))
+            return pengsum.sum_expectations(aset, ns, phi)
+
+        monkeypatch.setattr(cli, "sum_expectations", recording)
+        assert cli.main(["oracle", "--n", "3,1,2,1"]) == 0
+        capsys.readouterr()
+        assert seen == [([1, 2, 3], label) for label in ("abs", "square", "cube", "quartic", "clamp:-1;1")]
+
     def test_csv_header(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert cli.main(["oracle", "--n", "1", "--format", "csv", "--out", str(out)]) == 0
@@ -520,6 +545,24 @@ class TestSubprocessEntry:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# stdout sha256 of each report at its defaults
+REPORT_SHA256 = {
+    "axioms": "4cafb7aba11a077d6a04bffc889839991d0735a866fa67cf8920a8aa866d32f5",
+    "independence": "2a14eb42bdf52133ee94a31b19b4cf71cc657a72b9281f803368356a58b68157",
+    "moments": "8cddec449498fe6987f0a95329895440904d29626a9fe2c268393dc8204062df",
+    "clt": "7b6c2dc777e99860b99545edd27c4dc904af6b44b94820e1f41b6305707cedf5",
+    "gheat": "819a87f9130481bae0225c04352541ebe520902db84940b5fcb6293a39090d59",
+    "oracle": "ef10db63cee97f91e7e68ed179d23b561d391910d8ac5d51a2a1d3fd1a595e61",
+    "gheat --format csv": "f98ed80c288d938c4deaf9d3c711c71cc53eac94fbcd9b0b7a894d6cb3356c7f",
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_SHA256)
+def test_default_report_bytes_pinned(argv, capsys):
+    assert cli.main(argv.split()) == cli.EXIT_PASS
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256[argv]
 
 
 class TestReportBytesThroughLoop:

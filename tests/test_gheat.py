@@ -125,6 +125,19 @@ class TestSolver:
             with pytest.raises(DivergenceError, match="step 0"):
                 solve_g_heat(GParams(1.0, 1.0), spike, grid)
 
+    def test_work_limit_refused_before_any_step(self, monkeypatch):
+        # 21 nodes times 1000 steps
+        grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
+        monkeypatch.setattr(gheat, "MAX_WORK", 21 * 1000)
+        assert solve_g_heat(GParams(1.0, 1.0), np.square, grid).steps_taken == 1000
+        monkeypatch.setattr(gheat, "MAX_WORK", 21 * 1000 - 1)
+
+        def unread(x):
+            raise AssertionError("phi must not be evaluated")
+
+        with pytest.raises(SizeError, match=r"^PDE march would need about 2\.1e\+04 node-steps \(limit 2\.1e\+04\)"):
+            solve_g_heat(GParams(1.0, 1.0), unread, grid)
+
     def test_boundaries_frozen(self):
         grid = PdeGrid(-2.0, 2.0, 0.1, 0.001)
         sol = solve_g_heat(GParams(1.0, 1.0), np.square, grid)

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,18 @@ class TestSumExpectation:
         with pytest.raises(SizeError):
             sum_expectation(AmbiguitySet((law,)), 10**7, np.abs)
 
+    def test_work_limit_refused_before_any_step(self, monkeypatch, ref_set):
+        # n = 2 on the reference family: 2 steps x 9 block points x 4 atoms
+        monkeypatch.setattr(pengsum, "MAX_WORK", 72)
+        assert sum_expectation(ref_set, 2, np.abs) == 1.0
+        monkeypatch.setattr(pengsum, "MAX_WORK", 71)
+
+        def unread(x):
+            raise AssertionError("phi must not be evaluated")
+
+        with pytest.raises(SizeError, match=r"^lattice sweep would need about 72 atom updates \(limit 71\)"):
+            sum_expectations(ref_set, [1, 2], unread)
+
     def test_hand_values_reference(self, ref_set):
         # optimal strategies on the two-coin family, checked by hand
         assert sum_expectation(ref_set, 1, np.square) == 1.0
@@ -196,25 +209,19 @@ class TestStrategyCounting:
 
 class TestBruteForceOracle:
     def test_ceiling_refusal(self, ref_set):
-        with pytest.raises(CapacityError):
+        # 2 ** 27 strategies at n = 4
+        text = "134217728 adapted strategies exceed the ceiling 1000000; the brute-force oracle refuses to enumerate"
+        with pytest.raises(CapacityError, match="^" + re.escape(text) + "$"):
             brute_force_adapted_oracle(ref_set, 4, np.abs)
-        with pytest.raises(CapacityError):
-            brute_force_adapted_oracle(ref_set, 2, np.abs, ceiling=10)
 
-    def test_ceiling_is_inclusive(self, ref_set):
-        # the reference family has exactly 32 strategies at n = 2
-        assert len(brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=32)) == 1
-        with pytest.raises(CapacityError, match="^32 adapted strategies exceed the ceiling 31;"):
-            brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=31)
-
-    @pytest.mark.parametrize("ceiling", [float("inf"), float("nan"), -1, 0, 31.9, True, "32"])
-    def test_bad_ceiling_refused_before_counting(self, monkeypatch, ref_set, ceiling):
-        def refuse_to_count(aset, n):
-            raise AssertionError("a bad ceiling must be refused before counting")
-
-        monkeypatch.setattr(pengsum, "_reachable_state_count", refuse_to_count)
-        with pytest.raises(ValidationError, match=re.escape(repr(ceiling))):
-            brute_force_adapted_oracle_many(ref_set, 2, [np.abs], ceiling=ceiling)
+    def test_ceiling_is_inclusive(self):
+        # ten laws, each the point mass at index 0: one state per step, so exactly 10 ** n strategies
+        dirac = DiscreteDistribution.from_atoms(1.0, [(0, 1.0)])
+        aset = AmbiguitySet((dirac,) * 10)
+        assert count_adapted_strategies(aset, 6) == pengsum.STRATEGY_CEILING
+        assert brute_force_adapted_oracle_many(aset, 6, [lambda x: x + 1.0]) == [1.0]
+        with pytest.raises(CapacityError, match="^10000000 adapted strategies exceed the ceiling 1000000;"):
+            brute_force_adapted_oracle_many(aset, 7, [np.abs])
 
     def test_refusal_builds_no_count(self, monkeypatch):
         laws = (
@@ -254,6 +261,40 @@ class TestBruteForceOracle:
                 oracle_vals = brute_force_adapted_oracle_many(aset, n, phis)
                 for phi, ov in zip(phis, oracle_vals):
                     assert sum_expectation(aset, n, phi) == pytest.approx(ov, abs=1e-12)
+
+
+class TestClosedFormsAtScale:
+    """Closed forms checked on one sweep each, far past the oracle's reach."""
+
+    def test_half_line_capacity(self, ref_set):
+        # sup P(S_n >= 0) = 2/3 + (-1)^n / (3 * 2^n): a dyadic rational, exact while
+        # its numerator fits in 53 bits, and within the sweep's rounding bound after
+        ns = range(1, 4097)
+        got = sum_expectations(ref_set, ns, indicator_of(lambda x: x >= 0))
+        atoms = sum(law.indices.size for law in ref_set.laws)
+        for n, value in zip(ns, got):
+            exact = Fraction(2, 3) + Fraction((-1) ** n, 3 * 2**n)
+            if n <= 48:
+                assert value == float(exact), n
+            else:
+                assert abs(Fraction(value) - exact) <= Fraction(n * atoms, 2**53), n
+
+    def test_convex_order_top_law_convolution(self):
+        # the inner law is below the top law in convex order, so for a convex phi the
+        # worst case takes the top law at every step: its n-fold convolution
+        a, b = 0.8, 0.6
+        top = DiscreteDistribution.from_atoms(0.5, [(-2, a / 2), (0, 1 - a), (2, a / 2)])
+        inner = DiscreteDistribution.from_atoms(0.5, [(-1, b / 2), (0, 1 - b), (1, b / 2)])
+        ns = [256, 1024, 4096]
+        got = sum_expectations(AmbiguitySet((top, inner)), ns, make_phi("abspow", 3.0))
+        pmf = np.ones(1)  # of S_m on the points -m .. m
+        want = {}
+        for m in range(1, ns[-1] + 1):
+            pmf = np.convolve(pmf, [a / 2, 1 - a, a / 2])
+            if m in ns:
+                want[m] = float(pmf @ np.abs(np.arange(-m, m + 1.0)) ** 3)
+        for n, value in zip(ns, got):
+            assert value == pytest.approx(want[n], rel=1e-12, abs=0.0), n
 
 
 class TestSumExpectations:

@@ -1,12 +1,42 @@
 """Hot numeric kernels in plain numpy.
 
 One lattice sweep for the dynamic program and one explicit march for the
-G-heat equation, each computed on whole array slices.
+G-heat equation on whole array slices, and the size and work limits of both.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import SizeError
+
+# ---------------------------------------------------------------------------
+# Admission.  A run is refused before any compute if it needs more than
+# MAX_GRID_POINTS points or an estimated steps * terms * (points +
+# _STEP_COST) above MAX_WORK updates (terms: a sweep's atoms, the march's 1).
+# _STEP_COST prices a step's fixed cost, which 1-point blocks and small grids
+# do not amortise.  Measured (2-vCPU Xeon, NumPy 2.4): ~1-2 us per atom of a
+# 1-point sweep step, ~5-8 us per 3-node march step; so fixed-cost steps
+# alone stop within ~40 s at the limit, and a full march within a minute.
+# ---------------------------------------------------------------------------
+
+MAX_GRID_POINTS = 1 << 26
+MAX_WORK = 2 * 10**10
+_STEP_COST = 4096  # updates that one step's fixed cost is priced at
+
+
+def _admit(what, points, steps, terms, remedy):
+    """Raise SizeError unless ``steps`` steps of ``terms`` per point on ``points`` points fit.
+
+    In floats, a count past 1e308 or NaN read as inf; ``steps`` = 0 checks the points alone.
+    """
+    points, steps, terms = (float(v) if v < 1e308 else math.inf for v in (points, steps, terms))
+    work = steps * terms * (points + _STEP_COST)
+    for need, limit, unit in ((points, MAX_GRID_POINTS, "points"), (work, MAX_WORK, "updates")):
+        if not need <= limit:
+            raise SizeError(f"{what} would need about {need:.3g} {unit} (limit {limit:.3g}); {remedy}")
 
 
 # ---------------------------------------------------------------------------

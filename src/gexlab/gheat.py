@@ -19,14 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .ambiguity import MomentEnvelope, evaluate_on
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    DomainError,
-    SizeError,
-    ValidationError,
-)
-from .pengsum import MAX_GRID_POINTS, MAX_WORK
+from .errors import ConfigurationError, DivergenceError, DomainError, ValidationError
 
 CFL_LIMIT = 0.5
 PAD_FACTOR = 6.0  # g_normal_solution's half width is PAD_FACTOR * sigma_hi + phi's margin
@@ -85,11 +78,7 @@ class PdeGrid:
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
         ratio = (self.x_max - self.x_min) / self.dx
-        if not ratio + 1.0 <= MAX_GRID_POINTS:
-            raise SizeError(
-                f"PDE grid would need {ratio + 1.0:.6g} nodes "
-                f"(limit {MAX_GRID_POINTS}); increase dx or narrow the domain"
-            )
+        _kernels._admit("PDE grid", ratio + 1.0, 0.0, 1.0, "increase dx or narrow the domain")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError(
                 f"(x_max - x_min)/dx = {ratio!r} is not an integer within 1e-9"
@@ -139,7 +128,7 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
     boundaries, so the domain must be wide enough that the boundary error
     stays negligible.  Raises ConfigurationError when the parabolic step
     bound ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails, and SizeError, before
-    any step, when nodes times steps exceed ``MAX_WORK``.
+    any step, when ``_kernels`` refuses the march's work.
     """
     # The squares of dx and sigma_hi can overflow or underflow a float on
     # their own; the scheme needs only their ratio.
@@ -149,13 +138,8 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
         raise ConfigurationError(
             f"unstable step: sigma_hi^2*dt/dx^2 = {cfl:.6g} exceeds {CFL_LIMIT}"
         )
+    _kernels._admit("PDE march", grid.n_cells + 1, 1.0 / grid.dt, 1.0, "increase dx")
     n_full = int(math.floor(1.0 / grid.dt + 1e-12))
-    work = (grid.n_cells + 1) * n_full
-    if work > MAX_WORK:
-        raise SizeError(
-            f"PDE march would need about {work:.3g} node-steps "
-            f"(limit {MAX_WORK:.3g}); increase dx"
-        )
     u = evaluate_on(phi, grid.xs)
     cu = 0.5 * grid.dt / r2
     cd = 0.5 * grid.dt * _square_ratio(params.sigma_lo, params.sigma_hi) / r2
@@ -185,14 +169,10 @@ def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) ->
     margin = float(getattr(phi, "margin", 0.0))
     half_width = PAD_FACTOR * params.sigma_hi + margin
     half_cells = half_width / dx
-    if not 2.0 * half_cells + 1.0 <= MAX_GRID_POINTS:
-        raise SizeError(
-            f"PDE grid would need {2.0 * half_cells + 1.0:.6g} nodes "
-            f"(limit {MAX_GRID_POINTS}); increase dx"
-        )
+    dt = min(0.4 * _square_ratio(dx, params.sigma_hi), 1.0)
+    _kernels._admit("PDE march", 2.0 * half_cells + 1.0, 1.0 / dt if dt else math.inf, 1.0, "increase dx")
     n_half = max(1, int(math.ceil(half_cells - 1e-9)))
     L = n_half * dx
-    dt = min(0.4 * _square_ratio(dx, params.sigma_hi), 1.0)
     grid = PdeGrid(-L, L, dx, dt)
     return solve_g_heat(params, phi, grid)
 

@@ -17,13 +17,8 @@ import numpy as np
 
 from . import _kernels
 from .ambiguity import AmbiguitySet, _lower, _upper, evaluate_on, indicator_of
-from .errors import CapacityError, SizeError, ValidationError
+from .errors import CapacityError, ValidationError
 
-MAX_GRID_POINTS = 1 << 26
-# Atom updates of one lattice sweep or node-steps of one PDE march, whichever
-# the run makes; an accepted march at the limit takes about a minute on a
-# 2-vCPU x86 host (~3e8 node-steps/s), a sweep several times less.
-MAX_WORK = 2 * 10**10
 STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
 
@@ -81,26 +76,16 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     ``sum_expectation(aset, n, phi)`` bit for bit.  The sweep's arrays may
     hold -0.0 where the per-atom loop holds +0.0, so each value read at
     the origin gets + 0.0, which gives the loop's bits.  Raises SizeError,
-    before any step, when steps times block points times atoms exceed
-    ``MAX_WORK``.
+    before any step, when ``_kernels`` refuses the block's points or the
+    sweep's work.
     """
     ns = [_check_n(n) for n in ns]
     if not ns:
         raise ValidationError("need at least one n")
     n_max = max(ns)
     K = int(np.abs(aset.indices).max())
-    size = 2 * n_max * K + 1
-    if size > MAX_GRID_POINTS:
-        raise SizeError(
-            f"lattice block would need {size} points "
-            f"(limit {MAX_GRID_POINTS}); reduce n or the atom span"
-        )
-    work = n_max * size * sum(law.indices.size for law in aset.laws)
-    if work > MAX_WORK:
-        raise SizeError(
-            f"lattice sweep would need about {work:.3g} atom updates "
-            f"(limit {MAX_WORK:.3g}); reduce n"
-        )
+    atoms = sum(law.indices.size for law in aset.laws)
+    _kernels._admit("lattice sweep", 2 * n_max * K + 1, n_max, atoms, "reduce n or the atom span")
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
     wanted = set(ns)
     at_origin = {}

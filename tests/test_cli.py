@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gexlab import cli, pengsum
+from gexlab import _kernels, cli, pengsum
 from gexlab.errors import ValidationError
 from test_kernels import dp_step_loop_reference
 
@@ -193,9 +193,27 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_RUNTIME
         out, err = capsys.readouterr()
         assert out == ""
-        limit = re.escape(f"(limit {pengsum.MAX_WORK:.3g})")
+        limit = re.escape(f"(limit {_kernels.MAX_WORK:.3g})")
         assert err.count("\n") == 1
-        assert re.search(r"would need about [0-9.e+]+ (node-steps|atom updates) " + limit, err)
+        assert re.search(r"would need about [0-9.e+]+ updates " + limit, err)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # one atom at 0: a 1-point block, whose 2^30 steps only the per-step cost prices
+            (["moments", "--config", "K0", "--n", "4,8,16,1073741824"],
+             "lattice sweep would need about 4.4e+12 updates (limit 2e+10); reduce n or the atom span"),
+            # 15 573 287 nodes, where dx no longer divides the domain within 1e-9
+            (["gheat", "--sigma-lo", "0", "--sigma-hi", "1.981585593553972", "--dx", "1.5269113998379529e-06"],
+             "PDE march would need about 6.56e+19 updates (limit 2e+10); increase dx"),
+        ],
+    )
+    def test_unfinishable_work_refused_before_compute(self, argv, message, tmp_path, no_compute, capsys):
+        config = tmp_path / "k0.json"
+        config.write_text('{"ambiguity": [{"step": 1.0, "atoms": [{"k": 0, "p": 1.0}]}]}')
+        argv = [str(config) if a == "K0" else a for a in argv]
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        assert capsys.readouterr() == ("", f"gexlab: {message}\n")
 
     def test_half_sigma_pair_rejected(self, capsys):
         assert cli.main(["gheat", "--sigma-lo", "1.0"]) == cli.EXIT_CONFIG
@@ -204,7 +222,7 @@ class TestExitCodes:
     def test_oversized_pde_grid_is_runtime_error(self, capsys):
         assert cli.main(["gheat", "--dx", "1e-30"]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "nodes" in err
+        assert err.count("\n") == 1 and "points" in err
 
     def test_unexpected_exception_is_runtime_error(self, monkeypatch, capsys):
         def broken(args, cfg):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gexlab import gheat
+from gexlab import _kernels, gheat
 from gexlab.ambiguity import MomentEnvelope
 from gexlab.errors import (
     ConfigurationError,
@@ -80,7 +80,7 @@ class TestPdeGrid:
 
     @pytest.mark.parametrize("dx", [1e-30, 5e-324])
     def test_rejects_oversized_grid(self, dx):
-        with pytest.raises(SizeError, match="nodes"):
+        with pytest.raises(SizeError, match="PDE grid would need about .* points"):
             PdeGrid(-6.0, 6.0, dx, 1e-3)
 
     def test_xs(self):
@@ -126,17 +126,25 @@ class TestSolver:
                 solve_g_heat(GParams(1.0, 1.0), spike, grid)
 
     def test_work_limit_refused_before_any_step(self, monkeypatch):
-        # 21 nodes times 1000 steps
+        # 1000 steps times (21 nodes + the per-step cost)
         grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
-        monkeypatch.setattr(gheat, "MAX_WORK", 21 * 1000)
+        work = 1000 * (21 + _kernels._STEP_COST)
+        monkeypatch.setattr(_kernels, "MAX_WORK", work)
         assert solve_g_heat(GParams(1.0, 1.0), np.square, grid).steps_taken == 1000
-        monkeypatch.setattr(gheat, "MAX_WORK", 21 * 1000 - 1)
+        monkeypatch.setattr(_kernels, "MAX_WORK", work - 1)
 
         def unread(x):
             raise AssertionError("phi must not be evaluated")
 
-        with pytest.raises(SizeError, match=r"^PDE march would need about 2\.1e\+04 node-steps \(limit 2\.1e\+04\)"):
+        with pytest.raises(SizeError, match=r"^PDE march would need about 4\.12e\+06 updates \(limit 4\.12e\+06\); increase dx$"):
             solve_g_heat(GParams(1.0, 1.0), unread, grid)
+
+    @pytest.mark.parametrize("dt, need", [(1e-9, r"4\.1e\+12"), (5e-324, "inf")])
+    def test_fixed_cost_steps_refused(self, dt, need, no_compute):
+        # 3 nodes: only the per-step cost makes 1/dt steps unfinishable; 1/5e-324 is inf
+        grid = PdeGrid(-1.0, 1.0, 1.0, dt)
+        with pytest.raises(SizeError, match=rf"^PDE march would need about {need} updates \(limit 2e\+10\)"):
+            solve_g_heat(GParams(1.0, 1.0), no_compute, grid)
 
     def test_boundaries_frozen(self):
         grid = PdeGrid(-2.0, 2.0, 0.1, 0.001)
@@ -234,9 +242,28 @@ class TestGNormal:
         # sigma_hi**2 underflows to 0; at dx >> sigma the march moves nothing
         assert g_normal_expectation(GParams(1e-170, 1e-170), make_phi("square")) == 0.0
 
+    def test_wide_grid_refused_before_it_is_built(self, no_compute):
+        # at 15 573 287 nodes dx no longer divides the rounded domain within 1e-9,
+        # so the work must be refused before the grid is built
+        with pytest.raises(SizeError, match=r"^PDE march would need about 6\.56e\+19 updates"):
+            g_normal_solution(GParams(0.0, 1.981585593553972), no_compute, dx=1.5269113998379529e-06)
+
     def test_unbounded_domain_refused(self):
-        with pytest.raises(SizeError, match="nodes"):
+        with pytest.raises(SizeError, match="PDE march would need about .* points"):
             g_normal_solution(GParams(1.0, 1e300), make_phi("abs"))
+
+
+class TestHalfLineCapacity:
+    """V(X >= 0) = sigma_hi / (sigma_hi + sigma_lo) for the G-normal X."""
+
+    @pytest.mark.parametrize("lo", [0.5, 0.25, 0.8])
+    def test_closed_form(self, lo):
+        # the indicator is discontinuous, so the march converges at first order
+        # and 2 v(dx) - v(2 dx) extrapolates; the capacity of X > 8 is about 1e-15
+        band, phi = GParams(lo, 1.0), make_phi("indicator", 0.0, 8.0)
+        v = {dx: g_normal_expectation(band, phi, dx=dx) for dx in (0.04, 0.02, 0.01)}
+        assert 1.9 <= (v[0.04] - v[0.02]) / (v[0.02] - v[0.01]) <= 2.1
+        assert 2.0 * v[0.01] - v[0.02] == pytest.approx(1.0 / (1.0 + lo), abs=2e-6, rel=0.0)
 
 
 class TestQuadratureOracle:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gexlab import pengsum
+from gexlab import _kernels, pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, indicator_of, upper_expectation
 from gexlab.errors import CapacityError, EvaluationError, SizeError, ValidationError
 from gexlab.experiments import (
@@ -15,6 +15,7 @@ from gexlab.experiments import (
     variance_subadditivity_check,
 )
 from gexlab.fuzz import random_ambiguity_set, random_oracle_set
+from gexlab.gheat import GParams, g_normal_expectation
 from gexlab.pengsum import (
     brute_force_adapted_oracle,
     brute_force_adapted_oracle_many,
@@ -102,16 +103,23 @@ class TestSumExpectation:
             sum_expectation(AmbiguitySet((law,)), 10**7, np.abs)
 
     def test_work_limit_refused_before_any_step(self, monkeypatch, ref_set):
-        # n = 2 on the reference family: 2 steps x 9 block points x 4 atoms
-        monkeypatch.setattr(pengsum, "MAX_WORK", 72)
+        # n = 2 on the reference family: 2 steps x 4 atoms x (9 block points + the per-step cost)
+        work = 2 * 4 * (9 + _kernels._STEP_COST)
+        monkeypatch.setattr(_kernels, "MAX_WORK", work)
         assert sum_expectation(ref_set, 2, np.abs) == 1.0
-        monkeypatch.setattr(pengsum, "MAX_WORK", 71)
+        monkeypatch.setattr(_kernels, "MAX_WORK", work - 1)
 
         def unread(x):
             raise AssertionError("phi must not be evaluated")
 
-        with pytest.raises(SizeError, match=r"^lattice sweep would need about 72 atom updates \(limit 71\)"):
+        with pytest.raises(SizeError, match=r"^lattice sweep would need about 3\.28e\+04 updates \(limit 3\.28e\+04\); reduce n or the atom span$"):
             sum_expectations(ref_set, [1, 2], unread)
+
+    def test_fixed_cost_steps_refused(self, no_compute):
+        # one atom at 0: a 1-point block, whose 2^30 steps only the per-step cost prices
+        law = DiscreteDistribution.from_atoms(1.0, [(0, 1.0)])
+        with pytest.raises(SizeError, match=r"^lattice sweep would need about 4\.4e\+12 updates"):
+            sum_expectations(AmbiguitySet((law,)), [4, 8, 16, 2**30], no_compute)
 
     def test_hand_values_reference(self, ref_set):
         # optimal strategies on the two-coin family, checked by hand
@@ -295,6 +303,22 @@ class TestClosedFormsAtScale:
                 want[m] = float(pmf @ np.abs(np.arange(-m, m + 1.0)) ** 3)
         for n, value in zip(ns, got):
             assert value == pytest.approx(want[n], rel=1e-12, abs=0.0), n
+
+
+class TestRateToLimit:
+    """The DP's distance to the G-normal limit falls as 1/n up to n = 4096."""
+
+    @pytest.mark.parametrize("name", ["abs", "negabs", "cube"])
+    def test_error_slope(self, ref_set, name):
+        # the limit is the PDE value extrapolated at second order from dx = 0.02 and 0.01,
+        # which lands within ~1e-10 (abs) to ~5e-9 (negabs) of the exact one
+        phi, band = make_phi(name), GParams(0.5, 1.0)
+        coarse, fine = (g_normal_expectation(band, phi, dx=dx) for dx in (0.02, 0.01))
+        limit = (4.0 * fine - coarse) / 3.0
+        ns = [2**j for j in range(4, 13)]
+        errors = [abs(normalized_sum_expectation(ref_set, n, phi) - limit) for n in ns]
+        slope = np.polyfit(np.log(ns), np.log(errors), 1)[0]
+        assert -1.05 <= slope <= -0.95
 
 
 class TestSumExpectations:

@@ -24,8 +24,6 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .experiments import clt_convergence, moment_scan, reference_set
-from .fuzz import axiom_suite, independence_suite
 from .gheat import (
     DEFAULT_DX,
     PAD_FACTOR,
@@ -34,7 +32,6 @@ from .gheat import (
     gaussian_quadrature_oracle,
     params_from_envelope,
 )
-from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectations
 from .phis import parse_phi
 from .serialize import dumps_csv, dumps_json, write_csv, write_json
 
@@ -217,29 +214,43 @@ def _emit(args, cfg: Config, json_obj, csv_header, csv_rows) -> None:
 
 
 def _ambiguity_or_reference(cfg: Config) -> AmbiguitySet:
-    return cfg.ambiguity if cfg.ambiguity is not None else reference_set()
+    if cfg.ambiguity is not None:
+        return cfg.ambiguity
+    from .experiments import reference_set
+
+    return reference_set()
 
 
 # Each command takes the resolved options and the config, and returns
-# (JSON report, CSV header, CSV rows, whether its checks passed).
+# (JSON report, CSV header, CSV rows, whether its checks passed).  It imports
+# its driver when it runs, so a process loads only its subcommand's modules;
+# gheat is imported above as the owner of DEFAULT_DX and PAD_FACTOR.
 
 
 def _cmd_axioms(opts: dict, cfg: Config):
+    from .fuzz import axiom_suite
+
     report = axiom_suite(opts["seed"], opts["trials"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
 def _cmd_independence(opts: dict, cfg: Config):
+    from .fuzz import independence_suite
+
     report = independence_suite(opts["seed"], n_pairs=opts["trials"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
 def _cmd_moments(opts: dict, cfg: Config):
+    from .experiments import moment_scan
+
     report = moment_scan(_ambiguity_or_reference(cfg), opts["r"], opts["n"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
 def _cmd_clt(opts: dict, cfg: Config):
+    from .experiments import clt_convergence
+
     report = clt_convergence(
         _ambiguity_or_reference(cfg), parse_phi(opts["phi"]), opts["n"], dx=opts["dx"]
     )
@@ -274,6 +285,8 @@ def _cmd_gheat(opts: dict, cfg: Config):
 
 
 def _cmd_oracle(opts: dict, cfg: Config):
+    from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectations
+
     aset = _ambiguity_or_reference(cfg)
     texts = [opts["phi"]] if isinstance(opts["phi"], str) else opts["phi"]
     phis = [parse_phi(text) for text in texts]

@@ -25,7 +25,7 @@ from .ambiguity import (
 )
 from .errors import ConfigurationError, HypothesisError, ValidationError
 from .gheat import DEFAULT_DX, g_normal_expectation, params_from_envelope
-from .pengsum import _check_n, normalized_sum_expectation, sum_expectations
+from .pengsum import _admit_sweep, _check_n, normalized_sum_expectation, sum_expectations
 from .phis import PhiSpec, make_phi
 # sum_expectation stays bound here: gexbench traces calls made through this
 # module's names and its tests look it up on this module.
@@ -206,10 +206,12 @@ def clt_convergence(
 
     The volatility band comes from the set's second-moment envelope and the
     PDE domain from ``g_normal_solution``, so the comparison needs no extra
-    parameter beyond the PDE space step ``dx``.
+    parameter beyond the PDE space step ``dx``.  The sweep for the largest n
+    is admitted before any compute, so a refused n costs no PDE solve.
     """
     require_mean_zero(aset)
     ns = _check_n_list(n_list)
+    _admit_sweep(aset, ns[-1])
     envelope = moment_envelope(aset)
     params = params_from_envelope(envelope)
     pde_value = g_normal_expectation(params, phi, dx=dx)

@@ -79,10 +79,10 @@ class PdeGrid:
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
         ratio = (self.x_max - self.x_min) / self.dx
         _kernels._admit("PDE grid", ratio + 1.0, 0.0, 1.0, "increase dx or narrow the domain")
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValidationError(
-                f"(x_max - x_min)/dx = {ratio!r} is not an integer within 1e-9"
-            )
+        # relative: the rounding error of x_max - x_min grows with the cell count
+        tol = 1e-9 * max(1.0, ratio)
+        if abs(ratio - round(ratio)) > tol:
+            raise ValidationError(f"(x_max - x_min)/dx = {ratio!r} is not an integer within {tol:.3g}")
 
     @property
     def n_cells(self) -> int:

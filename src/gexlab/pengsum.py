@@ -66,6 +66,14 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
         yield values, lo, hi
 
 
+def _admit_sweep(aset: AmbiguitySet, n: int) -> int:
+    """Refuse, by ``_kernels``' rule, a sweep of ``n`` steps on ``[-n*K, n*K]``; returns K."""
+    K = int(np.abs(aset.indices).max())
+    atoms = sum(law.indices.size for law in aset.laws)
+    _kernels._admit("lattice sweep", 2 * n * K + 1, n, atoms, "reduce n or the atom span")
+    return K
+
+
 def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> list[float]:
     """Upper expectations of ``phi(S_n)`` for every n in ``ns``, in order.
 
@@ -83,9 +91,7 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     if not ns:
         raise ValidationError("need at least one n")
     n_max = max(ns)
-    K = int(np.abs(aset.indices).max())
-    atoms = sum(law.indices.size for law in aset.laws)
-    _kernels._admit("lattice sweep", 2 * n_max * K + 1, n_max, atoms, "reduce n or the atom span")
+    K = _admit_sweep(aset, n_max)
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
     wanted = set(ns)
     at_origin = {}

@@ -206,6 +206,9 @@ class TestExitCodes:
             # 15 573 287 nodes, where dx no longer divides the domain within 1e-9
             (["gheat", "--sigma-lo", "0", "--sigma-hi", "1.981585593553972", "--dx", "1.5269113998379529e-06"],
              "PDE march would need about 6.56e+19 updates (limit 2e+10); increase dx"),
+            # the largest n is refused before the PDE solve and the smaller n's sweeps
+            (["clt", "--n", "8,32,4000000"],
+             "lattice sweep would need about 2.56e+14 updates (limit 2e+10); reduce n or the atom span"),
         ],
     )
     def test_unfinishable_work_refused_before_compute(self, argv, message, tmp_path, no_compute, capsys):
@@ -436,7 +439,6 @@ class TestOracleCommand:
             seen.append(n)
             return count(aset, n)
 
-        monkeypatch.setattr(cli, "count_adapted_strategies", recording)
         monkeypatch.setattr(pengsum, "count_adapted_strategies", recording)
         assert cli.main(["oracle", "--n", "1,2"]) == 0
         assert cli.main(["oracle", "--n", "60"]) == cli.EXIT_RUNTIME
@@ -446,12 +448,13 @@ class TestOracleCommand:
 
     def test_one_sweep_per_phi(self, monkeypatch, capsys):
         seen = []
+        sweep = pengsum.sum_expectations
 
         def recording(aset, ns, phi):
             seen.append((list(ns), phi.label))
-            return pengsum.sum_expectations(aset, ns, phi)
+            return sweep(aset, ns, phi)
 
-        monkeypatch.setattr(cli, "sum_expectations", recording)
+        monkeypatch.setattr(pengsum, "sum_expectations", recording)
         assert cli.main(["oracle", "--n", "3,1,2,1"]) == 0
         capsys.readouterr()
         assert seen == [([1, 2, 3], label) for label in ("abs", "square", "cube", "quartic", "clamp:-1;1")]
@@ -549,6 +552,19 @@ class TestSubprocessEntry:
             errs.append(proc.stderr)
         assert errs[0] == errs[1]
         assert errs[0] == f"gexlab: i/o error: [Errno 2] No such file or directory: {out!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["moments"], ["gheat", "--format", "csv"], ["oracle", "--n", "60"], ["clt", "--r", "3"]]
+    )
+    def test_console_script_matches_module(self, argv):
+        # the `gexlab` console script of pyproject calls cli.main() on sys.argv
+        script = "import sys; from gexlab.cli import main; sys.exit(main())"
+        entry, module = (
+            subprocess.run([sys.executable, *route, *argv], capture_output=True)
+            for route in (["-c", script], ["-m", "gexlab"])
+        )
+        assert entry.stdout or entry.stderr
+        assert (entry.returncode, entry.stdout, entry.stderr) == (module.returncode, module.stdout, module.stderr)
 
     def test_module_runs_and_is_deterministic(self, tmp_path):
         outs = []

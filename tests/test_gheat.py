@@ -65,6 +65,17 @@ class TestPdeGrid:
     def test_rejects_non_integer_cell_count(self):
         with pytest.raises(ValidationError, match="integer"):
             PdeGrid(0.0, 1.0, 0.3, 1e-3)
+        with pytest.raises(ValidationError, match="integer"):
+            PdeGrid(0.0, 10.0, 3.0, 1e-3)
+
+    def test_wide_grid_within_relative_tolerance(self):
+        # g_normal_solution's grid for ramp:16848015.730609644 at this dx: the
+        # rounding of 2L leaves the ratio 4e-9 short of 26 731 688 (not solved: ~1 GB)
+        dx = 1.260528116265396
+        half = 13365844 * dx
+        assert 13365844 == math.ceil((PAD_FACTOR + 16848015.730609644) / dx - 1e-9)
+        assert abs(2 * half / dx - 26731688) > 1e-9
+        assert PdeGrid(-half, half, dx, 1.0).n_cells == 26731688
 
     @pytest.mark.parametrize(
         "kwargs",

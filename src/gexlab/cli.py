@@ -32,8 +32,8 @@ from .gheat import (
     gaussian_quadrature_oracle,
     params_from_envelope,
 )
-from .phis import parse_phi
-from .serialize import dumps_csv, dumps_json, write_csv, write_json
+from .phis import PhiSpec, parse_phi
+from .serialize import dumps_csv, dumps_json, write_text
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -63,12 +63,15 @@ def _fail(path: str, msg: str):
     raise ValidationError(f"{path or '/'}: {msg}")
 
 
-def _check_keys(obj, allowed, path: str) -> dict:
+def _check_keys(obj, allowed, path: str, required=()) -> dict:
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
         if key not in allowed:
             _fail(f"{path}/{key}", "unknown key")
+    for key in required:
+        if key not in obj:
+            _fail(path, f"missing required key {key!r}")
     return obj
 
 
@@ -113,13 +116,12 @@ def _n_list(value, where: str) -> list[int]:
     return [_count(n, f"{where}/{j}") for j, n in enumerate(value)]
 
 
-def _phi_text(value, where: str) -> str:
+def _phi(value, where: str) -> PhiSpec:
     text = _string(value, where)
     try:
-        parse_phi(text)
+        return parse_phi(text)
     except ValidationError as exc:
         _fail(where, str(exc))
-    return text
 
 
 def _build_ambiguity(spec, path: str) -> AmbiguitySet:
@@ -130,10 +132,7 @@ def _build_ambiguity(spec, path: str) -> AmbiguitySet:
     labeled = False
     for i, law_spec in enumerate(spec):
         law_path = f"{path}/{i}"
-        _check_keys(law_spec, _LAW_KEYS, law_path)
-        for key in ("step", "atoms"):
-            if key not in law_spec:
-                _fail(law_path, f"missing required key {key!r}")
+        _check_keys(law_spec, _LAW_KEYS, law_path, required=("step", "atoms"))
         step = _number(law_spec["step"], f"{law_path}/step")
         atoms_spec = law_spec["atoms"]
         if not isinstance(atoms_spec, list) or not atoms_spec:
@@ -141,10 +140,7 @@ def _build_ambiguity(spec, path: str) -> AmbiguitySet:
         atoms = []
         for j, atom in enumerate(atoms_spec):
             atom_path = f"{law_path}/atoms/{j}"
-            _check_keys(atom, _ATOM_KEYS, atom_path)
-            for key in ("k", "p"):
-                if key not in atom:
-                    _fail(atom_path, f"missing required key {key!r}")
+            _check_keys(atom, _ATOM_KEYS, atom_path, required=("k", "p"))
             atoms.append(
                 (_integer(atom["k"], f"{atom_path}/k"), _number(atom["p"], f"{atom_path}/p"))
             )
@@ -199,18 +195,18 @@ def parse_config(path: str) -> Config:
 
 
 def _emit(args, cfg: Config, json_obj, csv_header, csv_rows) -> None:
-    """Write the report as JSON or CSV to the chosen path or stdout."""
+    """Render the report as JSON or CSV, then write it to the chosen path or stdout.
+
+    Rendering first means a report that cannot be rendered leaves no file.
+    """
     fmt = args.format if args.format is not None else cfg.output.get("format", "json")
     path = args.out if args.out is not None else cfg.output.get("path")
+    text = dumps_json(json_obj) if fmt == "json" else dumps_csv(csv_header, csv_rows)
     if path is None:
-        text = dumps_json(json_obj) if fmt == "json" else dumps_csv(csv_header, csv_rows)
         sys.stdout.write(text)
-        return
-    if fmt == "json":
-        write_json(path, json_obj)
     else:
-        write_csv(path, csv_header, csv_rows)
-    print(f"wrote {path}")
+        write_text(path, text)
+        print(f"wrote {path}")
 
 
 def _ambiguity_or_reference(cfg: Config) -> AmbiguitySet:
@@ -251,9 +247,7 @@ def _cmd_moments(opts: dict, cfg: Config):
 def _cmd_clt(opts: dict, cfg: Config):
     from .experiments import clt_convergence
 
-    report = clt_convergence(
-        _ambiguity_or_reference(cfg), parse_phi(opts["phi"]), opts["n"], dx=opts["dx"]
-    )
+    report = clt_convergence(_ambiguity_or_reference(cfg), opts["phi"], opts["n"], dx=opts["dx"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.errors_decreasing
 
 
@@ -262,10 +256,14 @@ def _cmd_gheat(opts: dict, cfg: Config):
     if (sigma_lo is None) != (sigma_hi is None):
         raise ValidationError("give both --sigma-lo and --sigma-hi or neither")
     if sigma_lo is None:
-        params = params_from_envelope(moment_envelope(_ambiguity_or_reference(cfg)))
+        from .experiments import require_mean_zero
+
+        aset = _ambiguity_or_reference(cfg)
+        require_mean_zero(aset)  # second moments are variances only at mean zero
+        params = params_from_envelope(moment_envelope(aset))
     else:
         params = GParams(sigma_lo, sigma_hi)
-    phi = parse_phi(opts["phi"])
+    phi = opts["phi"]
     sol = g_normal_solution(params, phi, dx=opts["dx"])
     value = sol.value_at(0.0)
     report = {
@@ -288,8 +286,7 @@ def _cmd_oracle(opts: dict, cfg: Config):
     from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectations
 
     aset = _ambiguity_or_reference(cfg)
-    texts = [opts["phi"]] if isinstance(opts["phi"], str) else opts["phi"]
-    phis = [parse_phi(text) for text in texts]
+    phis = opts["phi"] if isinstance(opts["phi"], tuple) else (opts["phi"],)
     ns = sorted(set(opts["n"]))
     oracle_rows = [brute_force_adapted_oracle_many(aset, n, phis) for n in ns]
     strategy_counts = [{"n": n, "strategies": count_adapted_strategies(aset, n)} for n in ns]
@@ -355,9 +352,9 @@ _OPTIONS = {
     "n": _Option("nList", _int_list, _n_list, "comma-separated n values",
                  {"moments": (4, 8, 16, 32, 64, 128, 256), "clt": (8, 32, 128, 256),
                   "oracle": (1, 2, 3)}),
-    "phi": _Option("phi", str, _phi_text, "catalog function, e.g. abs or abspow:2.5",
-                   {"clt": "abs", "gheat": "square",
-                    "oracle": ("abs", "square", "cube", "quartic", "clamp:-1,1")}),
+    "phi": _Option("phi", str, _phi, "catalog function, e.g. abs or abspow:2.5",
+                   {"clt": parse_phi("abs"), "gheat": parse_phi("square"),
+                    "oracle": tuple(map(parse_phi, ("abs", "square", "cube", "quartic", "clamp:-1,1")))}),
     "dx": _Option("dx", float, _scalar(float, 0.0, strict=True), "PDE space step",
                   {"clt": DEFAULT_DX, "gheat": DEFAULT_DX}),
     "sigma_lo": _Option("sigmaLo", float, _scalar(float, 0.0), "lower volatility",

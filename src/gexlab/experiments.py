@@ -48,7 +48,7 @@ def reference_set() -> AmbiguitySet:
 
 
 def _check_n_list(n_list: Sequence[int]) -> list[int]:
-    ns = sorted({_check_n(n, "nList entries must be >= 1, got {}") for n in n_list})
+    ns = sorted({_check_n(n, what="nList entries") for n in n_list})
     if not ns:
         raise ValidationError("nList must be non-empty")
     return ns
@@ -149,7 +149,7 @@ class SubadditivityRow:
 def variance_subadditivity_check(aset: AmbiguitySet, n_max: int) -> list[SubadditivityRow]:
     """Check the n-step second moment against n times the one-step bound."""
     require_mean_zero(aset)
-    n_max = _check_n(n_max, "need n_max >= 1, got {}")
+    n_max = _check_n(n_max, what="n_max")
     one_step = upper_expectation(aset, np.square)
     ns = range(1, n_max + 1)
     rows = []

@@ -43,11 +43,11 @@ def _random_probs(rng: np.random.Generator, size: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _random_law(rng: np.random.Generator, step: float, max_atoms: int) -> DiscreteDistribution:
+def _random_law(
+    rng: np.random.Generator, step: float, max_atoms: int, max_abs_index: int = _MAX_ABS_INDEX
+) -> DiscreteDistribution:
     size = int(rng.integers(1, max_atoms + 1))
-    ks = np.sort(
-        rng.choice(np.arange(-_MAX_ABS_INDEX, _MAX_ABS_INDEX + 1), size=size, replace=False)
-    )
+    ks = np.sort(rng.choice(np.arange(-max_abs_index, max_abs_index + 1), size=size, replace=False))
     return DiscreteDistribution(step, ks, _random_probs(rng, size))
 
 
@@ -89,12 +89,7 @@ def random_oracle_set(rng: np.random.Generator, n: int = 4) -> AmbiguitySet:
     for _ in range(_ORACLE_MAX_TRIES):
         step = float(rng.choice((0.25, 0.5, 1.0)))
         n_laws = int(rng.integers(1, 4))
-        laws = []
-        for _ in range(n_laws):
-            size = int(rng.integers(1, 4))
-            ks = np.sort(rng.choice(np.array([-1, 0, 1]), size=size, replace=False))
-            laws.append(DiscreteDistribution(step, ks, _random_probs(rng, size)))
-        aset = AmbiguitySet(tuple(laws))
+        aset = AmbiguitySet(tuple(_random_law(rng, step, 3, max_abs_index=1) for _ in range(n_laws)))
         if count_adapted_strategies(aset, n) <= STRATEGY_CEILING:
             return aset
     raise ValidationError(f"no oracle-feasible family found in {_ORACLE_MAX_TRIES} draws")

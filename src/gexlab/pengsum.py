@@ -23,7 +23,7 @@ STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
 
 
-def _check_n(n, too_small: str = "need {what} >= {low}, got {}", what: str = "n", low: int = 1) -> int:
+def _check_n(n, what: str = "n", low: int = 1) -> int:
     """``n`` as an int, refusing non-integral, non-finite, boolean or too small values.
 
     ``int(n)`` alone would truncate 2.7 to 2 and answer for the wrong n.
@@ -37,7 +37,7 @@ def _check_n(n, too_small: str = "need {what} >= {low}, got {}", what: str = "n"
     if whole is None or whole != n or isinstance(n, (bool, np.bool_)):
         raise ValidationError(f"need a whole number {what}, got {n!r}")
     if whole < low:
-        raise ValidationError(too_small.format(whole, what=what, low=low))
+        raise ValidationError(f"need {what} >= {low}, got {whole}")
     return whole
 
 

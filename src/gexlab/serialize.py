@@ -1,4 +1,4 @@
-"""Byte-stable JSON and CSV writers.
+"""Byte-stable JSON and CSV reports and their one atomic file writer.
 
 Reports must be reproducible byte for byte across runs and platforms, so
 floats are always rendered with repr-safe 17 significant digits, keys keep
@@ -29,69 +29,60 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _fmt_cell(x: Any) -> str:
+def _fmt_scalar(x: Any) -> str:
+    """The one rendering of a bool, int or float, shared by JSON and CSV."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return fmt_float(float(x))
-    if isinstance(x, str):
-        return x
-    raise ValidationError(f"cannot serialize cell of type {type(x).__name__}")
+        return fmt_float(x)
+    raise ValidationError(f"cannot serialize object of type {type(x).__name__}")
 
 
 def dumps_json(obj: Any) -> str:
     """Serialize to JSON text with deterministic float formatting."""
-    out: list[str] = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _json(obj, "") + "\n"
 
 
-def _emit(obj: Any, out: list[str], depth: int) -> None:
-    pad = " " * (JSON_INDENT * depth)
-    inner = " " * (JSON_INDENT * (depth + 1))
+def _json_key(key: Any) -> str:
+    if not isinstance(key, str):
+        raise ValidationError(f"JSON keys must be strings, got {key!r}")
+    return json.dumps(key, ensure_ascii=True)
+
+
+def _json(obj: Any, pad: str) -> str:
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            if not isinstance(k, str):
-                raise ValidationError(f"JSON keys must be strings, got {k!r}")
-            out.append(inner)
-            out.append(json.dumps(k, ensure_ascii=True))
-            out.append(": ")
-            _emit(v, out, depth + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(inner)
-            _emit(v, out, depth + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if not isinstance(obj, (dict, list, tuple)):
+        return _fmt_scalar(obj)
+    inner = pad + " " * JSON_INDENT
+    if isinstance(obj, dict):
+        brackets, items = "{}", [f"{_json_key(k)}: {_json(v, inner)}" for k, v in obj.items()]
     else:
-        raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
+        brackets, items = "[]", [_json(v, inner) for v in obj]
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _write_text(path: str, text: str) -> None:
+def dumps_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Serialize rows to CSV text; no quoting, values must be comma-free."""
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_cell(x: Any) -> str:
+    if not isinstance(x, str):
+        return _fmt_scalar(x)
+    if "," in x or "\n" in x:
+        raise ValidationError(f"CSV cell {x!r} needs quoting, refusing")
+    return x
+
+
+def write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically.
 
     The text goes to a fresh temp file beside the target (mode 0o666 less
@@ -121,24 +112,3 @@ def _write_text(path: str, text: str) -> None:
     except OSError as exc:
         # the temp file's random name would make the message differ per run
         raise OSError(exc.errno, exc.strerror, path) from exc
-
-
-def write_json(path: str, obj: Any) -> None:
-    # serialize first, so a report that cannot be written leaves no file
-    _write_text(path, dumps_json(obj))
-
-
-def dumps_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Serialize rows to CSV text; no quoting, values must be comma-free."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_fmt_cell(c) for c in row]
-        for c in cells:
-            if "," in c or "\n" in c:
-                raise ValidationError(f"CSV cell {c!r} needs quoting, refusing")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    _write_text(path, dumps_csv(header, rows))

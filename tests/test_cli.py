@@ -26,6 +26,8 @@ REFERENCE_LAWS = [
 ]
 
 DRIFT_LAWS = [{"step": 1.0, "atoms": [{"k": 1, "p": 1.0}], "label": "drift"}]
+# one law on {0, 2} at p = 1/2 each: mean 1, E[X^2] = 2
+OFF_CENTRE_LAWS = [{"step": 1.0, "atoms": [{"k": 0, "p": 0.5}, {"k": 2, "p": 0.5}]}]
 
 
 class TestParseConfig:
@@ -398,6 +400,15 @@ class TestGheatCommand:
         assert "quadratureValue" not in report
         assert report["value"] == pytest.approx(1.0, abs=2e-2)
 
+    def test_family_not_mean_zero_needs_a_given_band(self, tmp_path, capsys):
+        # its second moments are no variances, so it has no volatility band of its own
+        path = write_config(tmp_path, {"ambiguity": OFF_CENTRE_LAWS})
+        assert cli.main(["gheat", "--config", path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "gexlab: mean-zero hypothesis violated by law 0 (mean 1.000e+00)\n")
+        argv = ["gheat", "--config", path, "--sigma-lo", "1", "--sigma-hi", "1", "--dx", "0.05"]
+        assert cli.main(argv) == cli.EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["sigmaHi"] == 1.0
+
     def test_profile_csv(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         code = cli.main(
@@ -467,6 +478,20 @@ class TestOracleCommand:
 
 
 class TestConfigDrivenOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_refused_report_keeps_old_file(self, fmt, tmp_path, monkeypatch, capsys):
+        # _emit renders the whole report before it opens the file
+        def unrenderable(opts, cfg):
+            return {"value": float("nan")}, ("v",), [(float("nan"),)], True
+
+        monkeypatch.setitem(cli._COMMANDS, "moments", (unrenderable, "unrenderable"))
+        out = tmp_path / "r.txt"
+        out.write_bytes(b"old")
+        assert cli.main(["moments", "--format", fmt, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "gexlab: cannot serialize non-finite value nan\n")
+        assert out.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt"]
+
     def test_output_section_honored(self, tmp_path, capsys):
         out = tmp_path / "from_config.csv"
         path = write_config(

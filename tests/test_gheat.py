@@ -125,6 +125,21 @@ class TestSolver:
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
         assert calls["n"] > 0
 
+    def test_divergence_on_remainder_step_reported(self, monkeypatch):
+        # 909 whole steps of dt = 0.0011, then one step scaled to the remainder
+        march = gheat._kernels.gheat_march
+        calls = []
+
+        def remainder_explodes(u, cu, cd, n_steps):
+            calls.append(n_steps)
+            return (0, u) if n_steps == 1 else march(u, cu, cd, n_steps)
+
+        monkeypatch.setattr(gheat._kernels, "gheat_march", remainder_explodes)
+        grid = PdeGrid(-1.0, 1.0, 0.1, 0.0011)
+        with pytest.raises(DivergenceError, match="step 909"):
+            solve_g_heat(GParams(1.0, 1.0), np.square, grid)
+        assert calls == [909, 1]
+
     def test_overflow_reported(self):
         # the real kernel overflows: the spike's second difference is -inf
         grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)

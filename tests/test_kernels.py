@@ -1,8 +1,11 @@
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from gexlab import _kernels, gheat, pengsum
-from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution
+from gexlab import _kernels, cli, gheat, pengsum
+from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, evaluate_on
 from gexlab.experiments import uniform_moment_check
 from gexlab.gheat import GParams, PdeGrid, g_normal_solution, solve_g_heat
 from gexlab.pengsum import sum_expectations
@@ -122,6 +125,39 @@ def dp_step_loop_reference(values, law_ptr, law_k, law_p, base, out_len):
             acc += law_p[a] * values[start : start + out_len]
         np.maximum(out, acc, out=out)
     return out
+
+
+def exact_sum_expectations(aset, ns, phi):
+    """``sum_expectations``' sweep replayed in exact arithmetic, as Fractions.
+
+    Every float sample of phi and every float probability is a dyadic
+    rational, so after m steps the block holds integers over the one
+    denominator ``2^(e + m*b)``: 2^-e is the finest bit of the samples and
+    2^-b that of the probabilities.  Laws compare on the shared denominator,
+    so the maximum is exact too.
+    """
+    n_max = max(ns)
+    K = int(np.abs(aset.indices).max())
+    samples = evaluate_on(phi, np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step)
+    ratios = [float(v).as_integer_ratio() for v in samples]
+    den = max(d for _, d in ratios)
+    values = np.array([num * (den // d) for num, d in ratios], dtype=object)
+    probs = [[(int(k), *float(p).as_integer_ratio()) for k, p in zip(law.indices, law.probs)]
+             for law in aset.laws]
+    p_den = max(d for law in probs for _, _, d in law)
+    k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
+    lo, exact = -n_max * K, {}
+    for m in range(1, n_max + 1):
+        out_len = values.size - (k_hi - k_lo)
+        values = functools.reduce(np.maximum, [
+            sum(num * (p_den // d) * values[k - k_lo : k - k_lo + out_len] for k, num, d in law)
+            for law in probs
+        ])
+        den *= p_den
+        lo -= k_lo
+        if m in ns:
+            exact[m] = Fraction(int(values[-lo]), den)
+    return [exact[n] for n in ns]
 
 
 def dp_step_reference(values, law_ptr, law_k, law_p, base, out_len):
@@ -435,6 +471,35 @@ class TestSweepBits:
         sum_expectations(ref_set, [4096], make_phi("abs"))
         reach = int(ref_set.indices[-1] - ref_set.indices[0])
         assert len(built) <= kept_list_bound(4096, reach)
+
+
+class TestExactRoute:
+    """The float sweep against its exact replay, at the defaults of the CLI."""
+
+    @staticmethod
+    def assert_within_rounding_bound(aset, ns, phi):
+        # one rounding per product and per add of each atom, none in the maximum,
+        # and probabilities summing to 1: at most n * atoms * 2^-53 * max|phi| on the block
+        atoms = sum(law.indices.size for law in aset.laws)
+        K = int(np.abs(aset.indices).max())
+        floats, exact = sum_expectations(aset, ns, phi), exact_sum_expectations(aset, ns, phi)
+        for n, got, want in zip(ns, floats, exact):
+            phi_max = np.abs(evaluate_on(phi, np.arange(-n * K, n * K + 1) * aset.step)).max()
+            assert abs(Fraction(got) - want) <= Fraction(n * atoms, 2**53) * Fraction(phi_max), n
+
+    def test_moments_defaults(self, ref_set):
+        phi = make_phi("abspow", cli._OPTIONS["r"].defaults["moments"])
+        self.assert_within_rounding_bound(ref_set, cli._OPTIONS["n"].defaults["moments"], phi)
+
+    @pytest.mark.parametrize("phi", cli._OPTIONS["phi"].defaults["oracle"], ids=lambda p: p.label)
+    def test_oracle_defaults(self, ref_set, phi):
+        self.assert_within_rounding_bound(ref_set, cli._OPTIONS["n"].defaults["oracle"], phi)
+
+    def test_half_line_capacity_is_the_closed_form(self, ref_set):
+        # sup P(S_n >= 0), past n = 48 where the float sweep stops hitting it bit for bit
+        ns = range(1, 65)
+        got = exact_sum_expectations(ref_set, ns, make_phi("indicator", 0.0, 100.0))
+        assert got == [Fraction(2, 3) + Fraction((-1) ** n, 3 * 2**n) for n in ns]
 
 
 class TestGheatMarch:

@@ -10,7 +10,7 @@ import pytest
 
 from gexlab import serialize
 from gexlab.errors import ValidationError
-from gexlab.serialize import dumps_csv, dumps_json, fmt_float, write_csv, write_json
+from gexlab.serialize import dumps_csv, dumps_json, fmt_float, write_text
 
 
 class TestFmtFloat:
@@ -95,34 +95,35 @@ class TestWriters:
     def test_write_json_is_byte_stable(self, tmp_path):
         path = tmp_path / "r.json"
         obj = {"value": 1.0 / 3.0, "tags": ["a", "b"]}
-        write_json(path, obj)
+        write_text(path, dumps_json(obj))
         first = path.read_bytes()
-        write_json(path, obj)
+        write_text(path, dumps_json(obj))
         assert path.read_bytes() == first
         assert b"\r" not in first
 
     def test_write_csv_is_byte_stable(self, tmp_path):
         path = tmp_path / "r.csv"
         rows = [(1, 0.5), (2, 0.25)]
-        write_csv(path, ("n", "v"), rows)
+        write_text(path, dumps_csv(("n", "v"), rows))
         first = path.read_bytes()
-        write_csv(path, ("n", "v"), rows)
+        write_text(path, dumps_csv(("n", "v"), rows))
         assert path.read_bytes() == first
         assert first == b"n,v\n1,0.5\n2,0.25\n"
 
     def test_unwritable_report_keeps_old_file(self, tmp_path):
-        # the CLI writes through these; a refused report must not truncate
+        # a refused report must not truncate: rendering raises before any write
+        # (test_cli's test_refused_report_keeps_old_file checks the CLI's order)
         path = tmp_path / "r.json"
         path.write_bytes(b"old")
         with pytest.raises(ValidationError):
-            write_json(path, {"value": math.nan})
+            write_text(path, dumps_json({"value": math.nan}))
         with pytest.raises(ValidationError):
-            write_csv(path, ("v",), [(math.inf,)])
+            write_text(path, dumps_csv(("v",), [(math.inf,)]))
         assert path.read_bytes() == b"old"
 
     @pytest.mark.parametrize("write", [
-        lambda path: write_json(path, {"value": 0.5}),
-        lambda path: write_csv(path, ("v",), [(0.5,)]),
+        lambda path: write_text(path, dumps_json({"value": 0.5})),
+        lambda path: write_text(path, dumps_csv(("v",), [(0.5,)])),
     ], ids=["json", "csv"])
     def test_failed_write_keeps_old_report_and_leaves_no_temp(self, tmp_path, monkeypatch, write):
         path = tmp_path / "r.json"
@@ -155,7 +156,7 @@ class TestWriters:
         plain = tmp_path / "plain"
         plain.write_bytes(b"")
         path = tmp_path / "r.json"
-        write_json(path, {"value": 0.5})
+        write_text(path, dumps_json({"value": 0.5}))
         assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "r.json"]
 
@@ -165,7 +166,7 @@ class TestWriters:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        write_csv(fifo, ("v",), [(0.5,)])
+        write_text(fifo, dumps_csv(("v",), [(0.5,)]))
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert got == [b"v\n0.5\n"]
@@ -176,6 +177,6 @@ class TestWriters:
         real.write_bytes(b"old")
         link = tmp_path / "link.json"
         link.symlink_to(real)
-        write_json(link, {"value": 0.5})
+        write_text(link, dumps_json({"value": 0.5}))
         assert link.is_symlink()
         assert real.read_bytes() == b'{\n  "value": 0.5\n}\n'

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,19 +43,8 @@ EXIT_RUNTIME = 5
 
 ORACLE_TOL = 1e-10
 
-_TOP_KEYS = {"ambiguity", "experiment", "output"}
 _LAW_KEYS = {"step", "atoms", "label"}
 _ATOM_KEYS = {"k", "p"}
-_OUTPUT_KEYS = {"path", "format"}
-
-
-@dataclass
-class Config:
-    """Validated batch configuration; ``experiment`` is keyed by config key."""
-
-    ambiguity: AmbiguitySet | None = None
-    experiment: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
 
 
 def _fail(path: str, msg: str):
@@ -110,6 +98,12 @@ def _string(value, path: str) -> str:
     return value
 
 
+def _format(value, where: str) -> str:
+    if _string(value, where) not in ("json", "csv"):
+        _fail(where, f"expected 'json' or 'csv', got {value!r}")
+    return value
+
+
 def _n_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not value:
         _fail(where, "expected a non-empty list of integers")
@@ -159,49 +153,35 @@ def _build_ambiguity(spec, path: str) -> AmbiguitySet:
         _fail(path, str(exc))
 
 
-def _parse_output(spec, path: str) -> dict:
-    _check_keys(spec, _OUTPUT_KEYS, path)
-    out: dict = {}
-    if "path" in spec:
-        out["path"] = _string(spec["path"], f"{path}/path")
-    if "format" in spec:
-        fmt = _string(spec["format"], f"{path}/format")
-        if fmt not in ("json", "csv"):
-            _fail(f"{path}/format", f"expected 'json' or 'csv', got {fmt!r}")
-        out["format"] = fmt
-    return out
+def parse_config(path: str, command: str) -> dict:
+    """Load a JSON config file and check it against the options ``command`` reads.
 
-
-def parse_config(path: str) -> Config:
-    """Load and fully validate a JSON config file.
-
-    Violations are reported with a JSON-pointer-style path into the file.
+    Returns ``{option name: checked value}`` for each option the file sets.
+    A section or key that no option of ``command`` reads is refused, as
+    argparse refuses another command's flag.  Violations are reported with a
+    JSON-pointer-style path into the file.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    _check_keys(raw, _TOP_KEYS, "")
-    cfg = Config()
-    if "ambiguity" in raw:
-        cfg.ambiguity = _build_ambiguity(raw["ambiguity"], "/ambiguity")
-    if "experiment" in raw:
-        by_key = {opt.key: opt for opt in _OPTIONS.values()}
-        spec = _check_keys(raw["experiment"], by_key, "/experiment")
-        cfg.experiment = {
-            key: by_key[key].check(value, f"/experiment/{key}") for key, value in spec.items()
-        }
-    if "output" in raw:
-        cfg.output = _parse_output(raw["output"], "/output")
-    return cfg
+    names = {opt.key: name for name, opt in _OPTIONS.items() if command in opt.defaults}
+    given = {}
+    for section, spec in _check_keys(raw, {key.split("/")[0] for key in names}, "").items():
+        if section in names:  # a section read whole
+            given[section] = spec
+        else:
+            fields = {key.split("/")[1] for key in names if key.startswith(section + "/")}
+            for field, value in _check_keys(spec, fields, f"/{section}").items():
+                given[f"{section}/{field}"] = value
+    return {names[key]: _OPTIONS[names[key]].check(value, f"/{key}") for key, value in given.items()}
 
 
-def _emit(args, cfg: Config, json_obj, csv_header, csv_rows) -> None:
+def _emit(opts: dict, json_obj, csv_header, csv_rows) -> None:
     """Render the report as JSON or CSV, then write it to the chosen path or stdout.
 
     Rendering first means a report that cannot be rendered leaves no file.
     """
-    fmt = args.format if args.format is not None else cfg.output.get("format", "json")
-    path = args.out if args.out is not None else cfg.output.get("path")
-    text = dumps_json(json_obj) if fmt == "json" else dumps_csv(csv_header, csv_rows)
+    path = opts["out"]
+    text = dumps_json(json_obj) if opts["format"] == "json" else dumps_csv(csv_header, csv_rows)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -209,56 +189,58 @@ def _emit(args, cfg: Config, json_obj, csv_header, csv_rows) -> None:
         print(f"wrote {path}")
 
 
-def _ambiguity_or_reference(cfg: Config) -> AmbiguitySet:
-    if cfg.ambiguity is not None:
-        return cfg.ambiguity
+def _ambiguity_or_reference(opts: dict) -> AmbiguitySet:
+    if opts["ambiguity"] is not None:
+        return opts["ambiguity"]
     from .experiments import reference_set
 
     return reference_set()
 
 
-# Each command takes the resolved options and the config, and returns
+# Each command takes the resolved options and returns
 # (JSON report, CSV header, CSV rows, whether its checks passed).  It imports
 # its driver when it runs, so a process loads only its subcommand's modules;
 # gheat is imported above as the owner of DEFAULT_DX and PAD_FACTOR.
 
 
-def _cmd_axioms(opts: dict, cfg: Config):
+def _cmd_axioms(opts: dict):
     from .fuzz import axiom_suite
 
     report = axiom_suite(opts["seed"], opts["trials"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
-def _cmd_independence(opts: dict, cfg: Config):
+def _cmd_independence(opts: dict):
     from .fuzz import independence_suite
 
     report = independence_suite(opts["seed"], n_pairs=opts["trials"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
-def _cmd_moments(opts: dict, cfg: Config):
+def _cmd_moments(opts: dict):
     from .experiments import moment_scan
 
-    report = moment_scan(_ambiguity_or_reference(cfg), opts["r"], opts["n"])
+    report = moment_scan(_ambiguity_or_reference(opts), opts["r"], opts["n"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.passed
 
 
-def _cmd_clt(opts: dict, cfg: Config):
+def _cmd_clt(opts: dict):
     from .experiments import clt_convergence
 
-    report = clt_convergence(_ambiguity_or_reference(cfg), opts["phi"], opts["n"], dx=opts["dx"])
+    report = clt_convergence(_ambiguity_or_reference(opts), opts["phi"], opts["n"], dx=opts["dx"])
     return report.to_dict(), report.CSV_HEADER, report.csv_rows(), report.errors_decreasing
 
 
-def _cmd_gheat(opts: dict, cfg: Config):
+def _cmd_gheat(opts: dict):
     sigma_lo, sigma_hi = opts["sigma_lo"], opts["sigma_hi"]
     if (sigma_lo is None) != (sigma_hi is None):
         raise ValidationError("give both --sigma-lo and --sigma-hi or neither")
+    if sigma_lo is not None and opts["ambiguity"] is not None:
+        raise ValidationError("give a band (--sigma-lo, --sigma-hi) or an ambiguity family, not both")
     if sigma_lo is None:
         from .experiments import require_mean_zero
 
-        aset = _ambiguity_or_reference(cfg)
+        aset = _ambiguity_or_reference(opts)
         require_mean_zero(aset)  # second moments are variances only at mean zero
         params = params_from_envelope(moment_envelope(aset))
     else:
@@ -282,10 +264,10 @@ def _cmd_gheat(opts: dict, cfg: Config):
     return report, ("x", "u"), list(zip(sol.xs.tolist(), sol.u.tolist())), True
 
 
-def _cmd_oracle(opts: dict, cfg: Config):
+def _cmd_oracle(opts: dict):
     from .pengsum import brute_force_adapted_oracle_many, count_adapted_strategies, sum_expectations
 
-    aset = _ambiguity_or_reference(cfg)
+    aset = _ambiguity_or_reference(opts)
     phis = opts["phi"] if isinstance(opts["phi"], tuple) else (opts["phi"],)
     ns = sorted(set(opts["n"]))
     oracle_rows = [brute_force_adapted_oracle_many(aset, n, phis) for n in ns]
@@ -336,34 +318,42 @@ def _int_list(text: str) -> list[int]:
 
 
 class _Option(NamedTuple):
-    key: str  # config key under /experiment
-    kind: Callable  # argparse type of the flag
+    key: str  # config path: "section/key", or a section read whole
+    kind: Callable | None  # argparse type of the flag; None for a config-only option
     check: Callable  # (value, where) -> value, for flag and config values alike
     help: str
     defaults: dict  # {command that reads the option: its default}
+    metavar: str | None = None  # the flag's value in usage lines, if not its name
 
 
-# One row per option; a command has the flag only if it reads the option, so
-# any other flag is a usage error.  Values resolve as flag, then config, then
-# the command's default.
+# One row per input; a command has the flag and the config key only if it
+# reads the option, so any other flag is a usage error and any other config
+# key a validation error.  Values resolve as flag, then config, then the
+# command's default.
 _OPTIONS = {
-    "r": _Option("r", float, _scalar(float, 2.0, strict=True), "moment order r > 2",
+    "out": _Option("output/path", str, _string, "report output path (default: stdout)",
+                   dict.fromkeys(_COMMANDS)),
+    "format": _Option("output/format", str, _format, "report format",
+                      dict.fromkeys(_COMMANDS, "json"), "{json,csv}"),
+    "ambiguity": _Option("ambiguity", None, _build_ambiguity, "family of laws",
+                         dict.fromkeys(("moments", "clt", "gheat", "oracle"))),
+    "r": _Option("experiment/r", float, _scalar(float, 2.0, strict=True), "moment order r > 2",
                  {"moments": 3.0}),
-    "n": _Option("nList", _int_list, _n_list, "comma-separated n values",
+    "n": _Option("experiment/nList", _int_list, _n_list, "comma-separated n values",
                  {"moments": (4, 8, 16, 32, 64, 128, 256), "clt": (8, 32, 128, 256),
                   "oracle": (1, 2, 3)}),
-    "phi": _Option("phi", str, _phi, "catalog function, e.g. abs or abspow:2.5",
+    "phi": _Option("experiment/phi", str, _phi, "catalog function, e.g. abs or abspow:2.5",
                    {"clt": parse_phi("abs"), "gheat": parse_phi("square"),
                     "oracle": tuple(map(parse_phi, ("abs", "square", "cube", "quartic", "clamp:-1,1")))}),
-    "dx": _Option("dx", float, _scalar(float, 0.0, strict=True), "PDE space step",
+    "dx": _Option("experiment/dx", float, _scalar(float, 0.0, strict=True), "PDE space step",
                   {"clt": DEFAULT_DX, "gheat": DEFAULT_DX}),
-    "sigma_lo": _Option("sigmaLo", float, _scalar(float, 0.0), "lower volatility",
+    "sigma_lo": _Option("experiment/sigmaLo", float, _scalar(float, 0.0), "lower volatility",
                         {"gheat": None}),
-    "sigma_hi": _Option("sigmaHi", float, _scalar(float, 0.0), "upper volatility",
+    "sigma_hi": _Option("experiment/sigmaHi", float, _scalar(float, 0.0), "upper volatility",
                         {"gheat": None}),
-    "seed": _Option("seed", int, _scalar(int, 0), "random seed",
+    "seed": _Option("experiment/seed", int, _scalar(int, 0), "random seed",
                     {"axioms": 0, "independence": 0}),
-    "trials": _Option("trials", int, _count, "randomized trial count",
+    "trials": _Option("experiment/trials", int, _count, "randomized trial count",
                       {"axioms": 200, "independence": 10}),
 }
 
@@ -381,31 +371,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="report output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), help="report format")
         for opt_name, opt in _OPTIONS.items():
-            if name in opt.defaults:
-                p.add_argument(_flag(opt_name), type=opt.kind, help=opt.help)
+            if name in opt.defaults and opt.kind is not None:
+                p.add_argument(_flag(opt_name), type=opt.kind, help=opt.help, metavar=opt.metavar)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config) if args.config else Config()
+        given = parse_config(args.config, args.command) if args.config else {}
         opts = {}
         for name, opt in _OPTIONS.items():
             if args.command in opt.defaults:
-                flag = getattr(args, name)
+                flag = getattr(args, name, None)  # a config-only option has no flag
                 opts[name] = (
                     opt.check(flag, _flag(name)) if flag is not None
-                    else cfg.experiment.get(opt.key, opt.defaults[args.command])
+                    else given.get(name, opt.defaults[args.command])
                 )
         # A non-finite number ends as a gexlab error with its own message,
         # so numpy's overflow warnings would only add stderr lines.
         with np.errstate(over="ignore", invalid="ignore"):
-            report, csv_header, csv_rows, passed = _COMMANDS[args.command][0](opts, cfg)
-            _emit(args, cfg, report, csv_header, csv_rows)
+            report, csv_header, csv_rows, passed = _COMMANDS[args.command][0](opts)
+            _emit(opts, report, csv_header, csv_rows)
         return EXIT_PASS if passed else EXIT_FAIL
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"gexlab: config parse error: {exc}", file=sys.stderr)

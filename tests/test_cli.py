@@ -20,6 +20,12 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
+def config_at(key, value) -> dict:
+    """The config that sets ``value`` at the config path ``key``."""
+    section, _, field = key.partition("/")
+    return {section: {field: value} if field else value}
+
+
 REFERENCE_LAWS = [
     {"step": 0.5, "atoms": [{"k": -2, "p": 0.5}, {"k": 2, "p": 0.5}]},
     {"step": 0.5, "atoms": [{"k": -1, "p": 0.5}, {"k": 1, "p": 0.5}]},
@@ -31,10 +37,10 @@ OFF_CENTRE_LAWS = [{"step": 1.0, "atoms": [{"k": 0, "p": 0.5}, {"k": 2, "p": 0.5
 
 
 class TestParseConfig:
-    def run_bad(self, tmp_path, obj, fragment):
+    def run_bad(self, tmp_path, obj, fragment, command="clt"):
         path = write_config(tmp_path, obj)
         with pytest.raises(ValidationError, match=fragment):
-            cli.parse_config(path)
+            cli.parse_config(path, command)
 
     def test_unknown_top_key(self, tmp_path):
         self.run_bad(tmp_path, {"extra": {}}, "/extra: unknown key")
@@ -83,10 +89,10 @@ class TestParseConfig:
         path = tmp_path / "huge.json"
         path.write_text('{"experiment": {"dx": 1' + "0" * 400 + "}}", encoding="utf-8")
         with pytest.raises(ValidationError, match="/experiment/dx"):
-            cli.parse_config(str(path))
+            cli.parse_config(str(path), "clt")
 
     def test_negative_seed(self, tmp_path):
-        self.run_bad(tmp_path, {"experiment": {"seed": -1}}, "/experiment/seed")
+        self.run_bad(tmp_path, {"experiment": {"seed": -1}}, "/experiment/seed", "axioms")
 
     def test_n_max_is_unknown(self, tmp_path):
         self.run_bad(tmp_path, {"experiment": {"nMax": 8}}, "/experiment/nMax: unknown key")
@@ -97,14 +103,15 @@ class TestParseConfig:
     def test_valid_config(self, tmp_path):
         obj = {
             "ambiguity": [dict(REFERENCE_LAWS[0], label="wide"), REFERENCE_LAWS[1]],
-            "experiment": {"r": 3.0, "nList": [4, 8, 16, 32], "phi": "abspow:2.5"},
+            "experiment": {"dx": 0.05, "nList": [4, 8, 16, 32], "phi": "abspow:2.5"},
             "output": {"format": "csv"},
         }
-        cfg = cli.parse_config(write_config(tmp_path, obj))
-        assert cfg.ambiguity.labels == ("wide", "law 1")
-        assert cfg.ambiguity.step == 0.5
-        assert cfg.experiment["nList"] == [4, 8, 16, 32]
-        assert cfg.output == {"format": "csv"}
+        opts = cli.parse_config(write_config(tmp_path, obj), "clt")
+        assert sorted(opts) == ["ambiguity", "dx", "format", "n", "phi"]
+        assert opts["ambiguity"].labels == ("wide", "law 1")
+        assert opts["ambiguity"].step == 0.5
+        assert opts["n"] == [4, 8, 16, 32]
+        assert opts["format"] == "csv"
 
 
 class TestExitCodes:
@@ -230,7 +237,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "points" in err
 
     def test_unexpected_exception_is_runtime_error(self, monkeypatch, capsys):
-        def broken(args, cfg):
+        def broken(opts):
             raise RuntimeError("lost\nthe plot")
 
         monkeypatch.setitem(cli._COMMANDS, "moments", (broken, "broken"))
@@ -252,8 +259,10 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "quadrature oracle overflowed" in err
 
 
-# One out-of-range value per option, for a command that reads it.
+# One out-of-range value per option with a flag, for a command that reads it;
+# every string is a path for --out, so it has none.
 OUT_OF_RANGE = [
+    ("format", "axioms", "xml"),
     ("r", "moments", "1"),
     ("n", "moments", "0"),
     ("phi", "clt", "frobnicate"),
@@ -264,10 +273,35 @@ OUT_OF_RANGE = [
     ("trials", "axioms", "0"),
 ]
 
+# One accepted value per option with a flag, as flag text and as config value,
+# that differs from every command's default; "OUT" stands for a path.
+ACCEPTED = {
+    "out": ("OUT", "OUT"),
+    "format": ("csv", "csv"),
+    "r": ("4", 4.0),
+    "n": ("1,2", [1, 2]),
+    "phi": ("cube", "cube"),
+    "dx": ("0.05", 0.05),
+    "sigma_lo": ("0.5", 0.5),
+    "sigma_hi": ("1", 1.0),
+    "seed": ("3", 3),
+    "trials": ("3", 3),
+}
+# gheat takes both volatilities or neither
+PARTNER = {"sigma_lo": ["--sigma-hi", "1"], "sigma_hi": ["--sigma-lo", "0.5"]}
+
+FLAGGED = [name for name, opt in cli._OPTIONS.items() if opt.kind is not None]
+READ = [(name, command) for name in FLAGGED for command in cli._OPTIONS[name].defaults]
+UNREAD = [
+    (name, command) for name, opt in cli._OPTIONS.items() for command in cli._COMMANDS
+    if command not in opt.defaults
+]
+
 
 class TestOptionParity:
     def test_every_option_is_covered(self):
-        assert sorted(name for name, _, _ in OUT_OF_RANGE) == sorted(cli._OPTIONS)
+        assert sorted(name for name, _, _ in OUT_OF_RANGE) == sorted(set(FLAGGED) - {"out"})
+        assert sorted(ACCEPTED) == sorted(FLAGGED)
 
     @pytest.mark.parametrize("name,command,text", OUT_OF_RANGE, ids=[c[0] for c in OUT_OF_RANGE])
     def test_flag_and_config_refused_alike(self, name, command, text, tmp_path, capsys):
@@ -277,29 +311,72 @@ class TestOptionParity:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"gexlab: {flag}")
 
-        value = text if name == "phi" else json.loads(text)
-        path = write_config(tmp_path, {"experiment": {opt.key: [value] if name == "n" else value}})
+        value = text if opt.kind is str else json.loads(text)
+        path = write_config(tmp_path, config_at(opt.key, [value] if name == "n" else value))
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"gexlab: /experiment/{opt.key}")
+        assert err.count("\n") == 1 and err.startswith(f"gexlab: /{opt.key}")
+
+    def test_bad_format_flag_names_the_flag(self, capsys):
+        assert cli.main(["moments", "--format", "xml"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "gexlab: --format: expected 'json' or 'csv', got 'xml'\n")
+
+    @pytest.mark.parametrize("name,command", READ, ids=[f"{c}-{n}" for n, c in READ])
+    def test_flag_and_config_accepted_alike(self, name, command, tmp_path, capsys):
+        report = tmp_path / "report"
+        text, value = (str(report) if v == "OUT" else v for v in ACCEPTED[name])
+
+        def run(*argv):
+            report.unlink(missing_ok=True)
+            code = cli.main([command, *argv, *PARTNER.get(name, [])])
+            out, err = capsys.readouterr()
+            return code, out, err, report.read_bytes() if report.exists() else None
+
+        opt = cli._OPTIONS[name]
+        by_flag = run("--" + name.replace("_", "-"), text)
+        by_config = run("--config", write_config(tmp_path, config_at(opt.key, value)))
+        assert by_config == by_flag
+        assert by_config != run()  # the value is read, not ignored
+
+    @pytest.mark.parametrize("name,command", UNREAD, ids=[f"{c}-{n}" for n, c in UNREAD])
+    def test_unread_config_key_refused(self, name, command, tmp_path, capsys):
+        opt = cli._OPTIONS[name]
+        value = REFERENCE_LAWS if name == "ambiguity" else ACCEPTED[name][1]
+        path = write_config(tmp_path, config_at(opt.key, value))
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"gexlab: /{opt.key}: unknown key\n")
+
+    @pytest.mark.parametrize("command", ["axioms", "independence", "oracle"])
+    def test_family_and_foreign_keys_refused(self, command, tmp_path, capsys):
+        # a family with the keys r and sigmaLo: refused from a config as from flags
+        path = write_config(tmp_path, {"ambiguity": REFERENCE_LAWS, "experiment": {"r": 3, "sigmaLo": 1}})
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.endswith(": unknown key\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--r", "3", "--sigma-lo", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def registered_flags() -> dict:
     """Each command's option flags as ``build_parser`` registers them."""
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    common = {"-h", "--help", "--config", "--out", "--format"}
+    common = {"-h", "--help", "--config"}
     return {
         name: {s for action in p._actions for s in action.option_strings} - common
         for name, p in sub.choices.items()
     }
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_option_table_matches_parser():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     documented = {name: set() for name in cli._COMMANDS}
     keys = {}
-    for line in readme.splitlines():
+    for line in README.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if not re.fullmatch(r"`--[a-z-]+`", cells[0]):
             continue
@@ -308,7 +385,15 @@ def test_readme_option_table_matches_parser():
         for command in re.findall(r"`([a-z]+)`", cells[-1]):
             documented[command].add(flag)
     assert documented == registered_flags()
-    assert keys == {"--" + n.replace("_", "-"): opt.key for n, opt in cli._OPTIONS.items()}
+    assert keys == {"--" + n.replace("_", "-"): cli._OPTIONS[n].key for n in FLAGGED}
+
+
+def test_readme_config_example_is_a_clt_config(tmp_path):
+    example = re.search(r"```json\n(.*?)```", README, re.DOTALL).group(1)
+    path = tmp_path / "example.json"
+    path.write_text(example, encoding="utf-8")
+    opts = cli.parse_config(str(path), "clt")
+    assert sorted(opts) == ["ambiguity", "dx", "format", "n", "out", "phi"]
 
 
 class TestAxiomCommands:
@@ -374,6 +459,9 @@ class TestCltCommand:
         assert report["envelope"]["varUpper"] == 1.0
 
 
+BAND_AND_FAMILY = "give a band (--sigma-lo, --sigma-hi) or an ambiguity family, not both"
+
+
 class TestGheatCommand:
     def test_degenerate_band_reports_quadrature(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -405,9 +493,24 @@ class TestGheatCommand:
         path = write_config(tmp_path, {"ambiguity": OFF_CENTRE_LAWS})
         assert cli.main(["gheat", "--config", path]) == cli.EXIT_CONFIG
         assert capsys.readouterr() == ("", "gexlab: mean-zero hypothesis violated by law 0 (mean 1.000e+00)\n")
+        # a band replaces the family, and is refused alongside it
         argv = ["gheat", "--config", path, "--sigma-lo", "1", "--sigma-hi", "1", "--dx", "0.05"]
-        assert cli.main(argv) == cli.EXIT_PASS
-        assert json.loads(capsys.readouterr().out)["sigmaHi"] == 1.0
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"gexlab: {BAND_AND_FAMILY}\n")
+
+    def test_band_or_family_not_both(self, tmp_path, capsys):
+        band = ["--sigma-lo", "1", "--sigma-hi", "1", "--dx", "0.05"]
+        family = write_config(tmp_path, {"ambiguity": REFERENCE_LAWS}, "family.json")
+        assert cli.main(["gheat", *band]) == cli.EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["sigmaLo"] == 1.0
+        assert cli.main(["gheat", "--config", family, "--dx", "0.05"]) == cli.EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["sigmaLo"] == 0.5
+        both = write_config(
+            tmp_path, {"ambiguity": REFERENCE_LAWS, "experiment": {"sigmaLo": 1, "sigmaHi": 1}}, "both.json"
+        )
+        for argv in (["gheat", "--config", family, *band], ["gheat", "--config", both]):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"gexlab: {BAND_AND_FAMILY}\n")
 
     def test_profile_csv(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
@@ -481,7 +584,7 @@ class TestConfigDrivenOutput:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_refused_report_keeps_old_file(self, fmt, tmp_path, monkeypatch, capsys):
         # _emit renders the whole report before it opens the file
-        def unrenderable(opts, cfg):
+        def unrenderable(opts):
             return {"value": float("nan")}, ("v",), [(float("nan"),)], True
 
         monkeypatch.setitem(cli._COMMANDS, "moments", (unrenderable, "unrenderable"))
@@ -497,7 +600,6 @@ class TestConfigDrivenOutput:
         path = write_config(
             tmp_path,
             {
-                "ambiguity": REFERENCE_LAWS,
                 "experiment": {"trials": 3},
                 "output": {"path": str(out), "format": "csv"},
             },

@@ -287,6 +287,18 @@ class TestClosedFormsAtScale:
             else:
                 assert abs(Fraction(value) - exact) <= Fraction(n * atoms, 2**53), n
 
+    def test_open_half_line_capacity(self, ref_set):
+        # a stated counterexample: with x > 0 in place of x >= 0, sup P(S_n > 0) still
+        # tends to 2/3, but only as n^-1/2; the boundary point carries the difference
+        ns = [8, 256, 1024, 4096]
+        got = sum_expectations(ref_set, ns, indicator_of(lambda x: x > 0))
+        assert got[0] == 0.5859375
+        gaps = [2 / 3 - value for value in got[1:]]
+        for n, gap in zip(ns[1:], gaps):
+            assert 0.26 <= gap * math.sqrt(n) <= 0.27, n
+        slope = np.polyfit(np.log(ns[1:]), np.log(gaps), 1)[0]
+        assert -0.52 <= slope <= -0.48
+
     def test_convex_order_top_law_convolution(self):
         # the inner law is below the top law in convex order, so for a convex phi the
         # worst case takes the top law at every step: its n-fold convolution

@@ -154,9 +154,9 @@ def _aligned_rows(*sizes):
 # and slots [out_len, block) hold don't-care values.  No valid output reads
 # one: output i < out_len reads inputs up to i + reach < out_len + reach <=
 # len(values), all of them the previous step's valid outputs.  A list is
-# kept only when its whole input span held valid values, and new buffers
-# drop it, so past len(values) it reads earlier outputs of the plan; reserve
-# also zero-fills both rows, so no step reads uninitialised memory.  On
+# kept only when its whole input span held valid values, so past
+# len(values) it reads earlier outputs of the plan or the zeros dp_plan
+# fills both rows with: no step reads uninitialised memory.  On
 # finite data a don't-care value is thus a probability-weighted sum of
 # finite values like any other.  A list of a block near out_len wastes a
 # few points of arithmetic per call and saves one Python slice per view.
@@ -173,8 +173,8 @@ def _aligned_rows(*sizes):
 # probabilities, each atom's start, the 0-d probabilities and reach.  It
 # also owns the work buffers: two outputs used in turn, the law
 # accumulator, the unshared-product scratch and one product per shared
-# probability, sized by the first step (a sweep's largest) and regrown only
-# if a later step needs more, which drops both kept lists.  `plan` is
+# probability, sized when the plan is built for one sweep, whose first step
+# is its largest; a step with more outputs raises ValueError.  `plan` is
 # optional: a sweep builds it once and passes it to every step, and without
 # it dp_step builds its own, so the six positional arguments alone still
 # work.  Result lifetime: with a plan, dp_step returns exactly
@@ -191,41 +191,29 @@ class _DpPlan:
     """Per-family constants, work buffers and call lists of ``dp_step``; see ``dp_plan``."""
 
     __slots__ = (
-        "shared_p", "laws", "zero", "reach", "n_in", "n_out", "outs", "acc", "scratch", "shared",
-        "turn", "last", "lists",
+        "shared_p", "laws", "zero", "reach", "outs", "acc", "scratch", "shared", "turn", "last", "lists",
     )
 
-    def __init__(self, shared_p, laws, reach):
+    def __init__(self, shared_p, laws, reach, n_in, n_out):
         self.shared_p, self.laws, self.zero, self.reach = shared_p, laws, np.array(0.0), reach
-        self.n_in = self.n_out = -1
-        self.turn = 0
-
-    def reserve(self, n_in, n_out):
-        """Buffers for inputs of ``n_in`` and outputs of ``n_out`` points.
-
-        Both output rows start zeroed, because a kept call list reads its
-        input row past the end of the valid values.  New buffers drop the
-        kept lists and the last output.
-        """
-        self.n_in, self.n_out = n_in, n_out
-        rows = _aligned_rows(n_out, n_out, n_out, n_out, *[n_in] * len(self.shared_p))
+        rows = _aligned_rows(n_out, n_out, n_out, n_out, *[n_in] * len(shared_p))
         self.outs, self.acc, self.scratch, self.shared = rows[:2], rows[2], rows[3], rows[4:]
-        for row in self.outs:
+        for row in self.outs:  # a kept call list reads its input row past the valid values
             row.fill(0.0)
-        self.last = None
-        self.lists = [None, None]
+        self.turn, self.last, self.lists = 0, None, [None, None]
 
 
-def dp_plan(law_ptr, law_k, law_p, base):
+def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
     """Per-family constants, work buffers and call lists of ``dp_step``.
 
     ``shared_p`` holds one 0-d probability per distinct value that several
     atoms use; ``laws`` holds per law its first atom and the list of its
     other atoms, each atom as ``(start, slot, p)`` with ``slot`` the index
     into ``shared_p`` or -1 and ``p`` the atom's 0-d probability; ``zero``
-    is a 0-d 0.0; ``reach`` is the largest start.  The buffers are
-    allocated by the first ``dp_step`` that uses the plan, and the call
-    lists are kept by the steps that reuse them.
+    is a 0-d 0.0; ``reach`` is the largest start.  The buffers are sized
+    when the plan is built, for one sweep: inputs of up to ``n_in`` and
+    outputs of up to ``n_out`` points, both output rows zero-filled.  The
+    call lists are kept by the steps that reuse them.
     """
     probs = law_p.tolist()
     uses = {}
@@ -239,7 +227,7 @@ def dp_plan(law_ptr, law_k, law_p, base):
     atoms = [(s, slot.get(p, -1), np.array(p)) for s, p in zip(starts, probs)]
     ptr = law_ptr.tolist()
     laws = [(atoms[a], atoms[a + 1 : b]) for a, b in zip(ptr, ptr[1:])]
-    return _DpPlan([np.array(p) for p in slot], laws, max(starts))
+    return _DpPlan([np.array(p) for p in slot], laws, max(starts), n_in, n_out)
 
 
 def _step_calls(plan, values, out, n):
@@ -250,6 +238,8 @@ def _step_calls(plan, values, out, n):
     ``out`` must be a keyword.  Shared products cover the ``n + reach``
     inputs the outputs read, or all of ``values`` if it is shorter.
     """
+    if n > len(plan.acc):
+        raise ValueError(f"a step of {n} outputs exceeds its plan's {len(plan.acc)}")
     mul, add = np.multiply, np.add
     m = min(len(values), n + plan.reach)
     shared = [buf[:m] for buf in plan.shared]
@@ -276,9 +266,7 @@ def _step_calls(plan, values, out, n):
 
 def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     if plan is None:
-        plan = dp_plan(law_ptr, law_k, law_p, base)
-    if len(values) > plan.n_in or out_len > plan.n_out:
-        plan.reserve(len(values), out_len)
+        plan = dp_plan(law_ptr, law_k, law_p, base, len(values), out_len)
     turn = plan.turn = plan.turn ^ 1
     handed_back = values is plan.last and len(values) >= out_len + plan.reach
     kept = plan.lists[turn]

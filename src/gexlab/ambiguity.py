@@ -109,8 +109,6 @@ class DiscreteDistribution:
     @classmethod
     def from_atoms(cls, step: float, atoms: Sequence[tuple[int, float]]) -> "DiscreteDistribution":
         """Build from ``(lattice index, probability)`` pairs."""
-        if len(atoms) == 0:
-            raise ValidationError("atom list must be non-empty")
         ks = np.array([k for k, _ in atoms], dtype=np.int64)
         ps = np.array([p for _, p in atoms], dtype=np.float64)
         return cls(step, ks, ps)

@@ -233,10 +233,11 @@ def _cmd_clt(opts: dict):
 
 def _cmd_gheat(opts: dict):
     sigma_lo, sigma_hi = opts["sigma_lo"], opts["sigma_hi"]
+    band = "--sigma-lo and --sigma-hi (/experiment/sigmaLo and /experiment/sigmaHi)"
     if (sigma_lo is None) != (sigma_hi is None):
-        raise ValidationError("give both --sigma-lo and --sigma-hi or neither")
+        raise ValidationError(f"give both {band} or neither")
     if sigma_lo is not None and opts["ambiguity"] is not None:
-        raise ValidationError("give a band (--sigma-lo, --sigma-hi) or an ambiguity family, not both")
+        raise ValidationError(f"give a band, {band}, or an ambiguity family (/ambiguity), not both")
     if sigma_lo is None:
         from .experiments import require_mean_zero
 

@@ -63,30 +63,30 @@ def g_function(params: GParams, a):
 
 @dataclass(frozen=True)
 class PdeGrid:
-    """Uniform space-time grid for the explicit scheme."""
+    """Uniform space-time grid for the explicit scheme.
+
+    Its ``n_cells + 1`` nodes are ``x_min + j * dx``, j = 0 .. n_cells, so
+    the cell count is given, never recovered from the domain's end.
+    """
 
     x_min: float
-    x_max: float
     dx: float
+    n_cells: int
     dt: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max) and self.x_min < self.x_max):
-            raise ValidationError(f"need x_min < x_max, got {self.x_min!r}, {self.x_max!r}")
+        n = self.n_cells
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n_cells must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "n_cells", int(n))
         if not (np.isfinite(self.dx) and self.dx > 0.0):
             raise ValidationError(f"dx must be positive, got {self.dx!r}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        ratio = (self.x_max - self.x_min) / self.dx
-        _kernels._admit("PDE grid", ratio + 1.0, 0.0, 1.0, "increase dx or narrow the domain")
-        # relative: the rounding error of x_max - x_min grows with the cell count
-        tol = 1e-9 * max(1.0, ratio)
-        if abs(ratio - round(ratio)) > tol:
-            raise ValidationError(f"(x_max - x_min)/dx = {ratio!r} is not an integer within {tol:.3g}")
-
-    @property
-    def n_cells(self) -> int:
-        return int(round((self.x_max - self.x_min) / self.dx))
+        _kernels._admit("PDE grid", self.n_cells + 1, 0.0, 1.0, "reduce n_cells")
+        last = self.x_min + self.n_cells * self.dx
+        if not np.isfinite(last):  # finite only if x_min is, and then so is every node between
+            raise ValidationError(f"nodes must be finite, got x_min {self.x_min!r}, last node {last!r}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -172,9 +172,7 @@ def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) ->
     dt = min(0.4 * _square_ratio(dx, params.sigma_hi), 1.0)
     _kernels._admit("PDE march", 2.0 * half_cells + 1.0, 1.0 / dt if dt else math.inf, 1.0, "increase dx")
     n_half = max(1, int(math.ceil(half_cells - 1e-9)))
-    L = n_half * dx
-    grid = PdeGrid(-L, L, dx, dt)
-    return solve_g_heat(params, phi, grid)
+    return solve_g_heat(params, phi, PdeGrid(-n_half * dx, dx, 2 * n_half, dt))
 
 
 def g_normal_expectation(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> float:

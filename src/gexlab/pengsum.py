@@ -59,7 +59,7 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     np.cumsum(sizes, out=ptr[1:])
     ks = np.concatenate([law.indices for law in aset.laws]).astype(np.int64)
     ps = np.concatenate([law.probs for law in aset.laws]).astype(np.float64)
-    plan = _kernels.dp_plan(ptr, ks, ps, -k_lo)
+    plan = _kernels.dp_plan(ptr, ks, ps, -k_lo, len(values), len(values) - (k_hi - k_lo))
     for _ in range(n_steps):
         lo, hi = lo - k_lo, hi - k_hi
         values = _kernels.dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1, plan=plan)

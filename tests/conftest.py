@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gexlab import _kernels, gheat, pengsum
+from gexlab import _kernels, fuzz, gheat, pengsum
 from gexlab.experiments import reference_set
 
 # pyproject's `pythonpath` puts src/ on this process's import path; the tests
@@ -25,7 +25,8 @@ def rng():
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Make both kernels and the solvers' evaluation of phi fail the test; returns a phi that does too.
+    """Make both kernels, the solvers' evaluation of phi and the fuzz suites' first draw fail
+    the test; returns a phi that does too.
 
     ``pytest.fail`` raises past ``except Exception``, so the CLI cannot turn a
     call into an exit code.
@@ -34,6 +35,9 @@ def no_compute(monkeypatch):
     def forbidden(*args):
         pytest.fail("a refused run must not compute")
 
-    for module, name in ((_kernels, "dp_step"), (_kernels, "gheat_march"), (pengsum, "evaluate_on"), (gheat, "evaluate_on")):
+    for module, name in (
+        (_kernels, "dp_step"), (_kernels, "gheat_march"), (pengsum, "evaluate_on"), (gheat, "evaluate_on"),
+        (fuzz, "random_ambiguity_set"),
+    ):
         monkeypatch.setattr(module, name, forbidden)
     return forbidden

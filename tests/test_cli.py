@@ -114,6 +114,12 @@ class TestParseConfig:
         assert opts["format"] == "csv"
 
 
+# each names the band by flag and config path alike, wherever its values came from
+BAND = "--sigma-lo and --sigma-hi (/experiment/sigmaLo and /experiment/sigmaHi)"
+BAND_AND_FAMILY = f"give a band, {BAND}, or an ambiguity family (/ambiguity), not both"
+HALF_BAND = f"give both {BAND} or neither"
+
+
 class TestExitCodes:
     def test_broken_json_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -212,12 +218,17 @@ class TestExitCodes:
             # one atom at 0: a 1-point block, whose 2^30 steps only the per-step cost prices
             (["moments", "--config", "K0", "--n", "4,8,16,1073741824"],
              "lattice sweep would need about 4.4e+12 updates (limit 2e+10); reduce n or the atom span"),
-            # 15 573 287 nodes, where dx no longer divides the domain within 1e-9
+            # 15 573 287 nodes: the march's work refuses it, not the grid's size
             (["gheat", "--sigma-lo", "0", "--sigma-hi", "1.981585593553972", "--dx", "1.5269113998379529e-06"],
              "PDE march would need about 6.56e+19 updates (limit 2e+10); increase dx"),
             # the largest n is refused before the PDE solve and the smaller n's sweeps
             (["clt", "--n", "8,32,4000000"],
              "lattice sweep would need about 2.56e+14 updates (limit 2e+10); reduce n or the atom span"),
+            # each suite is refused before its first draw, not after days of trials
+            (["axioms", "--trials", "1000000000"],
+             "axiom suite would need about 1.84e+14 updates (limit 2e+10); reduce the trial count"),
+            (["independence", "--trials", "100000000"],
+             "independence suite would need about 2.4e+14 updates (limit 2e+10); reduce the pair count"),
         ],
     )
     def test_unfinishable_work_refused_before_compute(self, argv, message, tmp_path, no_compute, capsys):
@@ -227,9 +238,11 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_RUNTIME
         assert capsys.readouterr() == ("", f"gexlab: {message}\n")
 
-    def test_half_sigma_pair_rejected(self, capsys):
-        assert cli.main(["gheat", "--sigma-lo", "1.0"]) == cli.EXIT_CONFIG
-        assert "--sigma-hi" in capsys.readouterr().err
+    def test_half_sigma_pair_rejected(self, tmp_path, capsys):
+        lo_only = write_config(tmp_path, {"experiment": {"sigmaLo": 1}})
+        for argv in (["gheat", "--sigma-lo", "1.0"], ["gheat", "--config", lo_only]):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"gexlab: {HALF_BAND}\n")
 
     def test_oversized_pde_grid_is_runtime_error(self, capsys):
         assert cli.main(["gheat", "--dx", "1e-30"]) == cli.EXIT_RUNTIME
@@ -457,9 +470,6 @@ class TestCltCommand:
         assert (code == 0) == report["errorsDecreasing"]
         assert report["phi"]["name"] == "square"
         assert report["envelope"]["varUpper"] == 1.0
-
-
-BAND_AND_FAMILY = "give a band (--sigma-lo, --sigma-hi) or an ambiguity family, not both"
 
 
 class TestGheatCommand:

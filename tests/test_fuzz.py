@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import per_law_reference as ref
-from gexlab.errors import ValidationError
+from gexlab import _kernels
+from gexlab.errors import SizeError, ValidationError
 from gexlab.experiments import require_mean_zero
 from gexlab.fuzz import (
+    AXIOM_TRIAL_UPDATES,
+    INDEPENDENCE_PAIR_UPDATES,
     SuiteReport,
     axiom_suite,
     capacity_duality_suite,
@@ -138,6 +141,23 @@ class TestSuites:
     def test_refuses_counts_that_are_not_whole_and_positive(self, name, run, bad):
         with pytest.raises(ValidationError, match=f"need (a whole number )?{name}"):
             run(bad)
+
+
+class TestSuiteAdmission:
+    @pytest.mark.parametrize(
+        "suite, price, what",
+        [(axiom_suite, AXIOM_TRIAL_UPDATES, "axiom suite"),
+         (independence_suite, INDEPENDENCE_PAIR_UPDATES, "independence suite")],
+        ids=["axioms", "independence"],
+    )
+    def test_refused_past_the_work_limit_before_a_draw(self, no_compute, suite, price, what):
+        # the most admitted count gets to its first draw; one more is refused before it
+        most = _kernels.MAX_WORK // (price + _kernels._STEP_COST)
+        with pytest.raises(pytest.fail.Exception, match="must not compute"):
+            suite(0, most)
+        for count in (most + 1, 10**9, 10**400):
+            with pytest.raises(SizeError, match=f"^{what} would need about .* updates"):
+                suite(0, count)
 
 
 class TestSuitesMatchPerLawRoute:

@@ -62,53 +62,58 @@ class TestGFunction:
 
 
 class TestPdeGrid:
-    def test_rejects_non_integer_cell_count(self):
-        with pytest.raises(ValidationError, match="integer"):
-            PdeGrid(0.0, 1.0, 0.3, 1e-3)
-        with pytest.raises(ValidationError, match="integer"):
-            PdeGrid(0.0, 10.0, 3.0, 1e-3)
-
-    def test_wide_grid_within_relative_tolerance(self):
-        # g_normal_solution's grid for ramp:16848015.730609644 at this dx: the
-        # rounding of 2L leaves the ratio 4e-9 short of 26 731 688 (not solved: ~1 GB)
-        dx = 1.260528116265396
-        half = 13365844 * dx
-        assert 13365844 == math.ceil((PAD_FACTOR + 16848015.730609644) / dx - 1e-9)
-        assert abs(2 * half / dx - 26731688) > 1e-9
-        assert PdeGrid(-half, half, dx, 1.0).n_cells == 26731688
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(x_min=1.0, x_max=0.0, dx=0.1, dt=1e-3),
-            dict(x_min=0.0, x_max=1.0, dx=-0.1, dt=1e-3),
-            dict(x_min=0.0, x_max=1.0, dx=0.1, dt=0.0),
+            dict(x_min=0.0, dx=-0.1, n_cells=10, dt=1e-3),
+            dict(x_min=0.0, dx=0.1, n_cells=10, dt=0.0),
+            dict(x_min=0.0, dx=math.inf, n_cells=10, dt=1e-3),
+            *(dict(x_min=0.0, dx=0.5, n_cells=n, dt=1e-3)
+              for n in (True, np.bool_(True), 2.0, 2.5, "2", 0, -1, np.int64(0))),
+            *(dict(x_min=x, dx=dx, n_cells=4, dt=1e-3)
+              for x, dx in ((math.nan, 0.5), (-math.inf, 0.5), (1e308, 1e308))),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^(dx|dt|n_cells|nodes) must be"):
             PdeGrid(**kwargs)
 
-    @pytest.mark.parametrize("dx", [1e-30, 5e-324])
-    def test_rejects_oversized_grid(self, dx):
-        with pytest.raises(SizeError, match="PDE grid would need about .* points"):
-            PdeGrid(-6.0, 6.0, dx, 1e-3)
+    @pytest.mark.parametrize(
+        "dx, n_cells",
+        [
+            pytest.param(1e-30, 12 * 10**30, id="1e-30"),  # [-6, 6] at dx = 1e-30
+            pytest.param(12.0 / (1 << 26), 1 << 26, id="2^26"),  # one node past the limit
+            pytest.param(1e-30, 10**400, id="1e400"),  # past a float: counted as inf
+        ],
+    )
+    def test_rejects_oversized_grid(self, dx, n_cells):
+        with pytest.raises(SizeError, match=r"^PDE grid would need about .* points .*; reduce n_cells$"):
+            PdeGrid(-6.0, dx, n_cells, 1e-3)
 
     def test_xs(self):
-        grid = PdeGrid(-1.0, 1.0, 0.5, 1e-2)
+        grid = PdeGrid(-1.0, 0.5, 4, 1e-2)
         assert grid.n_cells == 4
         np.testing.assert_allclose(grid.xs, [-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert type(PdeGrid(-1.0, 0.5, np.int64(4), 1e-2).n_cells) is int
+
+    def test_wide_g_normal_grid_cell_count(self, monkeypatch):
+        # g_normal_solution's grid for ramp:16848015.730609644 at this dx, taken
+        # before any march (solving it would need ~1 GB): 2 * 13 365 844 cells
+        dx = 1.260528116265396
+        monkeypatch.setattr(gheat, "solve_g_heat", lambda params, phi, grid: grid)
+        grid = g_normal_solution(BAND, make_phi("ramp", 16848015.730609644), dx=dx)
+        assert (grid.n_cells, grid.x_min, grid.dx) == (26731688, -13365844 * dx, dx)
 
 
 class TestSolver:
     def test_cfl_guard(self):
-        grid = PdeGrid(-1.0, 1.0, 0.1, 0.0051)  # sigma^2 dt/dx^2 = 0.51
+        grid = PdeGrid(-1.0, 0.1, 20, 0.0051)  # sigma^2 dt/dx^2 = 0.51
         with pytest.raises(ConfigurationError, match="dx"):
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
 
     def test_cfl_guard_when_dx_squared_underflows(self):
         # (dx / sigma_hi)**2 rounds to 0 here; the step is refused, not divided by
-        grid = PdeGrid(-1e-160, 1e-160, 1e-162, 1.0)
+        grid = PdeGrid(-1e-160, 1e-162, 200, 1.0)
         with pytest.raises(ConfigurationError, match="unstable"):
             solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
 
@@ -120,7 +125,7 @@ class TestSolver:
             return 3, u
 
         monkeypatch.setattr(gheat._kernels, "gheat_march", exploding)
-        grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
+        grid = PdeGrid(-1.0, 0.1, 20, 0.001)
         with pytest.raises(DivergenceError, match="step 3"):
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
         assert calls["n"] > 0
@@ -135,14 +140,14 @@ class TestSolver:
             return (0, u) if n_steps == 1 else march(u, cu, cd, n_steps)
 
         monkeypatch.setattr(gheat._kernels, "gheat_march", remainder_explodes)
-        grid = PdeGrid(-1.0, 1.0, 0.1, 0.0011)
+        grid = PdeGrid(-1.0, 0.1, 20, 0.0011)
         with pytest.raises(DivergenceError, match="step 909"):
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
         assert calls == [909, 1]
 
     def test_overflow_reported(self):
         # the real kernel overflows: the spike's second difference is -inf
-        grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
+        grid = PdeGrid(-1.0, 0.1, 20, 0.001)
 
         def spike(x):
             return np.where(np.abs(x) < 1e-9, 1.7e308, 0.0)
@@ -153,7 +158,7 @@ class TestSolver:
 
     def test_work_limit_refused_before_any_step(self, monkeypatch):
         # 1000 steps times (21 nodes + the per-step cost)
-        grid = PdeGrid(-1.0, 1.0, 0.1, 0.001)
+        grid = PdeGrid(-1.0, 0.1, 20, 0.001)
         work = 1000 * (21 + _kernels._STEP_COST)
         monkeypatch.setattr(_kernels, "MAX_WORK", work)
         assert solve_g_heat(GParams(1.0, 1.0), np.square, grid).steps_taken == 1000
@@ -168,18 +173,18 @@ class TestSolver:
     @pytest.mark.parametrize("dt, need", [(1e-9, r"4\.1e\+12"), (5e-324, "inf")])
     def test_fixed_cost_steps_refused(self, dt, need, no_compute):
         # 3 nodes: only the per-step cost makes 1/dt steps unfinishable; 1/5e-324 is inf
-        grid = PdeGrid(-1.0, 1.0, 1.0, dt)
+        grid = PdeGrid(-1.0, 1.0, 2, dt)
         with pytest.raises(SizeError, match=rf"^PDE march would need about {need} updates \(limit 2e\+10\)"):
             solve_g_heat(GParams(1.0, 1.0), no_compute, grid)
 
     def test_boundaries_frozen(self):
-        grid = PdeGrid(-2.0, 2.0, 0.1, 0.001)
+        grid = PdeGrid(-2.0, 0.1, 40, 0.001)
         sol = solve_g_heat(GParams(1.0, 1.0), np.square, grid)
         assert sol.u[0] == 4.0
         assert sol.u[-1] == 4.0
 
     def test_value_at_checks_nodes(self):
-        grid = PdeGrid(-1.0, 1.0, 0.5, 0.01)
+        grid = PdeGrid(-1.0, 0.5, 4, 0.01)
         sol = solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
         assert sol.value_at(-1.0) == 1.0
         for x in (0.3, float("nan"), float("inf"), -float("inf")):
@@ -196,9 +201,8 @@ class TestGNormal:
     def test_margin_widens_domain(self):
         margin, dx = 3.0, 0.1
         sol = g_normal_solution(BAND, make_phi("ramp", margin), dx=dx)
-        half_width = math.ceil((PAD_FACTOR * BAND.sigma_hi + margin) / dx) * dx
-        assert sol.grid.x_max == half_width
-        assert sol.grid.x_min == -sol.grid.x_max
+        half_cells = math.ceil((PAD_FACTOR * BAND.sigma_hi + margin) / dx)
+        assert (sol.grid.x_min, sol.grid.n_cells) == (-half_cells * dx, 2 * half_cells)
         np.testing.assert_array_equal(sol.xs, sol.grid.xs)
 
     def test_degenerate_square_exact(self):

@@ -105,7 +105,7 @@ def counting_step_calls(monkeypatch):
 def run_chain(values, law_ptr, law_k, law_p, base, out_len, n_steps):
     """``n_steps`` planned steps, each on the previous output as a sweep does,
     checked against the per-atom loop after every step."""
-    plan = _kernels.dp_plan(law_ptr, law_k, law_p, base)
+    plan = _kernels.dp_plan(law_ptr, law_k, law_p, base, len(values), out_len)
     got, want = values, values.copy()
     for _ in range(n_steps):
         got = _kernels.dp_step(got, law_ptr, law_k, law_p, base, out_len, plan=plan)
@@ -268,7 +268,7 @@ class TestDpStep:
             args = (at_offset(args[0], 8 * (i % 8)),) + args[1:]
             with np.errstate(invalid="ignore", over="ignore"):
                 got = _kernels.dp_step(*args)
-                planned = _kernels.dp_step(*args, plan=_kernels.dp_plan(*args[1:5]))
+                planned = _kernels.dp_step(*args, plan=_kernels.dp_plan(*args[1:5], len(args[0]), args[5]))
                 want = dp_step_loop_reference(*args)
             assert_loop_values(got, want)
             assert_loop_values(planned, want)
@@ -293,7 +293,7 @@ class TestDpStep:
         want = dp_step_loop_reference(values, ptr, ks, ps, 0, 3)
         assert same_bits(want, [0.0, 0.0, 2.25])
         assert_loop_values(_kernels.dp_step(values, ptr, ks, ps, 0, 3), want)
-        plan = _kernels.dp_plan(ptr, ks, ps, 0)
+        plan = _kernels.dp_plan(ptr, ks, ps, 0, len(values), 3)
         assert_loop_values(_kernels.dp_step(values, ptr, ks, ps, 0, 3, plan=plan), want)
         one_law = (values, ptr[:2], ks[:2], ps[:2], 0, 3)
         assert_loop_values(_kernels.dp_step(*one_law), np.zeros(3))
@@ -322,7 +322,7 @@ class TestBufferContract:
 
     def test_buffers_start_on_a_line(self, rng):
         args = three_law_inputs(rng, 301)
-        plan = _kernels.dp_plan(*args[1:5])
+        plan = _kernels.dp_plan(*args[1:5], 301, args[5])
         out = _kernels.dp_step(*args, plan=plan)
         buffers = [*plan.outs, plan.acc, plan.scratch, *plan.shared]
         assert len(plan.shared) == 3
@@ -339,7 +339,7 @@ class TestBufferContract:
         # each step reads the previous step's output, as a sweep does; the
         # plan's two outputs take turns, so no step writes over its input
         values, law_ptr, law_k, law_p, base, out_len = three_law_inputs(rng, 301)
-        plan = _kernels.dp_plan(law_ptr, law_k, law_p, base)
+        plan = _kernels.dp_plan(law_ptr, law_k, law_p, base, len(values), out_len)
         got, want = at_offset(values, offset), values
         for _ in range(5):
             prev, prev_bits = got, got.copy()
@@ -352,6 +352,7 @@ class TestBufferContract:
 
 CHAIN_STEPS = 130  # reach 4: 541 points down to 21
 COIN = (np.array([0, 2]), np.array([-1, 1]), np.array([0.5, 0.5]), 1)  # one law on +-1, reach 2
+DIRAC = (np.array([0, 1]), np.array([0]), np.array([1.0]), 0)  # one law at 0, reach 0
 
 
 class TestCallLists:
@@ -367,10 +368,19 @@ class TestCallLists:
         # both reused and rebuilt
         assert len(built) == kept_list_bound(CHAIN_STEPS, 4) > 3
 
-    def test_reserve_zeroes_both_output_rows(self):
-        plan = _kernels.dp_plan(*COIN)
-        plan.reserve(40, 38)
+    def test_new_plan_zeroes_both_output_rows(self):
+        plan = _kernels.dp_plan(*COIN, 40, 38)
         assert all(same_bits(row, np.zeros(38)) for row in plan.outs)
+
+    @pytest.mark.parametrize("family, n_in", [(COIN, 41), (COIN, 40), (DIRAC, 1)], ids=["coin41", "coin40", "dirac1"])
+    def test_step_longer_than_plan_is_refused(self, rng, family, n_in):
+        # a plan is sized once, for its sweep: a step with more outputs is
+        # refused, also where NumPy would broadcast a 1-point input into the
+        # plan's shorter rows without complaint, and nothing regrows
+        plan = _kernels.dp_plan(*family, 40, 38)
+        with pytest.raises(ValueError, match="^a step of 39 outputs exceeds its plan's 38$"):
+            _kernels.dp_step(rng.normal(size=n_in), *family, 39, plan=plan)
+        assert len(plan.outs[0]) == len(plan.outs[1]) == len(plan.acc) == 38
 
     def test_dont_care_slots_raise_no_flag(self, rng):
         values, *family, out_len = three_law_inputs(rng, 4 * CHAIN_STEPS + 21)
@@ -382,7 +392,7 @@ class TestCallLists:
         # a kept list would read the row past the 3 valid points; the step
         # must instead read only what it is given, as the per-atom loop does:
         # a 1-point slice broadcasts (out_len 2 and 3), a longer short one fails
-        plan = _kernels.dp_plan(*COIN)
+        plan = _kernels.dp_plan(*COIN, 9, 7)
         last = rng.normal(size=9)
         for n in (7, 5, 3):
             last = _kernels.dp_step(last, *COIN, n, plan=plan)
@@ -542,7 +552,7 @@ class TestGheatMarchBits:
     @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
     def test_solve_matches_formula(self, monkeypatch, phi, sigma_lo):
         # 1 / 0.0011 is not whole: 909 steps, then a remainder step
-        grid = PdeGrid(-3.0, 3.0, 0.05, 0.0011)
+        grid = PdeGrid(-3.0, 0.05, 120, 0.0011)
         params = GParams(sigma_lo, 1.0)
         got = solve_g_heat(params, phi, grid)
         monkeypatch.setattr(gheat._kernels, "gheat_march", gheat_march_formula)
@@ -595,7 +605,7 @@ class TestGheatMarchBits:
         phi = make_phi("abs")
         for lo, hi in [(0.0, 1.0), (0.3, 0.7), (1.0, 1.0), (1e-170, 1e-170), (0.9999, 1.0)]:
             g_normal_solution(GParams(lo, hi), phi, dx=0.1 * hi)
-            grid = PdeGrid(-6.0 * hi, 6.0 * hi, 0.1 * hi, 0.0031)
+            grid = PdeGrid(-6.0 * hi, 0.1 * hi, 120, 0.0031)
             solve_g_heat(GParams(lo, hi), phi, grid)
         assert len(seen) > 10
         assert all(0.0 <= cd <= cu for cu, cd in seen)

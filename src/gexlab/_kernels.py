@@ -36,7 +36,9 @@ def _admit(what, points, steps, terms, remedy):
     work = steps * terms * (points + _STEP_COST)
     for need, limit, unit in ((points, MAX_GRID_POINTS, "points"), (work, MAX_WORK, "updates")):
         if not need <= limit:
-            raise SizeError(f"{what} would need about {need:.3g} {unit} (limit {limit:.3g}); {remedy}")
+            # the fewest digits, 3 or more, at which the need reads above the limit (17 show any float)
+            d = next(n for n in range(3, 18) if float(f"{need:.{n}g}") > float(f"{limit:.{n}g}"))
+            raise SizeError(f"{what} would need about {need:.{d}g} {unit} (limit {limit:.{d}g}); {remedy}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +296,12 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
 # difference).  Returns (bad_step, result): bad_step is the index of the
 # first step that produced a non-finite value, or -1 on success.
 #
-# Precondition: 0 <= cd <= cu (solve_g_heat has cd/cu = (sigma_lo/sigma_hi)^2
-# and scales both alike for a remainder step).  Then the update equals
-# max(cu*d2, cd*d2), computed in place on two scratch buffers: 7 ufunc calls
-# per step and no allocation.  The two forms differ only in the sign of a
-# zero increment: max gives -0.0 where the two-max form gives +0.0 when cd*d2
-# rounds to zero for d2 < 0, which changes bits only at a node holding -0.0.
+# Precondition: 0 <= cd <= cu (solve_g_heat has cd/cu = (sigma_lo/sigma_hi)^2).
+# Then the update equals max(cu*d2, cd*d2), computed in place on two scratch
+# buffers: 7 ufunc calls per step and no allocation.  The two forms differ
+# only in the sign of a zero increment: max gives -0.0 where the two-max form
+# gives +0.0 when cd*d2 rounds to zero for d2 < 0, which changes bits only at
+# a node holding -0.0.
 # With cd == 0 that happens for every d2 < 0 (negabs holds -0.0 at x = 0), so
 # that case uses cu*(d2 - min(d2, 0)): the two-max form bit for bit, also
 # when d2 overflows to -inf (NaN, so the march still fails there).

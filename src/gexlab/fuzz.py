@@ -32,9 +32,14 @@ SUITE_TOL = 1e-12
 THRESHOLD_GRID = 5  # thresholds per family in independence_suite's panel
 # What _kernels' admission prices one trial at, in updates, so that a suite is
 # refused where a march is, at ~45 s of work: measured (2-vCPU Xeon, NumPy
-# 2.4) ~0.42 ms per axiom trial and ~5.4 ms per independence pair.
+# 2.4) ~0.42 ms per axiom trial and ~5.4 ms per independence pair.  A duality
+# event, with the per-step cost, is priced at ~32 us and a duality set's draw
+# at DUALITY_SET_EVENTS events: measured on the same kind of host ~24-37 us
+# per event (0.076 of an axiom trial) and ~0.13-0.14 ms per set.
 AXIOM_TRIAL_UPDATES = 180_000
 INDEPENDENCE_PAIR_UPDATES = 2_400_000
+DUALITY_EVENT_UPDATES = 10_000
+DUALITY_SET_EVENTS = 6
 
 
 def random_catalog_phi(rng: np.random.Generator) -> PhiSpec:
@@ -205,10 +210,16 @@ def axiom_suite(seed: int, trials: int = 200) -> SuiteReport:
 
 
 def capacity_duality_suite(seed: int, n_sets: int = 20, n_events: int = 100) -> SuiteReport:
-    """V(A) + v(complement of A) = 1 over random interval events."""
+    """V(A) + v(complement of A) = 1 over random interval events.
+
+    Raises SizeError, before any draw, when ``_kernels`` refuses the sets'
+    and events' priced work.
+    """
     n_sets = _check_n(n_sets, what="n_sets")
     n_events = _check_n(n_events, what="n_events")
     seed = _check_n(seed, what="seed", low=0)
+    terms = n_events + DUALITY_SET_EVENTS
+    _kernels._admit("capacity duality suite", DUALITY_EVENT_UPDATES, n_sets, terms, "reduce n_sets or n_events")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_sets):

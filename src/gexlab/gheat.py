@@ -3,10 +3,10 @@
 
 Marching the terminal profile phi for unit time at x = 0 yields the
 sublinear expectation of phi under the limiting law with volatility band
-``[lo, hi]``.  The march always ends at t = 1: G is positively homogeneous,
-so ``u(tau, .)`` for the band ``[lo, hi]`` is the t = 1 solution for the
-band ``[lo * sqrt(tau), hi * sqrt(tau)]``.  A Gaussian quadrature oracle
-covers the classical corner ``lo == hi``.
+``[lo, hi]``, in the grid's whole number of equal steps.  The march always
+ends at t = 1: G is positively homogeneous, so ``u(tau, .)`` for the band
+``[lo, hi]`` is the t = 1 solution for ``[lo * sqrt(tau), hi * sqrt(tau)]``.
+A Gaussian quadrature oracle covers the classical corner ``lo == hi``.
 """
 
 from __future__ import annotations
@@ -65,28 +65,32 @@ def g_function(params: GParams, a):
 class PdeGrid:
     """Uniform space-time grid for the explicit scheme.
 
-    Its ``n_cells + 1`` nodes are ``x_min + j * dx``, j = 0 .. n_cells, so
-    the cell count is given, never recovered from the domain's end.
+    Its ``n_cells + 1`` nodes are ``x_min + j * dx``, j = 0 .. n_cells, and
+    its ``n_steps`` steps of ``dt = 1 / n_steps`` end at t = 1.  Both counts
+    are given, never recovered from floats, and ``_kernels`` admits them.
     """
 
     x_min: float
     dx: float
     n_cells: int
-    dt: float
+    n_steps: int
 
     def __post_init__(self):
-        n = self.n_cells
-        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"n_cells must be an integer >= 1, got {n!r}")
-        object.__setattr__(self, "n_cells", int(n))
+        for name in ("n_cells", "n_steps"):
+            n = getattr(self, name)
+            if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if not (np.isfinite(self.dx) and self.dx > 0.0):
             raise ValidationError(f"dx must be positive, got {self.dx!r}")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        _kernels._admit("PDE grid", self.n_cells + 1, 0.0, 1.0, "reduce n_cells")
+        _kernels._admit("PDE grid", self.n_cells + 1, self.n_steps, 1.0, "reduce n_cells or n_steps")
         last = self.x_min + self.n_cells * self.dx
         if not np.isfinite(last):  # finite only if x_min is, and then so is every node between
             raise ValidationError(f"nodes must be finite, got x_min {self.x_min!r}, last node {last!r}")
+
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.n_steps
 
     @property
     def xs(self) -> np.ndarray:
@@ -99,7 +103,10 @@ class PdeSolution:
 
     grid: PdeGrid
     u: np.ndarray = field(repr=False)
-    steps_taken: int
+
+    @property
+    def steps_taken(self) -> int:
+        return self.grid.n_steps
 
     @property
     def xs(self) -> np.ndarray:
@@ -121,14 +128,12 @@ def _square_ratio(a: float, b: float) -> float:
 
 
 def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
-    """Explicit monotone march of the terminal profile to t = 1.
+    """Explicit monotone march of the terminal profile to t = 1 in ``grid.n_steps`` steps.
 
-    ``floor(1/dt)`` whole steps are followed by one step scaled to the
-    remainder, if any.  The second difference is frozen to zero at both
-    boundaries, so the domain must be wide enough that the boundary error
-    stays negligible.  Raises ConfigurationError when the parabolic step
-    bound ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails, and SizeError, before
-    any step, when ``_kernels`` refuses the march's work.
+    The second difference is frozen to zero at both boundaries, so the
+    domain must be wide enough that the boundary error stays negligible.
+    Raises ConfigurationError when the parabolic step bound
+    ``sigma_hi^2 * dt / dx^2 <= 1/2`` fails (the grid admitted the work).
     """
     # The squares of dx and sigma_hi can overflow or underflow a float on
     # their own; the scheme needs only their ratio.
@@ -138,29 +143,21 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
         raise ConfigurationError(
             f"unstable step: sigma_hi^2*dt/dx^2 = {cfl:.6g} exceeds {CFL_LIMIT}"
         )
-    _kernels._admit("PDE march", grid.n_cells + 1, 1.0 / grid.dt, 1.0, "increase dx")
-    n_full = int(math.floor(1.0 / grid.dt + 1e-12))
     u = evaluate_on(phi, grid.xs)
     cu = 0.5 * grid.dt / r2
     cd = 0.5 * grid.dt * _square_ratio(params.sigma_lo, params.sigma_hi) / r2
-    bad, u = _kernels.gheat_march(u, cu, cd, n_full)
+    bad, u = _kernels.gheat_march(u, cu, cd, grid.n_steps)
     if bad >= 0:
         raise DivergenceError(f"solution became non-finite at time step {bad}")
-    rem = 1.0 - n_full * grid.dt
-    if rem < 1e-12 * max(grid.dt, 1.0):
-        return PdeSolution(grid, u, n_full)
-    scale = rem / grid.dt
-    bad, u = _kernels.gheat_march(u, cu * scale, cd * scale, 1)
-    if bad >= 0:
-        raise DivergenceError(f"solution became non-finite at time step {n_full}")
-    return PdeSolution(grid, u, n_full + 1)
+    return PdeSolution(grid, u)
 
 
 def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> PdeSolution:
     """Solve to t = 1 on a symmetric domain sized from the volatility band.
 
     The half width is ``PAD_FACTOR * sigma_hi`` plus any shift margin the
-    test function declares, rounded up to a whole number of cells.  For
+    test function declares, rounded up to a whole number of cells.  The
+    step count is the least with ``dt <= 0.4 * (dx / sigma_hi)^2``.  For
     ``u`` at another time tau, solve with the band scaled by ``sqrt(tau)``:
     ``GParams(lo * sqrt(tau), hi * sqrt(tau))``.
     """
@@ -170,9 +167,11 @@ def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) ->
     half_width = PAD_FACTOR * params.sigma_hi + margin
     half_cells = half_width / dx
     dt = min(0.4 * _square_ratio(dx, params.sigma_hi), 1.0)
-    _kernels._admit("PDE march", 2.0 * half_cells + 1.0, 1.0 / dt if dt else math.inf, 1.0, "increase dx")
+    steps = 1.0 / dt if dt else math.inf
+    # in floats, so that an inf count is refused here, before ceil would raise on it
+    _kernels._admit("PDE march", 2.0 * half_cells + 1.0, steps, 1.0, "increase dx")
     n_half = max(1, int(math.ceil(half_cells - 1e-9)))
-    return solve_g_heat(params, phi, PdeGrid(-n_half * dx, dx, 2 * n_half, dt))
+    return solve_g_heat(params, phi, PdeGrid(-n_half * dx, dx, 2 * n_half, math.ceil(steps)))
 
 
 def g_normal_expectation(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> float:

@@ -223,7 +223,7 @@ class TestIdentitySemantics:
         assert {family: 1}[family] == 1
 
     def test_array_holding_results_hash_by_identity(self):
-        sol = PdeSolution(PdeGrid(-1.0, 0.5, 4, 0.1), np.zeros(5), 1)
+        sol = PdeSolution(PdeGrid(-1.0, 0.5, 4, 10), np.zeros(5))
         assert sol == sol
         assert sol in {sol}
 

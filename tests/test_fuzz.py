@@ -9,6 +9,8 @@ from gexlab.errors import SizeError, ValidationError
 from gexlab.experiments import require_mean_zero
 from gexlab.fuzz import (
     AXIOM_TRIAL_UPDATES,
+    DUALITY_EVENT_UPDATES,
+    DUALITY_SET_EVENTS,
     INDEPENDENCE_PAIR_UPDATES,
     SuiteReport,
     axiom_suite,
@@ -158,6 +160,16 @@ class TestSuiteAdmission:
         for count in (most + 1, 10**9, 10**400):
             with pytest.raises(SizeError, match=f"^{what} would need about .* updates"):
                 suite(0, count)
+
+    def test_capacity_duality_refused_past_the_work_limit_before_a_draw(self, no_compute):
+        # a set's draw is priced as DUALITY_SET_EVENTS events: the most events one set
+        # is admitted get to its draw; one more, or 10^9 sets of 10^9 events, is refused
+        most = _kernels.MAX_WORK // (DUALITY_EVENT_UPDATES + _kernels._STEP_COST) - DUALITY_SET_EVENTS
+        with pytest.raises(pytest.fail.Exception, match="must not compute"):
+            capacity_duality_suite(0, n_sets=1, n_events=most)
+        for n_sets, n_events in ((1, most + 1), (10**9, 10**9), (10**400, 1), (1, 10**400)):
+            with pytest.raises(SizeError, match="^capacity duality suite would need about .* updates"):
+                capacity_duality_suite(0, n_sets=n_sets, n_events=n_events)
 
 
 class TestSuitesMatchPerLawRoute:

@@ -65,17 +65,18 @@ class TestPdeGrid:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(x_min=0.0, dx=-0.1, n_cells=10, dt=1e-3),
-            dict(x_min=0.0, dx=0.1, n_cells=10, dt=0.0),
-            dict(x_min=0.0, dx=math.inf, n_cells=10, dt=1e-3),
-            *(dict(x_min=0.0, dx=0.5, n_cells=n, dt=1e-3)
+            dict(x_min=0.0, dx=-0.1, n_cells=10, n_steps=1000),
+            dict(x_min=0.0, dx=math.inf, n_cells=10, n_steps=1000),
+            *(dict(x_min=0.0, dx=0.5, n_cells=n, n_steps=1000)
               for n in (True, np.bool_(True), 2.0, 2.5, "2", 0, -1, np.int64(0))),
-            *(dict(x_min=x, dx=dx, n_cells=4, dt=1e-3)
+            *(dict(x_min=0.0, dx=0.5, n_cells=4, n_steps=n)
+              for n in (True, np.bool_(True), 1000.0, 1e-3, 0.0, "2", 0, -1, np.int64(0))),
+            *(dict(x_min=x, dx=dx, n_cells=4, n_steps=1000)
               for x, dx in ((math.nan, 0.5), (-math.inf, 0.5), (1e308, 1e308))),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValidationError, match="^(dx|dt|n_cells|nodes) must be"):
+        with pytest.raises(ValidationError, match="^(dx|n_cells|n_steps|nodes) must be"):
             PdeGrid(**kwargs)
 
     @pytest.mark.parametrize(
@@ -87,14 +88,15 @@ class TestPdeGrid:
         ],
     )
     def test_rejects_oversized_grid(self, dx, n_cells):
-        with pytest.raises(SizeError, match=r"^PDE grid would need about .* points .*; reduce n_cells$"):
-            PdeGrid(-6.0, dx, n_cells, 1e-3)
+        with pytest.raises(SizeError, match=r"^PDE grid would need about .* points .*; reduce n_cells or n_steps$"):
+            PdeGrid(-6.0, dx, n_cells, 1000)
 
     def test_xs(self):
-        grid = PdeGrid(-1.0, 0.5, 4, 1e-2)
-        assert grid.n_cells == 4
+        grid = PdeGrid(-1.0, 0.5, 4, 100)
+        assert (grid.n_cells, grid.n_steps, grid.dt) == (4, 100, 0.01)
         np.testing.assert_allclose(grid.xs, [-1.0, -0.5, 0.0, 0.5, 1.0])
-        assert type(PdeGrid(-1.0, 0.5, np.int64(4), 1e-2).n_cells) is int
+        grid = PdeGrid(-1.0, 0.5, np.int64(4), np.int64(100))
+        assert type(grid.n_cells) is type(grid.n_steps) is int
 
     def test_wide_g_normal_grid_cell_count(self, monkeypatch):
         # g_normal_solution's grid for ramp:16848015.730609644 at this dx, taken
@@ -107,13 +109,13 @@ class TestPdeGrid:
 
 class TestSolver:
     def test_cfl_guard(self):
-        grid = PdeGrid(-1.0, 0.1, 20, 0.0051)  # sigma^2 dt/dx^2 = 0.51
+        grid = PdeGrid(-1.0, 0.1, 20, 196)  # sigma^2 dt/dx^2 = 0.5102
         with pytest.raises(ConfigurationError, match="dx"):
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
 
     def test_cfl_guard_when_dx_squared_underflows(self):
         # (dx / sigma_hi)**2 rounds to 0 here; the step is refused, not divided by
-        grid = PdeGrid(-1e-160, 1e-162, 200, 1.0)
+        grid = PdeGrid(-1e-160, 1e-162, 200, 1)
         with pytest.raises(ConfigurationError, match="unstable"):
             solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
 
@@ -125,29 +127,14 @@ class TestSolver:
             return 3, u
 
         monkeypatch.setattr(gheat._kernels, "gheat_march", exploding)
-        grid = PdeGrid(-1.0, 0.1, 20, 0.001)
+        grid = PdeGrid(-1.0, 0.1, 20, 1000)
         with pytest.raises(DivergenceError, match="step 3"):
             solve_g_heat(GParams(1.0, 1.0), np.square, grid)
         assert calls["n"] > 0
 
-    def test_divergence_on_remainder_step_reported(self, monkeypatch):
-        # 909 whole steps of dt = 0.0011, then one step scaled to the remainder
-        march = gheat._kernels.gheat_march
-        calls = []
-
-        def remainder_explodes(u, cu, cd, n_steps):
-            calls.append(n_steps)
-            return (0, u) if n_steps == 1 else march(u, cu, cd, n_steps)
-
-        monkeypatch.setattr(gheat._kernels, "gheat_march", remainder_explodes)
-        grid = PdeGrid(-1.0, 0.1, 20, 0.0011)
-        with pytest.raises(DivergenceError, match="step 909"):
-            solve_g_heat(GParams(1.0, 1.0), np.square, grid)
-        assert calls == [909, 1]
-
     def test_overflow_reported(self):
         # the real kernel overflows: the spike's second difference is -inf
-        grid = PdeGrid(-1.0, 0.1, 20, 0.001)
+        grid = PdeGrid(-1.0, 0.1, 20, 1000)
 
         def spike(x):
             return np.where(np.abs(x) < 1e-9, 1.7e308, 0.0)
@@ -157,34 +144,33 @@ class TestSolver:
                 solve_g_heat(GParams(1.0, 1.0), spike, grid)
 
     def test_work_limit_refused_before_any_step(self, monkeypatch):
-        # 1000 steps times (21 nodes + the per-step cost)
-        grid = PdeGrid(-1.0, 0.1, 20, 0.001)
+        # 1000 steps times (21 nodes + the per-step cost); the grid admits them when built
         work = 1000 * (21 + _kernels._STEP_COST)
         monkeypatch.setattr(_kernels, "MAX_WORK", work)
-        assert solve_g_heat(GParams(1.0, 1.0), np.square, grid).steps_taken == 1000
+        assert solve_g_heat(GParams(1.0, 1.0), np.square, PdeGrid(-1.0, 0.1, 20, 1000)).steps_taken == 1000
         monkeypatch.setattr(_kernels, "MAX_WORK", work - 1)
+        # the need reads above its limit, to as many digits as that takes
+        with pytest.raises(SizeError, match=r"^PDE grid would need about 4117000 updates \(limit 4116999\); reduce n_cells or n_steps$"):
+            PdeGrid(-1.0, 0.1, 20, 1000)
 
-        def unread(x):
-            raise AssertionError("phi must not be evaluated")
-
-        with pytest.raises(SizeError, match=r"^PDE march would need about 4\.12e\+06 updates \(limit 4\.12e\+06\); increase dx$"):
-            solve_g_heat(GParams(1.0, 1.0), unread, grid)
-
-    @pytest.mark.parametrize("dt, need", [(1e-9, r"4\.1e\+12"), (5e-324, "inf")])
-    def test_fixed_cost_steps_refused(self, dt, need, no_compute):
-        # 3 nodes: only the per-step cost makes 1/dt steps unfinishable; 1/5e-324 is inf
-        grid = PdeGrid(-1.0, 1.0, 2, dt)
-        with pytest.raises(SizeError, match=rf"^PDE march would need about {need} updates \(limit 2e\+10\)"):
-            solve_g_heat(GParams(1.0, 1.0), no_compute, grid)
+    @pytest.mark.parametrize(
+        "n_steps, need",
+        [pytest.param(10**9, r"4\.1e\+12", id="1e9"), pytest.param(10**400, "inf", id="1e400")],
+    )
+    def test_fixed_cost_steps_refused(self, n_steps, need, no_compute):
+        # 3 nodes: only the per-step cost makes the steps unfinishable; 10**400 is past a float.
+        # The grid refuses them when it is built, so no solve can evaluate phi.
+        with pytest.raises(SizeError, match=rf"^PDE grid would need about {need} updates \(limit 2e\+10\)"):
+            solve_g_heat(GParams(1.0, 1.0), no_compute, PdeGrid(-1.0, 1.0, 2, n_steps))
 
     def test_boundaries_frozen(self):
-        grid = PdeGrid(-2.0, 0.1, 40, 0.001)
+        grid = PdeGrid(-2.0, 0.1, 40, 1000)
         sol = solve_g_heat(GParams(1.0, 1.0), np.square, grid)
         assert sol.u[0] == 4.0
         assert sol.u[-1] == 4.0
 
     def test_value_at_checks_nodes(self):
-        grid = PdeGrid(-1.0, 0.5, 4, 0.01)
+        grid = PdeGrid(-1.0, 0.5, 4, 100)
         sol = solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
         assert sol.value_at(-1.0) == 1.0
         for x in (0.3, float("nan"), float("inf"), -float("inf")):
@@ -197,6 +183,20 @@ class TestGNormal:
     def test_rejects_bad_dx(self, dx):
         with pytest.raises(ValidationError, match="dx must be positive"):
             g_normal_solution(BAND, make_phi("square"), dx=dx)
+
+    @pytest.mark.parametrize("dx, n_steps", [(0.04, 1563), (0.02, 6250), (0.01, 25000), (0.005, 100000)])
+    def test_one_march_of_whole_steps(self, monkeypatch, dx, n_steps):
+        # the least count with dt <= 0.4 (dx / sigma_hi)^2, marched in one kernel call
+        calls = []
+
+        def recording(u, cu, cd, steps):
+            calls.append(steps)
+            return -1, u
+
+        monkeypatch.setattr(gheat._kernels, "gheat_march", recording)
+        sol = g_normal_solution(BAND, make_phi("abs"), dx=dx)
+        assert calls == [sol.steps_taken] == [sol.grid.n_steps] == [n_steps]
+        assert sol.grid.dt <= 0.4 * dx * dx < 1.0 / (n_steps - 1)
 
     def test_margin_widens_domain(self):
         margin, dx = 3.0, 0.1

@@ -112,7 +112,7 @@ class TestSumExpectation:
         def unread(x):
             raise AssertionError("phi must not be evaluated")
 
-        with pytest.raises(SizeError, match=r"^lattice sweep would need about 3\.28e\+04 updates \(limit 3\.28e\+04\); reduce n or the atom span$"):
+        with pytest.raises(SizeError, match=r"^lattice sweep would need about 32840 updates \(limit 32839\); reduce n or the atom span$"):
             sum_expectations(ref_set, [1, 2], unread)
 
     def test_fixed_cost_steps_refused(self, no_compute):

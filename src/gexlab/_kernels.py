@@ -140,6 +140,16 @@ def _aligned_rows(*sizes):
 # step would cost two of the reference family's 13 array streams per step,
 # for zeros that nothing reads before the origin.
 #
+# Rows and strips.  Each of the plan's two output rows sits `margin` =
+# max(base, 0) slots into a row of input width, on a line: outs[t] is
+# rows[t][margin : margin + n_out].  Output slot i thus lies where input
+# slot i + base lies in a row read whole, so a sweep can hold its block:
+# a held step reads rows[t ^ 1] entire, that is the last outputs plus
+# `base` strip slots before them and reach - base after, and writes
+# outs[t].  No step writes a strip, so the strips keep what the sweep put
+# in both rows before its first held step (_hold), and the held sweep
+# pays those values wherever the sum leaves the outputs' block.
+#
 # Call lists per block.  A step's calls depend only on the family, on the
 # rows they read and write, and on the number of outputs, yet slicing the
 # plan's buffers anew at every length cost a third of a short step: over an
@@ -147,19 +157,23 @@ def _aligned_rows(*sizes):
 # sliced anew and 3.58 us with kept lists, both still ending with the add
 # of 0.0 (3.15 us without it).  So a step's calls are built as one list
 # over views of a fixed length, and the plan keeps one list per ping-pong
-# direction.  A step reuses the list of its direction only when
-# - it is handed back the plan's last output (its input is then that row),
+# direction, with what it read: the plan's last output, or the whole row
+# around it (a held step).  A step reuses the list of its direction only
+# when
+# - it is handed back what that list read (the same row, from the same slot),
 # - len(values) >= out_len + reach, and
 # - the list's length, its block, is out_len .. out_len + _SLACK points;
 # otherwise it builds a list at exactly out_len, as a sweep's first step
-# and the no-plan form always do.  A reused list computes `block` outputs,
-# and slots [out_len, block) hold don't-care values.  No valid output reads
-# one: output i < out_len reads inputs up to i + reach < out_len + reach <=
-# len(values), all of them the previous step's valid outputs.  A list is
+# and the no-plan form always do.  A held sweep's steps all have one
+# length, so each direction reuses one list until the block shrinks.  A
+# reused list computes `block` outputs, and slots [out_len, block) hold
+# don't-care values.  No valid output reads one: output i < out_len reads
+# inputs up to i + reach < out_len + reach <= len(values), all of them the
+# previous step's valid outputs (or strips).  A list is
 # kept only when its whole input span held valid values, so past
-# len(values) it reads earlier outputs of the plan or the zeros dp_plan
-# fills both rows with: no step reads uninitialised memory.  On
-# finite data a don't-care value is thus a probability-weighted sum of
+# len(values) it reads earlier outputs of the plan, strip values or the
+# zeros dp_plan fills both rows with: no step reads uninitialised memory.
+# On finite data a don't-care value is thus a probability-weighted sum of
 # finite values like any other.  A list of a block near out_len wastes a
 # few points of arithmetic per call and saves one Python slice per view.
 # _SLACK was chosen by timing sweeps of one process over every candidate in
@@ -168,12 +182,18 @@ def _aligned_rows(*sizes):
 # family took 78.1 / 61.1 / 58.9 / 57.6 / 59.0 / 57.8 ms and dp-scan's
 # two-law, three-atom shape 151.3 / 125.9 / 122.0 / 118.9 / 118.5 /
 # 116.3 ms; at n = 512 both stay flat from 64 to 512.  256 sits mid-plateau.
+# With held sweeps only the shrinking tail (~radius / K steps) uses it, and
+# it still pays (same host, medians of 15 rounds, _SLACK = 0 / 32 / 128 /
+# 256 / 512): at n = 4096 the reference family took 21.9 / 19.9 / 19.5 /
+# 19.4 / 19.5 ms and the dp-scan shape 42.2 / 39.7 / 39.5 / 38.8 / 39.3 ms;
+# at n = 512, 2.75 / 2.09 / 2.00 / 1.99 / 1.95 and 4.44 / 3.53 / 3.40 /
+# 3.37 / 3.42 ms.
 # Precondition: at least one law, every law has at least one atom, and
 # every atom's start base + k_j is >= 0.
 #
 # dp_plan holds what depends on the family only: the distinct shared
 # probabilities, each atom's start, the 0-d probabilities and reach.  It
-# also owns the work buffers: two outputs used in turn, the law
+# also owns the work buffers: two rows used in turn, the law
 # accumulator, the unshared-product scratch and one product per shared
 # probability, sized when the plan is built for one sweep, whose first step
 # is its largest; a step with more outputs raises ValueError.  `plan` is
@@ -193,15 +213,21 @@ class _DpPlan:
     """Per-family constants, work buffers and call lists of ``dp_step``; see ``dp_plan``."""
 
     __slots__ = (
-        "shared_p", "laws", "zero", "reach", "outs", "acc", "scratch", "shared", "turn", "last", "lists",
+        "shared_p", "laws", "zero", "reach", "margin", "rows", "outs", "acc", "scratch", "shared", "turn", "last",
+        "lists",
     )
 
-    def __init__(self, shared_p, laws, reach, n_in, n_out):
+    def __init__(self, shared_p, laws, reach, base, n_in, n_out):
         self.shared_p, self.laws, self.zero, self.reach = shared_p, laws, np.array(0.0), reach
-        rows = _aligned_rows(n_out, n_out, n_out, n_out, *[n_in] * len(shared_p))
-        self.outs, self.acc, self.scratch, self.shared = rows[:2], rows[2], rows[3], rows[4:]
-        for row in self.outs:  # a kept call list reads its input row past the valid values
+        # each output row sits `margin` slots into a row of input width, on a line
+        margin = self.margin = max(base, 0)
+        width, pad = max(n_in, margin + n_out), -margin % _LINE
+        rows = _aligned_rows(pad + width, pad + width, n_out, n_out, *[n_in] * len(shared_p))
+        self.acc, self.scratch, self.shared = rows[2], rows[3], rows[4:]
+        self.rows = [row[pad:] for row in rows[:2]]
+        for row in self.rows:  # a kept call list reads its input row past the valid values
             row.fill(0.0)
+        self.outs = [row[margin : margin + n_out] for row in self.rows]
         self.turn, self.last, self.lists = 0, None, [None, None]
 
 
@@ -214,8 +240,9 @@ def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
     into ``shared_p`` or -1 and ``p`` the atom's 0-d probability; ``zero``
     is a 0-d 0.0; ``reach`` is the largest start.  The buffers are sized
     when the plan is built, for one sweep: inputs of up to ``n_in`` and
-    outputs of up to ``n_out`` points, both output rows zero-filled.  The
-    call lists are kept by the steps that reuse them.
+    outputs of up to ``n_out`` points, both rows zero-filled, each output
+    row ``outs[t]`` ``margin`` slots into its row ``rows[t]``.  The call
+    lists are kept by the steps that reuse them.
     """
     probs = law_p.tolist()
     uses = {}
@@ -229,7 +256,7 @@ def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
     atoms = [(s, slot.get(p, -1), np.array(p)) for s, p in zip(starts, probs)]
     ptr = law_ptr.tolist()
     laws = [(atoms[a], atoms[a + 1 : b]) for a, b in zip(ptr, ptr[1:])]
-    return _DpPlan([np.array(p) for p in slot], laws, max(starts), n_in, n_out)
+    return _DpPlan([np.array(p) for p in slot], laws, max(starts), base, n_in, n_out)
 
 
 def _step_calls(plan, values, out, n):
@@ -270,14 +297,15 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     if plan is None:
         plan = dp_plan(law_ptr, law_k, law_p, base, len(values), out_len)
     turn = plan.turn = plan.turn ^ 1
-    handed_back = values is plan.last and len(values) >= out_len + plan.reach
+    held = values is plan.rows[turn ^ 1]  # a held step reads the whole row around the last output
+    handed_back = (held or values is plan.last) and len(values) >= out_len + plan.reach
     kept = plan.lists[turn]
-    if handed_back and kept is not None and out_len <= kept[0] <= out_len + _SLACK:
+    if handed_back and kept is not None and kept[2] == held and out_len <= kept[0] <= out_len + _SLACK:
         calls = kept[1]
     else:
         calls = _step_calls(plan, values, plan.outs[turn], out_len)
         if handed_back:
-            plan.lists[turn] = (out_len, calls)
+            plan.lists[turn] = (out_len, calls, held)
     for f, a, b, result in calls:
         if f is None:
             np.maximum(a, b, out=result)
@@ -285,6 +313,31 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
             f(a, b, result)
     plan.last = plan.outs[turn][:out_len]
     return plan.last
+
+
+def _hold(plan, window):
+    """Put ``window`` in both of the plan's rows and return the one the first held step reads.
+
+    A held step reads a whole row: its ``margin`` strip slots, the previous
+    step's outputs and the strip slots after them.  No step writes a strip,
+    so both rows keep the strips' window values for the whole sweep.
+    """
+    for row in plan.rows:
+        row[: len(window)] = window
+    return plan.rows[plan.turn]
+
+
+def _held_row(plan, out):
+    """The row around ``out``, the last held step's outputs, for the next held step to read.
+
+    ``out`` is a step's result; one that is not the plan's last output (a
+    stand-in for ``dp_step`` returns a fresh array) is copied into the row
+    first.
+    """
+    row = plan.rows[plan.turn]
+    if out is not plan.last:
+        row[plan.margin : plan.margin + len(out)] = out
+    return row
 
 
 # ---------------------------------------------------------------------------

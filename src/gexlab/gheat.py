@@ -168,10 +168,11 @@ def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) ->
     half_cells = half_width / dx
     dt = min(0.4 * _square_ratio(dx, params.sigma_hi), 1.0)
     steps = 1.0 / dt if dt else math.inf
-    # in floats, so that an inf count is refused here, before ceil would raise on it
-    _kernels._admit("PDE march", 2.0 * half_cells + 1.0, steps, 1.0, "increase dx")
-    n_half = max(1, int(math.ceil(half_cells - 1e-9)))
-    return solve_g_heat(params, phi, PdeGrid(-n_half * dx, dx, 2 * n_half, math.ceil(steps)))
+    # the counts the grid gets; an inf one is refused here, before ceil would raise on it
+    n_half = max(1, math.ceil(half_cells - 1e-9)) if half_cells < math.inf else math.inf
+    n_steps = math.ceil(steps) if steps < math.inf else math.inf
+    _kernels._admit("PDE march", 2 * n_half + 1, n_steps, 1.0, "increase dx")
+    return solve_g_heat(params, phi, PdeGrid(-n_half * dx, dx, 2 * n_half, n_steps))
 
 
 def g_normal_expectation(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> float:

@@ -2,7 +2,8 @@
 
 The n-fold upper expectation of phi(S_n) is computed by backward induction:
 one application of the one-step operator per summand, on the integer lattice,
-so the only floating error is in the arithmetic itself.  A brute-force
+held at a window that moves no exact value by more than 2^-60 of max|phi|;
+the rest of the error is the arithmetic's rounding.  A brute-force
 oracle enumerates every adapted law-choice strategy for cross-checks.
 """
 
@@ -41,7 +42,7 @@ def _check_n(n, what: str = "n", low: int = 1) -> int:
     return whole
 
 
-def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: int):
+def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: int, radius=math.inf):
     """Apply the one-step operator ``n_steps`` times to ``values`` on ``[lo, hi]``.
 
     Each sweep keeps the largest index block on which every law's shifted
@@ -52,6 +53,14 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     the next step: read what you need before resuming, or copy it.  It
     equals the per-atom loop's values, but may hold -0.0 where the loop
     holds +0.0; add 0.0 to what you read to get the loop's bits.
+
+    While that block is wider than ``[-radius, radius]``, a step holds its
+    outputs there (``k_lo <= 0 <= k_hi`` and a window inside the block
+    first read): the strips ``[k_lo - radius, -radius)`` and ``(radius,
+    radius + k_hi]`` keep their first values, so the sweep computes the
+    game stopped where the sum leaves the window and pays phi there.  Then
+    the blocks shrink as without a window.  ``_hold_radius`` picks a radius
+    at which the stop moves no value by more than its ``tol``.
     """
     k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
     sizes = [law.indices.size for law in aset.laws]
@@ -59,18 +68,60 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
     np.cumsum(sizes, out=ptr[1:])
     ks = np.concatenate([law.indices for law in aset.laws]).astype(np.int64)
     ps = np.concatenate([law.probs for law in aset.laws]).astype(np.float64)
+    held = lo - k_lo < -radius or hi - k_hi > radius
+    if held:
+        values = values[k_lo - radius - lo : radius + k_hi - lo + 1]
     plan = _kernels.dp_plan(ptr, ks, ps, -k_lo, len(values), len(values) - (k_hi - k_lo))
+    row = _kernels._hold(plan, values) if held else None
     for _ in range(n_steps):
         lo, hi = lo - k_lo, hi - k_hi
+        if held and (lo < -radius or hi > radius):
+            values = _kernels.dp_step(row, ptr, ks, ps, -k_lo, 2 * radius + 1, plan=plan)
+            row = _kernels._held_row(plan, values)
+            yield values, -radius, radius
+            continue
+        if held:  # the block now fits the window: read it off the held row
+            values, held = row[radius + lo : radius + hi + k_hi - k_lo + 1], False
         values = _kernels.dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1, plan=plan)
         yield values, lo, hi
 
 
+_HOLD_TOL = 2.0**-60  # how far a held sweep may move a value, as a share of max|phi| on the block
+
+
+def _hold_radius(aset: AmbiguitySet, n: int, log_ratio: float):
+    """Half-width of the window a sweep of ``n`` steps holds, or inf for no window.
+
+    Under any adapted choice of laws, the sum less its laws' means is a
+    martingale whose steps each lie in a range of width ``k_hi - k_lo <=
+    2K``, and the means add at most ``n * drift``.  By Azuma-Hoeffding it
+    leaves ``[-radius, radius]`` within n steps with chance at most
+    ``2 exp(-(radius - n * drift)^2 / (2 n K^2)) <= 2 exp(-log_ratio)``, and
+    only there does the held sweep's game differ from the full one, by at
+    most the oscillation ``osc`` of phi.  With ``log_ratio = ln(2 osc /
+    tol)`` the value moves by at most ``tol``.  No window unless it lies
+    inside the first block with room for its strips and both signs of atom.
+    """
+    K, k_lo, k_hi = int(np.abs(aset.indices).max()), int(aset.indices[0]), int(aset.indices[-1])
+    drift = max(abs(float(law.probs @ law.indices)) for law in aset.laws)
+    half = K * math.sqrt(2.0 * n * log_ratio) + n * drift
+    if k_lo <= 0 <= k_hi and half <= n * K - K - 1:
+        return math.ceil(half) + 1
+    return math.inf
+
+
 def _admit_sweep(aset: AmbiguitySet, n: int) -> int:
-    """Refuse, by ``_kernels``' rule, a sweep of ``n`` steps on ``[-n*K, n*K]``; returns K."""
+    """Refuse, by ``_kernels``' rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps; returns K.
+
+    The sweep is priced at the widest window it may hold, for any phi:
+    ``osc <= 2 max|phi|``, so ``ln(2 osc / tol) <= ln(4 / _HOLD_TOL)``.
+    """
     K = int(np.abs(aset.indices).max())
     atoms = sum(law.indices.size for law in aset.laws)
-    _kernels._admit("lattice sweep", 2 * n * K + 1, n, atoms, "reduce n or the atom span")
+    remedy = "reduce n or the atom span"
+    _kernels._admit("lattice sweep", 2 * n * K + 1, 0, atoms, remedy)
+    half = min(_hold_radius(aset, n, math.log(4.0 / _HOLD_TOL)), n * K)
+    _kernels._admit("lattice sweep", 2 * half + 1, n, atoms, remedy)
     return K
 
 
@@ -78,13 +129,17 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     """Upper expectations of ``phi(S_n)`` for every n in ``ns``, in order.
 
     ``W_m = T^m phi`` is the same for every n >= m, so one backward sweep
-    on the block ``[-N*K, N*K]`` (N the largest n, K the largest absolute
+    from the block ``[-N*K, N*K]`` (N the largest n, K the largest absolute
     atom index) passes every n on its way and reads ``W_n`` at the origin.
-    Each output node depends only on its own inputs, so every entry equals
-    ``sum_expectation(aset, n, phi)`` bit for bit.  The sweep's arrays may
-    hold -0.0 where the per-atom loop holds +0.0, so each value read at
-    the origin gets + 0.0, which gives the loop's bits.  Raises SizeError,
-    before any step, when ``_kernels`` refuses the block's points or the
+    The sweep holds the window of ``_hold_radius``, fixed by N and phi's
+    values on the block, so in exact arithmetic each entry is within
+    ``tol = _HOLD_TOL * max|phi|`` (on the block) of the whole block's
+    value, and so of ``sum_expectation(aset, n, phi)``'s.  Tests pin that
+    the floats are the same bits as the whole block's on the catalog's
+    shapes and the benchmark's families.  The sweep's arrays may hold -0.0
+    where the per-atom loop holds +0.0, so each value read at the origin
+    gets + 0.0, which gives the loop's bits.  Raises SizeError, before phi
+    is evaluated, when ``_kernels`` refuses the block's points or the
     sweep's work.
     """
     ns = [_check_n(n) for n in ns]
@@ -93,9 +148,12 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     n_max = max(ns)
     K = _admit_sweep(aset, n_max)
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
+    values = evaluate_on(phi, points)
+    osc, tol = float(values.max()) - float(values.min()), _HOLD_TOL * float(np.abs(values).max())
+    radius = _hold_radius(aset, n_max, math.log(max(2.0 * osc, tol) / tol) if tol > 0.0 else math.inf)
     wanted = set(ns)
     at_origin = {}
-    sweeps = _sweep(aset, evaluate_on(phi, points), -n_max * K, n_max * K, n_max)
+    sweeps = _sweep(aset, values, -n_max * K, n_max * K, n_max, radius)
     for m, (values, lo, _) in enumerate(sweeps, start=1):
         if m in wanted:
             # every block of the sweep contains index 0; + 0.0 turns a
@@ -107,8 +165,9 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
 def sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:
     """Upper expectation of ``phi(S_n)`` for the n-fold independent sum.
 
-    Backward induction on the lattice block ``[-n*K, n*K]`` with K the
-    largest absolute atom index, finishing at the origin.
+    Backward induction from the lattice block ``[-n*K, n*K]`` with K the
+    largest absolute atom index, finishing at the origin; see
+    ``sum_expectations`` for the window it holds.
     """
     return sum_expectations(aset, [n], phi)[0]
 

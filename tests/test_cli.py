@@ -223,7 +223,7 @@ class TestExitCodes:
              "PDE march would need about 6.56e+19 updates (limit 2e+10); increase dx"),
             # the largest n is refused before the PDE solve and the smaller n's sweeps
             (["clt", "--n", "8,32,4000000"],
-             "lattice sweep would need about 2.56e+14 updates (limit 2e+10); reduce n or the atom span"),
+             "lattice sweep would need about 1.25e+12 updates (limit 2e+10); reduce n or the atom span"),
             # each suite is refused before its first draw, not after days of trials
             (["axioms", "--trials", "1000000000"],
              "axiom suite would need about 1.84e+14 updates (limit 2e+10); reduce the trial count"),

@@ -278,6 +278,12 @@ class TestGNormal:
         with pytest.raises(SizeError, match=r"^PDE march would need about 6\.56e\+19 updates"):
             g_normal_solution(GParams(0.0, 1.981585593553972), no_compute, dx=1.5269113998379529e-06)
 
+    def test_rounded_node_count_refused_with_its_remedy(self, no_compute):
+        # 2 * half_cells + 1 is 67108863.8, under the limit; the grid's
+        # 2 * ceil(half_cells) + 1 nodes are one past it, and the caller sets dx
+        with pytest.raises(SizeError, match=r"^PDE march would need about 67108865 points \(limit 67108864\); increase dx$"):
+            g_normal_solution(GParams(1e-6, 1e-6), make_phi("ramp", 1000.0), dx=2.9802323099416312e-05)
+
     def test_unbounded_domain_refused(self):
         with pytest.raises(SizeError, match="PDE march would need about .* points"):
             g_normal_solution(GParams(1.0, 1e300), make_phi("abs"))

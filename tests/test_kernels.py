@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from gexlab import _kernels, cli, gheat, pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, evaluate_on
+from gexlab.errors import SizeError
 from gexlab.experiments import uniform_moment_check
 from gexlab.gheat import GParams, PdeGrid, g_normal_solution, solve_g_heat
 from gexlab.pengsum import sum_expectations
@@ -510,6 +512,130 @@ class TestExactRoute:
         ns = range(1, 65)
         got = exact_sum_expectations(ref_set, ns, make_phi("indicator", 0.0, 100.0))
         assert got == [Fraction(2, 3) + Fraction((-1) ** n, 3 * 2**n) for n in ns]
+
+
+def full_block_sweep(aset, ns, phi):
+    """``sum_expectations`` on the whole block ``[-N*K, N*K]``, as with no window."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pengsum, "_hold_radius", lambda *args: math.inf)
+        return sum_expectations(aset, ns, phi)
+
+
+def held_sweep(monkeypatch, aset, ns, phi):
+    """``sum_expectations``' values and the outputs of its first step."""
+    out_lens = []
+    step = _kernels.dp_step
+
+    def recording(*args, plan):
+        out_lens.append(args[5])
+        return step(*args, plan=plan)
+
+    monkeypatch.setattr(pengsum._kernels, "dp_step", recording)
+    got = sum_expectations(aset, ns, phi)
+    monkeypatch.setattr(pengsum._kernels, "dp_step", step)
+    return got, out_lens[0]
+
+
+def dp_scan_families(seed):
+    """gexbench's dp-scan families for ``seed``: the first six draws of its generator."""
+    rng = np.random.default_rng(seed)
+    families = []
+    for _ in range(3):
+        a, b = float(rng.uniform(0.55, 1.0)), float(rng.uniform(0.2, 1.0))
+        families.append(AmbiguitySet((
+            DiscreteDistribution.from_atoms(0.5, [(-2, a / 2), (0, 1.0 - a), (2, a / 2)]),
+            DiscreteDistribution.from_atoms(0.5, [(-1, b / 2), (0, 1.0 - b), (1, b / 2)]),
+        )))
+    return families
+
+
+def stopped_game(aset, ns, phi, B):
+    """The game stopped where the sum leaves ``[-B, B]``, by the per-atom loop on the whole block.
+
+    After every step each point outside ``[-B, B]`` gets phi's value back.
+    """
+    n_max, K = max(ns), int(np.abs(aset.indices).max())
+    k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
+    ptr = np.cumsum([0] + [law.indices.size for law in aset.laws])
+    ks = np.concatenate([law.indices for law in aset.laws])
+    ps = np.concatenate([law.probs for law in aset.laws])
+    lo, hi = -n_max * K, n_max * K
+    values, at_origin = evaluate_on(phi, np.arange(lo, hi + 1) * aset.step), {}
+    for m in range(1, n_max + 1):
+        values = dp_step_loop_reference(values, ptr, ks, ps, -k_lo, hi - lo + 1 - (k_hi - k_lo))
+        lo, hi = lo - k_lo, hi - k_hi
+        outside = np.abs(np.arange(lo, hi + 1)) > B
+        values[outside] = evaluate_on(phi, np.arange(lo, hi + 1)[outside] * aset.step)
+        at_origin[m] = values[-lo] + 0.0
+    return [at_origin[n] for n in ns]
+
+
+DP_SCAN_NS = (256, 512, 1024, 2048, 4096)
+
+
+class TestHeldSweep:
+    """Sweeps held at the certified window against sweeps of the whole block."""
+
+    @pytest.mark.parametrize("seed", ["reference", 5, 7, 21])
+    def test_dp_scan_families_bit_equal(self, monkeypatch, ref_set, seed):
+        sets = [ref_set] if seed == "reference" else dp_scan_families(seed)
+        for aset in sets:
+            for r in (2.0, 2.5, 3.0, 4.0):
+                phi = make_phi("abspow", r)
+                got, first = held_sweep(monkeypatch, aset, DP_SCAN_NS, phi)
+                assert first < 2 * 4096 * 2 + 1 - 4  # held: the window is narrower than the block
+                assert same_bits(got, full_block_sweep(aset, DP_SCAN_NS, phi)), r
+
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+    @pytest.mark.parametrize("name", ["reference", "dp-scan"])
+    def test_catalog_bit_equal(self, ref_set, name, phi):
+        aset = ref_set if name == "reference" else branch_family(name)
+        ns = (256, 1024, 4096)
+        assert same_bits(sum_expectations(aset, ns, phi), full_block_sweep(aset, ns, phi))
+
+    @pytest.mark.parametrize("phi", [make_phi("abs"), make_phi("cube"), make_phi("indicator", 0.0, 1.0)],
+                             ids=lambda p: p.label)
+    def test_azuma_hoeffding_bound(self, monkeypatch, ref_set, phi):
+        # with tol at 2^-3 of max|phi| the window is narrow enough to move the
+        # values; each is the game stopped outside [-B, B], and moves by at most
+        # osc * P(the sum leaves [-B, B] by step n), plus the two sweeps' rounding
+        monkeypatch.setattr(pengsum, "_HOLD_TOL", 2.0**-3)
+        ns, K, atoms = (64, 128, 256), 2, 4
+        got, first = held_sweep(monkeypatch, ref_set, ns, phi)
+        want = full_block_sweep(ref_set, ns, phi)
+        B = (first - 1) // 2
+        assert B < 256 * K // 4
+        assert same_bits(got, stopped_game(ref_set, ns, phi, B))
+        values = evaluate_on(phi, np.arange(-256 * K, 256 * K + 1) * ref_set.step)
+        osc, top = values.max() - values.min(), np.abs(values).max()
+        for n, held, full in zip(ns, got, want):
+            rounding = 2 * n * atoms * 2.0**-53 * top
+            assert abs(held - full) <= osc * 2.0 * math.exp(-B * B / (2 * n * K * K)) + rounding, n
+        assert got[-1] != want[-1]
+
+    def test_drift_widens_the_window(self, monkeypatch):
+        # the laws' means add n * max|mean| to the window: at n = 256 a law of
+        # mean 1 (in lattice points) pushes it past the block, one of mean 1/2 does not
+        n, phi = 256, make_phi("abs")
+        coin = DiscreteDistribution.from_atoms(0.5, [(-2, 0.5), (2, 0.5)])
+        for atoms, whole_block in (([(0, 0.5), (2, 0.5)], True), ([(-1, 0.5), (2, 0.5)], False)):
+            aset = AmbiguitySet((coin, DiscreteDistribution.from_atoms(0.5, atoms)))
+            got, first = held_sweep(monkeypatch, aset, [64, n], phi)
+            assert (first == 2 * n * 2 + 1 - 4) == whole_block
+            assert same_bits(got, full_block_sweep(aset, [64, n], phi))
+
+    def test_reference_family_admitted_at_65536(self, ref_set):
+        # the whole block is refused (about 7e10 updates), the window is not;
+        # E|S_n| takes the +-1 coin at every step, so it is n C(n, n/2) / 2^n,
+        # within TestExactRoute's rounding bound
+        n, atoms, K = 65536, 4, 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pengsum, "_hold_radius", lambda *args: math.inf)
+            with pytest.raises(SizeError, match="updates"):
+                pengsum._admit_sweep(ref_set, n)
+        got = sum_expectations(ref_set, [n], make_phi("abs"))[0]
+        want = Fraction(n * math.comb(n, n // 2), 2**n)
+        assert abs(Fraction(got) - want) <= Fraction(n * atoms, 2**53) * Fraction(n * K * ref_set.step)
 
 
 class TestGheatMarch:

@@ -42,7 +42,7 @@ def _check_n(n, what: str = "n", low: int = 1) -> int:
     return whole
 
 
-def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: int, radius=math.inf):
+def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: int, radius):
     """Apply the one-step operator ``n_steps`` times to ``values`` on ``[lo, hi]``.
 
     Each sweep keeps the largest index block on which every law's shifted
@@ -89,40 +89,41 @@ def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: in
 _HOLD_TOL = 2.0**-60  # how far a held sweep may move a value, as a share of max|phi| on the block
 
 
-def _hold_radius(aset: AmbiguitySet, n: int, log_ratio: float):
+def _hold_radius(aset: AmbiguitySet, n: int):
     """Half-width of the window a sweep of ``n`` steps holds, or inf for no window.
 
     Under any adapted choice of laws, the sum less its laws' means is a
     martingale whose steps each lie in a range of width ``k_hi - k_lo <=
     2K``, and the means add at most ``n * drift``.  By Azuma-Hoeffding it
     leaves ``[-radius, radius]`` within n steps with chance at most
-    ``2 exp(-(radius - n * drift)^2 / (2 n K^2)) <= 2 exp(-log_ratio)``, and
+    ``2 exp(-(radius - n * drift)^2 / (2 n K^2)) <= _HOLD_TOL / 2``, and
     only there does the held sweep's game differ from the full one, by at
-    most the oscillation ``osc`` of phi.  With ``log_ratio = ln(2 osc /
-    tol)`` the value moves by at most ``tol``.  No window unless it lies
-    inside the first block with room for its strips and both signs of atom.
+    most phi's oscillation ``osc <= 2 max|phi|``: the value moves by at
+    most ``tol = _HOLD_TOL * max|phi|``, for every phi.  No window unless
+    it lies inside the first block with room for its strips and both signs
+    of atom.
     """
     K, k_lo, k_hi = int(np.abs(aset.indices).max()), int(aset.indices[0]), int(aset.indices[-1])
     drift = max(abs(float(law.probs @ law.indices)) for law in aset.laws)
-    half = K * math.sqrt(2.0 * n * log_ratio) + n * drift
+    half = K * math.sqrt(2.0 * n * math.log(4.0 / _HOLD_TOL)) + n * drift
     if k_lo <= 0 <= k_hi and half <= n * K - K - 1:
         return math.ceil(half) + 1
     return math.inf
 
 
-def _admit_sweep(aset: AmbiguitySet, n: int) -> int:
-    """Refuse, by ``_kernels``' rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps; returns K.
+def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, float]:
+    """Refuse, by ``_kernels``' rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps.
 
-    The sweep is priced at the widest window it may hold, for any phi:
-    ``osc <= 2 max|phi|``, so ``ln(2 osc / tol) <= ln(4 / _HOLD_TOL)``.
+    The sweep is priced at the window it holds; returns K and that
+    window's ``_hold_radius``.
     """
     K = int(np.abs(aset.indices).max())
     atoms = sum(law.indices.size for law in aset.laws)
     remedy = "reduce n or the atom span"
     _kernels._admit("lattice sweep", 2 * n * K + 1, 0, atoms, remedy)
-    half = min(_hold_radius(aset, n, math.log(4.0 / _HOLD_TOL)), n * K)
-    _kernels._admit("lattice sweep", 2 * half + 1, n, atoms, remedy)
-    return K
+    radius = _hold_radius(aset, n)
+    _kernels._admit("lattice sweep", 2 * min(radius, n * K) + 1, n, atoms, remedy)
+    return K, radius
 
 
 def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> list[float]:
@@ -131,14 +132,14 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     ``W_m = T^m phi`` is the same for every n >= m, so one backward sweep
     from the block ``[-N*K, N*K]`` (N the largest n, K the largest absolute
     atom index) passes every n on its way and reads ``W_n`` at the origin.
-    The sweep holds the window of ``_hold_radius``, fixed by N and phi's
-    values on the block, so in exact arithmetic each entry is within
-    ``tol = _HOLD_TOL * max|phi|`` (on the block) of the whole block's
-    value, and so of ``sum_expectation(aset, n, phi)``'s.  Tests pin that
-    the floats are the same bits as the whole block's on the catalog's
-    shapes and the benchmark's families.  The sweep's arrays may hold -0.0
-    where the per-atom loop holds +0.0, so each value read at the origin
-    gets + 0.0, which gives the loop's bits.  Raises SizeError, before phi
+    The sweep holds the window of ``_hold_radius``, fixed by N and priced
+    by admission, so in exact arithmetic each entry is within ``tol =
+    _HOLD_TOL * max|phi|`` (on the block) of the whole block's value, and
+    so of ``sum_expectation(aset, n, phi)``'s.  Tests pin that the floats
+    are the same bits as the whole block's on the catalog's shapes and the
+    benchmark's families.  The sweep's arrays may hold -0.0 where the
+    per-atom loop holds +0.0, so each value read at the origin gets + 0.0,
+    which gives the loop's bits.  Raises SizeError, before phi
     is evaluated, when ``_kernels`` refuses the block's points or the
     sweep's work.
     """
@@ -146,14 +147,11 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     if not ns:
         raise ValidationError("need at least one n")
     n_max = max(ns)
-    K = _admit_sweep(aset, n_max)
+    K, radius = _admit_sweep(aset, n_max)
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
-    values = evaluate_on(phi, points)
-    osc, tol = float(values.max()) - float(values.min()), _HOLD_TOL * float(np.abs(values).max())
-    radius = _hold_radius(aset, n_max, math.log(max(2.0 * osc, tol) / tol) if tol > 0.0 else math.inf)
     wanted = set(ns)
     at_origin = {}
-    sweeps = _sweep(aset, values, -n_max * K, n_max * K, n_max, radius)
+    sweeps = _sweep(aset, evaluate_on(phi, points), -n_max * K, n_max * K, n_max, radius)
     for m, (values, lo, _) in enumerate(sweeps, start=1):
         if m in wanted:
             # every block of the sweep contains index 0; + 0.0 turns a

@@ -624,6 +624,22 @@ class TestHeldSweep:
             assert (first == 2 * n * 2 + 1 - 4) == whole_block
             assert same_bits(got, full_block_sweep(aset, [64, n], phi))
 
+    def test_sweep_holds_the_admitted_window(self, monkeypatch, ref_set):
+        # phi is 0 on the whole block, so every window is exact; the sweep
+        # still runs at the width admission priced, never the whole block
+        admitted, admit = [], _kernels._admit
+
+        def recording(what, points, steps, terms, remedy):
+            if steps:
+                admitted.append(points)
+            return admit(what, points, steps, terms, remedy)
+
+        monkeypatch.setattr(pengsum._kernels, "_admit", recording)
+        n = 4096
+        got, first = held_sweep(monkeypatch, ref_set, [n], make_phi("indicator", 1e6, 2e6))
+        assert got == [0.0]
+        assert admitted == [first] and first < 2 * n * 2 + 1 - 4
+
     def test_reference_family_admitted_at_65536(self, ref_set):
         # the whole block is refused (about 7e10 updates), the window is not;
         # E|S_n| takes the +-1 coin at every step, so it is n C(n, n/2) / 2^n,

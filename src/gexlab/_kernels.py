@@ -1,12 +1,13 @@
 """Hot numeric kernels in plain numpy.
 
-One lattice sweep for the dynamic program and one explicit march for the
-G-heat equation on whole array slices, and the size and work limits of both.
+The dynamic program's lattice step and the sweep loop around it, one explicit
+G-heat march, both on whole array slices, and the size and work limits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -146,9 +147,10 @@ def _aligned_rows(*sizes):
 # slot i + base lies in a row read whole, so a sweep can hold its block:
 # a held step reads rows[t ^ 1] entire, that is the last outputs plus
 # `base` strip slots before them and reach - base after, and writes
-# outs[t].  No step writes a strip, so the strips keep what the sweep put
-# in both rows before its first held step (_hold), and the held sweep
-# pays those values wherever the sum leaves the outputs' block.
+# outs[t].  No step writes a strip, so the strips keep what _sweep put in
+# both rows before its first held step, and the held sweep pays those
+# values wherever the sum leaves the outputs' block; a slot keeps its index
+# all sweep, so the first unheld step reads its block off the last row.
 #
 # Call lists per block.  A step's calls depend only on the family, on the
 # rows they read and write, and on the number of outputs, yet slicing the
@@ -191,15 +193,13 @@ def _aligned_rows(*sizes):
 # Precondition: at least one law, every law has at least one atom, and
 # every atom's start base + k_j is >= 0.
 #
-# dp_plan holds what depends on the family only: the distinct shared
-# probabilities, each atom's start, the 0-d probabilities and reach.  It
-# also owns the work buffers: two rows used in turn, the law
-# accumulator, the unshared-product scratch and one product per shared
-# probability, sized when the plan is built for one sweep, whose first step
-# is its largest; a step with more outputs raises ValueError.  `plan` is
-# optional: a sweep builds it once and passes it to every step, and without
-# it dp_step builds its own, so the six positional arguments alone still
-# work.  Result lifetime: with a plan, dp_step returns exactly
+# dp_plan holds what depends on the family only, and the work buffers:
+# two rows used in turn, the law accumulator, the unshared-product scratch
+# and one product per shared probability, sized for one sweep, whose first
+# step is its largest; a step with more outputs raises ValueError.  `plan`
+# is optional: _sweep builds it once and passes it to every step, and
+# without it dp_step builds its own, so the six positional arguments alone
+# still work.  Result lifetime: with a plan, dp_step returns exactly
 # outs[turn][:out_len], a view that stays valid until the plan's
 # next-but-one call (so it may be the next call's input); without one it
 # returns a fresh 1-D array.
@@ -245,9 +245,7 @@ def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
     lists are kept by the steps that reuse them.
     """
     probs = law_p.tolist()
-    uses = {}
-    for p in probs:
-        uses[p] = uses.get(p, 0) + 1
+    uses = Counter(probs)
     slot = {}
     for p, n in uses.items():
         if n > 1:
@@ -315,29 +313,48 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     return plan.last
 
 
-def _hold(plan, window):
-    """Put ``window`` in both of the plan's rows and return the one the first held step reads.
+def _sweep(laws, values, lo, n_steps, radius):
+    """Apply the operator of ``laws`` ``n_steps`` times to ``values``, the block from index ``lo``.
 
-    A held step reads a whole row: its ``margin`` strip slots, the previous
-    step's outputs and the strip slots after them.  No step writes a strip,
-    so both rows keep the strips' window values for the whole sweep.
+    ``laws`` holds one ``(indices, probs)`` pair of int64 and float64
+    arrays per law.  Each step, one ``dp_step`` call with the sweep's plan,
+    keeps the largest block on which every law's shifted support stays
+    inside the last one, and yields ``(outputs, lo, hi)`` for it; the last
+    block is non-empty if ``hi - lo >= n_steps * (k_hi - k_lo)``.  The
+    outputs live in the plan until the next step (read or copy them before
+    resuming) and may hold -0.0 where the per-atom loop holds +0.0: add 0.0
+    to what you read to get its bits.
+
+    While the block is wider than ``[-radius, radius]`` (``k_lo <= 0 <=
+    k_hi`` and a window inside the first block), a step holds its outputs
+    there and the strips ``[k_lo - radius, -radius)`` and ``(radius,
+    radius + k_hi]`` keep their first values (see "Rows and strips"), so
+    the sweep computes the game stopped where the sum leaves the window.
     """
-    for row in plan.rows:
-        row[: len(window)] = window
-    return plan.rows[plan.turn]
-
-
-def _held_row(plan, out):
-    """The row around ``out``, the last held step's outputs, for the next held step to read.
-
-    ``out`` is a step's result; one that is not the plan's last output (a
-    stand-in for ``dp_step`` returns a fresh array) is copied into the row
-    first.
-    """
-    row = plan.rows[plan.turn]
-    if out is not plan.last:
-        row[plan.margin : plan.margin + len(out)] = out
-    return row
+    ptr = np.cumsum([0] + [len(k) for k, _ in laws])
+    ks = np.concatenate([k for k, _ in laws])
+    ps = np.concatenate([p for _, p in laws])
+    k_lo, k_hi = int(ks.min()), int(ks.max())
+    hi = lo + len(values) - 1
+    held = lo - k_lo < -radius or hi - k_hi > radius
+    if held:
+        values = values[k_lo - radius - lo : radius + k_hi - lo + 1]
+    plan = dp_plan(ptr, ks, ps, -k_lo, len(values), len(values) - (k_hi - k_lo))
+    if held:
+        for row in plan.rows:
+            row[: len(values)] = values
+    for _ in range(n_steps):
+        lo, hi = lo - k_lo, hi - k_hi
+        if held and (lo < -radius or hi > radius):
+            out = dp_step(plan.rows[plan.turn], ptr, ks, ps, -k_lo, 2 * radius + 1, plan=plan)
+            if out is not plan.last:  # a stand-in for dp_step returned a fresh array
+                plan.rows[plan.turn][plan.margin : plan.margin + len(out)] = out
+            yield out, -radius, radius
+            continue
+        if held:  # the block now fits the window: read it off the held row
+            values, held = plan.rows[plan.turn][radius + lo : radius + hi + k_hi - k_lo + 1], False
+        values = dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1, plan=plan)
+        yield values, lo, hi
 
 
 # ---------------------------------------------------------------------------

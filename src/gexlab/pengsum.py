@@ -42,50 +42,6 @@ def _check_n(n, what: str = "n", low: int = 1) -> int:
     return whole
 
 
-def _sweep(aset: AmbiguitySet, values: np.ndarray, lo: int, hi: int, n_steps: int, radius):
-    """Apply the one-step operator ``n_steps`` times to ``values`` on ``[lo, hi]``.
-
-    Each sweep keeps the largest index block on which every law's shifted
-    support stays inside the previous block.  Yields ``(values, lo, hi)``
-    for the block after each sweep.  The last block is non-empty only if
-    ``hi - lo >= n_steps * (k_hi - k_lo)``, which ``[-n*K, n*K]`` meets.
-    Each yielded array lives in the sweep's plan and is valid only until
-    the next step: read what you need before resuming, or copy it.  It
-    equals the per-atom loop's values, but may hold -0.0 where the loop
-    holds +0.0; add 0.0 to what you read to get the loop's bits.
-
-    While that block is wider than ``[-radius, radius]``, a step holds its
-    outputs there (``k_lo <= 0 <= k_hi`` and a window inside the block
-    first read): the strips ``[k_lo - radius, -radius)`` and ``(radius,
-    radius + k_hi]`` keep their first values, so the sweep computes the
-    game stopped where the sum leaves the window and pays phi there.  Then
-    the blocks shrink as without a window.  ``_hold_radius`` picks a radius
-    at which the stop moves no value by more than its ``tol``.
-    """
-    k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
-    sizes = [law.indices.size for law in aset.laws]
-    ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    ks = np.concatenate([law.indices for law in aset.laws]).astype(np.int64)
-    ps = np.concatenate([law.probs for law in aset.laws]).astype(np.float64)
-    held = lo - k_lo < -radius or hi - k_hi > radius
-    if held:
-        values = values[k_lo - radius - lo : radius + k_hi - lo + 1]
-    plan = _kernels.dp_plan(ptr, ks, ps, -k_lo, len(values), len(values) - (k_hi - k_lo))
-    row = _kernels._hold(plan, values) if held else None
-    for _ in range(n_steps):
-        lo, hi = lo - k_lo, hi - k_hi
-        if held and (lo < -radius or hi > radius):
-            values = _kernels.dp_step(row, ptr, ks, ps, -k_lo, 2 * radius + 1, plan=plan)
-            row = _kernels._held_row(plan, values)
-            yield values, -radius, radius
-            continue
-        if held:  # the block now fits the window: read it off the held row
-            values, held = row[radius + lo : radius + hi + k_hi - k_lo + 1], False
-        values = _kernels.dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1, plan=plan)
-        yield values, lo, hi
-
-
 _HOLD_TOL = 2.0**-60  # how far a held sweep may move a value, as a share of max|phi| on the block
 
 
@@ -129,19 +85,17 @@ def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, float]:
 def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> list[float]:
     """Upper expectations of ``phi(S_n)`` for every n in ``ns``, in order.
 
-    ``W_m = T^m phi`` is the same for every n >= m, so one backward sweep
-    from the block ``[-N*K, N*K]`` (N the largest n, K the largest absolute
-    atom index) passes every n on its way and reads ``W_n`` at the origin.
-    The sweep holds the window of ``_hold_radius``, fixed by N and priced
-    by admission, so in exact arithmetic each entry is within ``tol =
-    _HOLD_TOL * max|phi|`` (on the block) of the whole block's value, and
-    so of ``sum_expectation(aset, n, phi)``'s.  Tests pin that the floats
-    are the same bits as the whole block's on the catalog's shapes and the
-    benchmark's families.  The sweep's arrays may hold -0.0 where the
-    per-atom loop holds +0.0, so each value read at the origin gets + 0.0,
-    which gives the loop's bits.  Raises SizeError, before phi
-    is evaluated, when ``_kernels`` refuses the block's points or the
-    sweep's work.
+    ``W_m = T^m phi`` is the same for every n >= m, so one backward sweep,
+    ``_kernels._sweep``, from the block ``[-N*K, N*K]`` (N the largest n, K
+    the largest absolute atom index) passes every n on its way and reads
+    ``W_n`` at the origin.  It holds the window of ``_hold_radius``, fixed
+    by N and priced by admission, so in exact arithmetic each entry is
+    within ``tol = _HOLD_TOL * max|phi|`` (on the block) of the whole
+    block's value, and so of ``sum_expectation(aset, n, phi)``'s.  Tests
+    pin that the floats are the same bits as the whole block's on the
+    catalog's shapes and the benchmark's families.  Raises SizeError,
+    before phi is evaluated, when ``_kernels`` refuses the block's points
+    or the sweep's work.
     """
     ns = [_check_n(n) for n in ns]
     if not ns:
@@ -151,7 +105,8 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
     wanted = set(ns)
     at_origin = {}
-    sweeps = _sweep(aset, evaluate_on(phi, points), -n_max * K, n_max * K, n_max, radius)
+    laws = [(law.indices, law.probs) for law in aset.laws]
+    sweeps = _kernels._sweep(laws, evaluate_on(phi, points), -n_max * K, n_max, radius)
     for m, (values, lo, _) in enumerate(sweeps, start=1):
         if m in wanted:
             # every block of the sweep contains index 0; + 0.0 turns a
@@ -163,9 +118,7 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
 def sum_expectation(aset: AmbiguitySet, n: int, phi: Callable) -> float:
     """Upper expectation of ``phi(S_n)`` for the n-fold independent sum.
 
-    Backward induction from the lattice block ``[-n*K, n*K]`` with K the
-    largest absolute atom index, finishing at the origin; see
-    ``sum_expectations`` for the window it holds.
+    ``sum_expectations`` for one n: one ``_kernels._sweep`` to the origin.
     """
     return sum_expectations(aset, [n], phi)[0]
 
@@ -288,9 +241,17 @@ def brute_force_adapted_oracle(aset: AmbiguitySet, n: int, phi: Callable) -> flo
 def brute_force_adapted_oracle_many(
     aset: AmbiguitySet, n: int, phis: Sequence[Callable]
 ) -> list[float]:
-    """One enumeration shared across several payoff functions."""
+    """One enumeration shared across several payoff functions.
+
+    Raises SizeError, before it counts or enumerates, when ``_kernels``
+    refuses n levels of up to n * span + 1 points with one dense tensor row
+    per law at each point: measured 0.13-0.37 ns per such update on one +-1
+    law at n = 100..800 (2-vCPU Xeon), so it stops past ~5 s (n ~ 1 250).
+    """
     n = _check_n(n)
     n_laws = len(aset.laws)
+    width = n * int(aset.indices[-1] - aset.indices[0]) + 1
+    _kernels._admit("brute-force oracle", width, n, n_laws * width, "reduce n or the atom span")
     n_states = _reachable_state_count(aset, n)
     # With L >= 2 laws, L ** S exceeds the ceiling as soon as S exceeds its
     # bit length, so capping S there keeps the comparison exact and the

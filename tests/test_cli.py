@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ REFERENCE_LAWS = [
 ]
 
 DRIFT_LAWS = [{"step": 1.0, "atoms": [{"k": 1, "p": 1.0}], "label": "drift"}]
+ONE_LAW = [{"step": 1.0, "atoms": [{"k": -1, "p": 0.5}, {"k": 1, "p": 0.5}]}]  # the +-1 coin
+WIDE_LAW = [{"step": 1.0, "atoms": [{"k": -3, "p": 0.5}, {"k": 3, "p": 0.5}]}]  # the +-3 coin
 # one law on {0, 2} at p = 1/2 each: mean 1, E[X^2] = 2
 OFF_CENTRE_LAWS = [{"step": 1.0, "atoms": [{"k": 0, "p": 0.5}, {"k": 2, "p": 0.5}]}]
 
@@ -582,6 +585,45 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--n", "3,1,2,1"]) == 0
         capsys.readouterr()
         assert seen == [([1, 2, 3], label) for label in ("abs", "square", "cube", "quartic", "clamp:-1;1")]
+
+    def test_one_law_passes_at_scale(self, tmp_path, capsys):
+        # quartic's 3n^2 - 2n = 1918400 comes out 9.3e-10 (4.9e-16 of it) off
+        # in the oracle; the pass rule scales by max|phi| on the terminal support
+        config = write_config(tmp_path, {"ambiguity": ONE_LAW})
+        out = tmp_path / "o.json"
+        assert cli.main(["oracle", "--config", config, "--n", "800", "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        assert report["tolerance"] == 1e-10 < report["maxAbsDiff"]
+
+    def test_perturbed_dp_value_fails(self, monkeypatch, capsys):
+        sweep = pengsum.sum_expectations
+
+        def perturbed(aset, ns, phi):
+            values = sweep(aset, ns, phi)
+            return values[:-1] + [values[-1] * (1.0 + 1e-9)] if phi.label == "abs" else values
+
+        monkeypatch.setattr(pengsum, "sum_expectations", perturbed)
+        assert cli.main(["oracle"]) == cli.EXIT_FAIL
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("laws", [ONE_LAW, ONE_LAW + WIDE_LAW], ids=["one-law", "two-law"])
+    def test_large_n_refused_before_counting(self, laws, tmp_path, monkeypatch, capsys):
+        # two laws on +-1 and +-3 never merge into runs, so counting alone
+        # takes seconds; one law is always under the ceiling, and its dense
+        # tensors grow as n^3
+        def fail(*args):
+            raise AssertionError("the refusal must not count or enumerate")
+
+        monkeypatch.setattr(pengsum, "_reachable_runs", fail)
+        monkeypatch.setattr(pengsum, "_transition_tensor", fail)
+        config = write_config(tmp_path, {"ambiguity": laws})
+        start = time.perf_counter()
+        assert cli.main(["oracle", "--config", config, "--n", "100000"]) == cli.EXIT_RUNTIME
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gexlab: brute-force oracle would need about ")
 
     def test_csv_header(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

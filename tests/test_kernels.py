@@ -640,6 +640,20 @@ class TestHeldSweep:
         assert got == [0.0]
         assert admitted == [first] and first < 2 * n * 2 + 1 - 4
 
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+    @pytest.mark.parametrize("n", [88, 89, 90, 91])
+    def test_hand_off_boundary(self, monkeypatch, ref_set, phi, n):
+        # 88 has no window and 89's is exactly its first block, so neither
+        # holds; 90 holds one step, then reads its block off the held row;
+        # 91 holds one step, then its first tail step is as wide as the window
+        ns, block = (1, n - 1, n), 2 * n * 2 + 1 - 4
+        got, first = held_sweep(monkeypatch, ref_set, ns, phi)
+        assert (first < block) == (n >= 90)
+        if n >= 90:
+            assert first == 2 * pengsum._hold_radius(ref_set, n) + 1
+        assert same_bits(got, full_block_sweep(ref_set, ns, phi))
+        assert_sweeps_match_loop(monkeypatch, ref_set, phi, ns=ns)
+
     def test_reference_family_admitted_at_65536(self, ref_set):
         # the whole block is refused (about 7e10 updates), the window is not;
         # E|S_n| takes the +-1 coin at every step, so it is n C(n, n/2) / 2^n,

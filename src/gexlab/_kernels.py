@@ -108,17 +108,17 @@ def _aligned_rows(*sizes):
 # where base aligns the shrunken output grid inside the input grid, so
 # output i reads the inputs i .. i + reach, with reach = base + max_j k_j.
 #
-# Shared products: each distinct probability multiplies the input once.  A
-# probability that several atoms share is applied to the whole input and
-# each of those atoms reads its shifted slice of that product (four atoms of
-# probability 1/2 cost one multiply); a probability used by one atom is
-# applied to that atom's slice only, in one scratch buffer (or, for a law's
-# first atom, straight into the law's sum), so a family of distinct
-# probabilities holds no more than one slice at a time.  Each law's sum is
-# its first term plus its second in one add, then its other terms in atom
-# order; a one-atom law whose probability is shared is copied as 0.0 + its
-# term.  The first law writes straight into the output and every later law
-# is merged with an in-place maximum.
+# Shared products: a probability that several atoms of laws with two or
+# more atoms use is applied to the whole input once, and each of those atoms
+# reads its shifted slice of that product (four atoms of probability 1/2
+# cost one multiply).  Every other atom's probability is applied to that
+# atom's slice only, in one scratch buffer or, for a law's first atom,
+# straight into the law's sum, so a family of distinct probabilities holds
+# no more than one slice at a time, and a one-atom law's term is its own
+# multiply into its sum.  Each law's sum is its first term plus its second
+# in one add, then its other terms in atom order.  The first law writes
+# straight into the output and every later law is merged with an in-place
+# maximum.
 #
 # Zero signs.  The result equals the per-atom loop
 #   acc = 0; acc += p_j * f[...]; out = max(out, acc)   (out = -inf at start)
@@ -143,25 +143,24 @@ def _aligned_rows(*sizes):
 #
 # Rows and strips.  Each of the plan's two output rows sits `margin` =
 # max(base, 0) slots into a row of input width, on a line: outs[t] is
-# rows[t][margin : margin + n_out].  Output slot i thus lies where input
-# slot i + base lies in a row read whole, so a sweep can hold its block:
-# a held step reads rows[t ^ 1] entire, that is the last outputs plus
-# `base` strip slots before them and reach - base after, and writes
-# outs[t].  No step writes a strip, so the strips keep what _sweep put in
-# both rows before its first held step, and the held sweep pays those
-# values wherever the sum leaves the outputs' block; a slot keeps its index
-# all sweep, so the first unheld step reads its block off the last row.
+# rows[t][margin : margin + n_out].  _sweep fills both rows with its first
+# block, cut to its window and strips.  Where base >= 0 output slot i lies
+# where input slot i + base lies, so a slot keeps its index all sweep and
+# a held step reads rows[t ^ 1] entire: the last outputs plus `base` strip
+# slots before them and reach - base after.  No step writes a strip, so
+# the strips keep their first values, which the held sweep pays wherever
+# the sum leaves the outputs' block.  The first step that is not held
+# reads its block off the last row written.
 #
 # Call lists per block.  A step's calls depend only on the family, on the
 # rows they read and write, and on the number of outputs, yet slicing the
-# plan's buffers anew at every length cost a third of a short step: over an
-# n = 64 reference-family sweep (129 points down to 1) a step took 5.29 us
-# sliced anew and 3.58 us with kept lists, both still ending with the add
-# of 0.0 (3.15 us without it).  So a step's calls are built as one list
-# over views of a fixed length, and the plan keeps one list per ping-pong
-# direction, with what it read: the plan's last output, or the whole row
-# around it (a held step).  A step reuses the list of its direction only
-# when
+# plan's buffers anew at every length costs a Python slice per view: a
+# step of an n = 64 reference-family sweep took 11-13 us sliced anew and
+# 5.5-7 us with kept lists (2-vCPU Xeon guest, NumPy 2.4, thread time).  So a
+# step's calls are built as one list over views of a fixed length, and the
+# plan keeps one list per ping-pong direction, with what it read: the
+# plan's last output, or the whole row around it (a held step).
+# A step reuses the list of its direction only when
 # - it is handed back what that list read (the same row, from the same slot),
 # - len(values) >= out_len + reach, and
 # - the list's length, its block, is out_len .. out_len + _SLACK points;
@@ -171,25 +170,20 @@ def _aligned_rows(*sizes):
 # reused list computes `block` outputs, and slots [out_len, block) hold
 # don't-care values.  No valid output reads one: output i < out_len reads
 # inputs up to i + reach < out_len + reach <= len(values), all of them the
-# previous step's valid outputs (or strips).  A list is
-# kept only when its whole input span held valid values, so past
+# previous step's valid outputs (or strips).  A list is kept only when its
+# whole input span held valid values, so past
 # len(values) it reads earlier outputs of the plan, strip values or the
 # zeros dp_plan fills both rows with: no step reads uninitialised memory.
 # On finite data a don't-care value is thus a probability-weighted sum of
 # finite values like any other.  A list of a block near out_len wastes a
 # few points of arithmetic per call and saves one Python slice per view.
 # _SLACK was chosen by timing sweeps of one process over every candidate in
-# turn (2-vCPU Xeon guest, NumPy 2.4, thread time, medians of 21 rounds):
-# at n = 4096 and _SLACK = 0 / 32 / 64 / 128 / 256 / 512 the reference
-# family took 78.1 / 61.1 / 58.9 / 57.6 / 59.0 / 57.8 ms and dp-scan's
-# two-law, three-atom shape 151.3 / 125.9 / 122.0 / 118.9 / 118.5 /
-# 116.3 ms; at n = 512 both stay flat from 64 to 512.  256 sits mid-plateau.
-# With held sweeps only the shrinking tail (~radius / K steps) uses it, and
-# it still pays (same host, medians of 15 rounds, _SLACK = 0 / 32 / 128 /
-# 256 / 512): at n = 4096 the reference family took 21.9 / 19.9 / 19.5 /
-# 19.4 / 19.5 ms and the dp-scan shape 42.2 / 39.7 / 39.5 / 38.8 / 39.3 ms;
-# at n = 512, 2.75 / 2.09 / 2.00 / 1.99 / 1.95 and 4.44 / 3.53 / 3.40 /
-# 3.37 / 3.42 ms.
+# turn.  Held sweeps use it only in their shrinking tail (~radius / K
+# steps), and it still pays (2-vCPU Xeon guest, NumPy 2.4, thread time,
+# medians of 15 rounds, _SLACK = 0 / 32 / 128 / 256 / 512): at n = 4096
+# the reference family took 21.9 / 19.9 / 19.5 / 19.4 / 19.5 ms and the
+# dp-scan shape 42.2 / 39.7 / 39.5 / 38.8 / 39.3 ms; at n = 512, 2.75 /
+# 2.09 / 2.00 / 1.99 / 1.95 and 4.44 / 3.53 / 3.40 / 3.37 / 3.42 ms.
 # Precondition: at least one law, every law has at least one atom, and
 # every atom's start base + k_j is >= 0.
 #
@@ -213,12 +207,11 @@ class _DpPlan:
     """Per-family constants, work buffers and call lists of ``dp_step``; see ``dp_plan``."""
 
     __slots__ = (
-        "shared_p", "laws", "zero", "reach", "margin", "rows", "outs", "acc", "scratch", "shared", "turn", "last",
-        "lists",
+        "shared_p", "laws", "reach", "margin", "rows", "outs", "acc", "scratch", "shared", "turn", "last", "lists",
     )
 
     def __init__(self, shared_p, laws, reach, base, n_in, n_out):
-        self.shared_p, self.laws, self.zero, self.reach = shared_p, laws, np.array(0.0), reach
+        self.shared_p, self.laws, self.reach = shared_p, laws, reach
         # each output row sits `margin` slots into a row of input width, on a line
         margin = self.margin = max(base, 0)
         width, pad = max(n_in, margin + n_out), -margin % _LINE
@@ -235,25 +228,27 @@ def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
     """Per-family constants, work buffers and call lists of ``dp_step``.
 
     ``shared_p`` holds one 0-d probability per distinct value that several
-    atoms use; ``laws`` holds per law its first atom and the list of its
-    other atoms, each atom as ``(start, slot, p)`` with ``slot`` the index
-    into ``shared_p`` or -1 and ``p`` the atom's 0-d probability; ``zero``
-    is a 0-d 0.0; ``reach`` is the largest start.  The buffers are sized
+    atoms of laws with two or more atoms use; ``laws`` holds per law its
+    first atom and the list of its other atoms, each atom as ``(start,
+    slot, p)`` with ``slot`` the index into ``shared_p`` or -1 and ``p`` the
+    atom's 0-d probability (a one-atom law multiplies its own term, whatever
+    its slot); ``reach`` is the largest start.  The buffers are sized
     when the plan is built, for one sweep: inputs of up to ``n_in`` and
     outputs of up to ``n_out`` points, both rows zero-filled, each output
     row ``outs[t]`` ``margin`` slots into its row ``rows[t]``.  The call
     lists are kept by the steps that reuse them.
     """
     probs = law_p.tolist()
-    uses = Counter(probs)
+    ptr = law_ptr.tolist()
+    spans = list(zip(ptr, ptr[1:]))
+    uses = Counter(p for a, b in spans if b - a > 1 for p in probs[a:b])
     slot = {}
     for p, n in uses.items():
         if n > 1:
             slot[p] = len(slot)
     starts = [k + base for k in law_k.tolist()]
     atoms = [(s, slot.get(p, -1), np.array(p)) for s, p in zip(starts, probs)]
-    ptr = law_ptr.tolist()
-    laws = [(atoms[a], atoms[a + 1 : b]) for a, b in zip(ptr, ptr[1:])]
+    laws = [(atoms[a], atoms[a + 1 : b]) for a, b in spans]
     return _DpPlan([np.array(p) for p in slot], laws, max(starts), base, n_in, n_out)
 
 
@@ -274,13 +269,11 @@ def _step_calls(plan, values, out, n):
     out, acc, scratch = out[:n], plan.acc[:n], plan.scratch[:n]
     for l, ((s, i, p), rest) in enumerate(plan.laws):
         target = acc if l else out
-        if i < 0:
+        if i < 0 or not rest:
             calls.append((mul, values[s : s + n], p, target))
             total = target
-        elif rest:
-            total = shared[i][s : s + n]
         else:
-            calls.append((add, shared[i][s : s + n], plan.zero, target))
+            total = shared[i][s : s + n]
         for s, i, p in rest:
             if i < 0:
                 calls.append((mul, values[s : s + n], p, scratch))
@@ -330,29 +323,31 @@ def _sweep(laws, values, lo, n_steps, radius):
     there and the strips ``[k_lo - radius, -radius)`` and ``(radius,
     radius + k_hi]`` keep their first values (see "Rows and strips"), so
     the sweep computes the game stopped where the sum leaves the window.
+    The first step that is not held reads its block off the plan's rows.
     """
     ptr = np.cumsum([0] + [len(k) for k, _ in laws])
     ks = np.concatenate([k for k, _ in laws])
     ps = np.concatenate([p for _, p in laws])
     k_lo, k_hi = int(ks.min()), int(ks.max())
     hi = lo + len(values) - 1
-    held = lo - k_lo < -radius or hi - k_hi > radius
-    if held:
-        values = values[k_lo - radius - lo : radius + k_hi - lo + 1]
-    plan = dp_plan(ptr, ks, ps, -k_lo, len(values), len(values) - (k_hi - k_lo))
-    if held:
-        for row in plan.rows:
-            row[: len(values)] = values
+    # both rows start as the first block cut to the window and its strips:
+    # slot j of a row a step reads off is the block's slot start + j
+    start = max(lo, k_lo - radius)
+    first = values[start - lo : min(hi, radius + k_hi) - lo + 1]
+    plan = dp_plan(ptr, ks, ps, -k_lo, len(first), len(first) - (k_hi - k_lo))
+    for row in plan.rows:
+        row[: len(first)] = first
+    values = None  # until the first step that is not held reads its block off the row
     for _ in range(n_steps):
         lo, hi = lo - k_lo, hi - k_hi
-        if held and (lo < -radius or hi > radius):
+        if lo < -radius or hi > radius:
             out = dp_step(plan.rows[plan.turn], ptr, ks, ps, -k_lo, 2 * radius + 1, plan=plan)
             if out is not plan.last:  # a stand-in for dp_step returned a fresh array
                 plan.rows[plan.turn][plan.margin : plan.margin + len(out)] = out
             yield out, -radius, radius
             continue
-        if held:  # the block now fits the window: read it off the held row
-            values, held = plan.rows[plan.turn][radius + lo : radius + hi + k_hi - k_lo + 1], False
+        if values is None:
+            values = plan.rows[plan.turn][lo + k_lo - start : hi + k_hi - start + 1]
         values = dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1, plan=plan)
         yield values, lo, hi
 
@@ -367,14 +362,13 @@ def _sweep(laws, values, lo, n_steps, radius):
 # first step that produced a non-finite value, or -1 on success.
 #
 # Precondition: 0 <= cd <= cu (solve_g_heat has cd/cu = (sigma_lo/sigma_hi)^2).
-# Then the update equals max(cu*d2, cd*d2), computed in place on two scratch
-# buffers: 7 ufunc calls per step and no allocation.  The two forms differ
-# only in the sign of a zero increment: max gives -0.0 where the two-max form
-# gives +0.0 when cd*d2 rounds to zero for d2 < 0, which changes bits only at
-# a node holding -0.0.
-# With cd == 0 that happens for every d2 < 0 (negabs holds -0.0 at x = 0), so
-# that case uses cu*(d2 - min(d2, 0)): the two-max form bit for bit, also
-# when d2 overflows to -inf (NaN, so the march still fails there).
+# Then the update equals max(cu*d2, cd*d2), computed in place for every band
+# on two scratch buffers: 7 ufunc calls per step and no allocation.  Where
+# cd*d2 rounds to zero for d2 < 0 (every d2 < 0 when cd == 0), max gives
+# -0.0 and the two-max form +0.0, so a node holding -0.0 (negabs at x = 0)
+# keeps it where that form makes +0.0; PdeSolution.value_at adds 0.0 where
+# it reads, as sum_expectations does at the origin.  With cd == 0 a d2
+# overflowed to -inf gives 0 * -inf = NaN, so the march still fails there.
 # ---------------------------------------------------------------------------
 
 
@@ -393,21 +387,15 @@ def _gheat_steps(u0, cu, cd, n_steps, check_each_step):
     u[:] = u0
     left, mid, right = u[:-2], u[1:-1], u[2:]
     mul, sub, add = np.multiply, np.subtract, np.add
-    two, zero = np.array(2.0), np.array(0.0)
-    zero_cd = cd == 0.0
+    two = np.array(2.0)
     cu, cd = np.array(cu, dtype=np.float64), np.array(cd, dtype=np.float64)
     for step in range(n_steps):
         mul(mid, two, tmp)
         sub(left, tmp, d2)
         add(d2, right, d2)
-        if zero_cd:
-            np.minimum(d2, zero, out=tmp)
-            sub(d2, tmp, d2)
-            mul(d2, cu, d2)
-        else:
-            mul(d2, cu, tmp)
-            mul(d2, cd, d2)
-            np.maximum(tmp, d2, out=d2)
+        mul(d2, cu, tmp)
+        mul(d2, cd, d2)
+        np.maximum(tmp, d2, out=d2)
         add(mid, d2, mid)
         if check_each_step and not np.isfinite(u).all():
             return step, u

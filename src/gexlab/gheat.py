@@ -118,7 +118,7 @@ class PdeSolution:
         idx = int(round(pos)) if math.isfinite(pos) else -1  # nan and inf are no node
         if not (0 <= idx <= self.grid.n_cells) or abs(pos - idx) > 1e-6:
             raise DomainError(f"x={x!r} is not a grid node of {self.grid}")
-        return float(self.u[idx])
+        return float(self.u[idx]) + 0.0  # the march may leave -0.0 where the two-max update has +0.0
 
 
 def _square_ratio(a: float, b: float) -> float:

@@ -37,6 +37,12 @@ ONE_LAW = [{"step": 1.0, "atoms": [{"k": -1, "p": 0.5}, {"k": 1, "p": 0.5}]}]  #
 WIDE_LAW = [{"step": 1.0, "atoms": [{"k": -3, "p": 0.5}, {"k": 3, "p": 0.5}]}]  # the +-3 coin
 # one law on {0, 2} at p = 1/2 each: mean 1, E[X^2] = 2
 OFF_CENTRE_LAWS = [{"step": 1.0, "atoms": [{"k": 0, "p": 0.5}, {"k": 2, "p": 0.5}]}]
+# families of one-atom laws: each such law's term is its own multiply
+DIRAC_PAIR = [{"step": 1.0, "atoms": [{"k": -1, "p": 1.0}]}, {"step": 1.0, "atoms": [{"k": 1, "p": 1.0}]}]
+DIRAC_AND_COIN = [
+    {"step": 0.5, "atoms": [{"k": 0, "p": 1.0}]},
+    {"step": 0.5, "atoms": [{"k": -2, "p": 0.5}, {"k": 2, "p": 0.5}]},
+]
 
 
 class TestParseConfig:
@@ -760,7 +766,8 @@ class TestSubprocessEntry:
         assert outs[0] == outs[1]
 
 
-# stdout sha256 of each report at its defaults
+# stdout sha256 of each report at its defaults, and of the march with cd = 0
+# on negabs, which keeps phi's -0.0 at the origin
 REPORT_SHA256 = {
     "axioms": "4cafb7aba11a077d6a04bffc889839991d0735a866fa67cf8920a8aa866d32f5",
     "independence": "2a14eb42bdf52133ee94a31b19b4cf71cc657a72b9281f803368356a58b68157",
@@ -769,6 +776,8 @@ REPORT_SHA256 = {
     "gheat": "819a87f9130481bae0225c04352541ebe520902db84940b5fcb6293a39090d59",
     "oracle": "ef10db63cee97f91e7e68ed179d23b561d391910d8ac5d51a2a1d3fd1a595e61",
     "gheat --format csv": "f98ed80c288d938c4deaf9d3c711c71cc53eac94fbcd9b0b7a894d6cb3356c7f",
+    "gheat --sigma-lo 0 --sigma-hi 1 --phi negabs --format csv":
+        "9f04182edea26aea08b8ec794bf0d889d98c2718e3c64923bab564fda0b1d332",
 }
 
 
@@ -779,16 +788,23 @@ def test_default_report_bytes_pinned(argv, capsys):
 
 
 class TestReportBytesThroughLoop:
-    """The lattice reports at their defaults print the per-atom loop's bytes."""
+    """The lattice reports print the per-atom loop's bytes, at their defaults and on one-atom laws."""
 
-    @pytest.mark.parametrize("command", ["moments", "clt", "oracle"])
-    def test_default_report_matches_loop(self, monkeypatch, capsys, command):
-        assert cli.main([command]) == cli.EXIT_PASS
+    @pytest.mark.parametrize(
+        "command, laws",
+        [("moments", None), ("clt", None), ("oracle", None), ("oracle", DIRAC_PAIR), ("clt --n 8,32", DIRAC_AND_COIN)],
+        ids=["moments", "clt", "oracle", "oracle-dirac-pair", "clt-dirac-and-coin"],
+    )
+    def test_default_report_matches_loop(self, monkeypatch, capsys, tmp_path, command, laws):
+        argv = command.split()
+        if laws is not None:
+            argv += ["--config", write_config(tmp_path, {"ambiguity": laws})]
+        assert cli.main(argv) == cli.EXIT_PASS
         got = capsys.readouterr().out
 
         def loop_step(*args, plan):
             return dp_step_loop_reference(*args)
 
         monkeypatch.setattr(pengsum._kernels, "dp_step", loop_step)
-        assert cli.main([command]) == cli.EXIT_PASS
+        assert cli.main(argv) == cli.EXIT_PASS
         assert capsys.readouterr().out == got

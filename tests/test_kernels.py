@@ -221,14 +221,15 @@ CATALOG = [
 
 # Families that take every branch of dp_step, each with the multiply, add and
 # maximum calls of one step, and the calls of the step that ended with an add
-# of 0.0 wherever some law had several atoms or an unshared one.
+# of 0.0 wherever some law had several atoms or an unshared one, and copied a
+# one-atom law's shared product with an add of 0.0.
 BRANCH_FAMILIES = {
     # dp-scan's seeded shape: outer probabilities shared, centre ones not
     "dp-scan": ([[(-2, 0.4), (0, 0.2), (2, 0.4)], [(-1, 0.25), (0, 0.5), (1, 0.25)]], 9, 10),
     "one-atom-unshared": ([[(0, 1.0)], [(-1, 0.5), (1, 0.5)]], 4, 5),
-    "one-atom-shared": ([[(-1, 1.0)], [(1, 1.0)], [(-2, 0.25), (0, 0.5), (2, 0.25)]], 9, 10),
-    # every sum is 0.0 + its one term, so that step had no add of 0.0 either
-    "all-dirac": ([[(-1, 1.0)], [(1, 1.0)]], 4, 4),
+    # a one-atom law multiplies its own term, so the two laws at 1.0 share no product
+    "one-atom-shared": ([[(-1, 1.0)], [(1, 1.0)], [(-2, 0.25), (0, 0.5), (2, 0.25)]], 8, 10),
+    "all-dirac": ([[(-1, 1.0)], [(1, 1.0)]], 3, 4),
     "unshared-first": ([[(-1, 0.3), (1, 0.7)], [(-2, 0.5), (2, 0.5)]], 6, 7),
 }
 
@@ -485,6 +486,48 @@ class TestSweepBits:
         assert len(built) <= kept_list_bound(4096, reach)
 
 
+# Families whose atoms all have one sign: no window, and the rows' other layouts
+ONE_SIDED = {
+    # base = -k_lo < 0, so the outputs sit at margin 0, not at base
+    "dirac-at-1": (1.0, [[(1, 1.0)]]),
+    "coin-1-3": (1.0, [[(1, 0.5), (3, 0.5)]]),
+    # k_hi < 0: each row is wider than its input, and its tail stays zero-filled
+    "negative": (0.5, [[(-3, 0.5), (-1, 0.5)], [(-2, 1.0)]]),
+}
+ONE_SIDED_NS = (1, 2, 17, 300)
+
+
+def one_sided(name):
+    step, laws = ONE_SIDED[name]
+    return AmbiguitySet(tuple(DiscreteDistribution.from_atoms(step, atoms) for atoms in laws))
+
+
+class TestOneSidedSweep:
+    """Sweeps of one-sided families against the per-atom loop and closed forms."""
+
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+    @pytest.mark.parametrize("name", list(ONE_SIDED))
+    def test_matches_loop(self, monkeypatch, name, phi):
+        assert_sweeps_match_loop(monkeypatch, one_sided(name), phi, ns=ONE_SIDED_NS)
+
+    @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+    def test_dirac_is_phi_at_its_end(self, phi):
+        # S_n = n * k * step; a product by 1.0 and a one-law maximum are exact
+        got = sum_expectations(one_sided("dirac-at-1"), ONE_SIDED_NS, phi)
+        assert same_bits(got, evaluate_on(phi, np.array(ONE_SIDED_NS, dtype=np.float64)) + 0.0)
+
+    def test_moments_closed_forms(self):
+        # each step has mean 2 and variance 1 in lattice points (the negative
+        # family's coin: mean -2, and it beats the Dirac law for x^2 and loses
+        # for -x^2); every value is a multiple of 1/4 well below 2^53, so exact
+        n = np.array(ONE_SIDED_NS, dtype=np.float64)
+        coin, negative = one_sided("coin-1-3"), one_sided("negative")
+        assert sum_expectations(coin, ONE_SIDED_NS, make_phi("abs")) == (2 * n).tolist()
+        assert sum_expectations(coin, ONE_SIDED_NS, make_phi("square")) == (n + 4 * n**2).tolist()
+        assert sum_expectations(negative, ONE_SIDED_NS, make_phi("square")) == (0.25 * (n + 4 * n**2)).tolist()
+        assert sum_expectations(negative, ONE_SIDED_NS, make_phi("negsquare")) == (-(n**2)).tolist()
+
+
 class TestExactRoute:
     """The float sweep against its exact replay, at the defaults of the CLI."""
 
@@ -613,6 +656,22 @@ class TestHeldSweep:
             assert abs(held - full) <= osc * 2.0 * math.exp(-B * B / (2 * n * K * K)) + rounding, n
         assert got[-1] != want[-1]
 
+    @pytest.mark.parametrize("r", [12.0, 20.0, 40.0])
+    def test_fast_growing_phi_within_tol(self, ref_set, r):
+        # the certificate is tol = 2^-60 max|phi| on the block, plus both
+        # sweeps' rounding; for fast-growing phi it is far above the value
+        # (at n = 4096 and r = 20, 1.5e54 against 8.6e44), and the window
+        # moves the value at n = 4096 by 1.7e-14, 4.4e-11 and 1.0e-5 of it
+        ns, K, atoms = DP_SCAN_NS[1:], 2, 4
+        phi = make_phi("abspow", r)
+        got, want = sum_expectations(ref_set, ns, phi), full_block_sweep(ref_set, ns, phi)
+        top = np.abs(evaluate_on(phi, np.arange(-ns[-1] * K, ns[-1] * K + 1) * ref_set.step)).max()
+        for n, held, full in zip(ns, got, want):
+            rounding = 2 * n * atoms * 2.0**-53 * top
+            assert abs(held - full) <= 2.0**-60 * top + rounding, n
+        if r == 40.0:
+            assert got[-1] != want[-1]
+
     def test_drift_widens_the_window(self, monkeypatch):
         # the laws' means add n * max|mean| to the window: at n = 256 a law of
         # mean 1 (in lattice points) pushes it past the block, one of mean 1/2 does not
@@ -713,15 +772,26 @@ class TestGheatMarchBits:
         monkeypatch.setattr(gheat._kernels, "gheat_march", gheat_march_formula)
         want = solve_g_heat(params, phi, grid)
         assert got.steps_taken == want.steps_taken == 910
-        assert same_bits(got.u, want.u)
+        u0 = evaluate_on(phi, grid.xs)
+        # with cd == 0 a node where phi is -0.0 (x = 0 for negabs and negsquare)
+        # keeps it; the two-max update makes it +0.0
+        kept = (u0 == 0.0) & np.signbit(u0) & (sigma_lo == 0.0)
+        assert np.count_nonzero(kept) == (phi.label in ("negabs", "negsquare") and sigma_lo == 0.0)
+        assert same_bits(got.u, np.where(kept, -0.0, want.u))
 
     def test_negabs_keeps_signed_zero_as_before(self):
-        # phi(0) = -0.0; with cd == 0 the old update turns it into +0.0
+        # phi(0) = -0.0; with cd == 0 the march keeps it where the two-max
+        # update makes +0.0, and value_at's + 0.0 reads +0.0
         u = make_phi("negabs")(np.linspace(-1.0, 1.0, 11))
         for cd in (0.0, 0.1):
             _, got = _kernels.gheat_march(u, 0.4, cd, 7)
             _, want = gheat_march_formula(u, 0.4, cd, 7)
+            if cd == 0.0:
+                assert same_bits(got[5], -0.0) and same_bits(want[5], 0.0)
+                want[5] = -0.0
             assert same_bits(got, want)
+        sol = solve_g_heat(GParams(0.0, 1.0), make_phi("negabs"), PdeGrid(-1.0, 0.2, 10, 50))
+        assert same_bits(sol.u[5], -0.0) and same_bits(sol.value_at(0.0), 0.0)
 
     @pytest.mark.parametrize("cd_share", [0.0, 0.25, 1.0])
     def test_random_profiles(self, rng, cd_share):

@@ -148,9 +148,16 @@ def _aligned_rows(*sizes):
 # where input slot i + base lies, so a slot keeps its index all sweep and
 # a held step reads rows[t ^ 1] entire: the last outputs plus `base` strip
 # slots before them and reach - base after.  No step writes a strip, so
-# the strips keep their first values, which the held sweep pays wherever
-# the sum leaves the outputs' block.  The first step that is not held
-# reads its block off the last row written.
+# the strips keep the values they had when the window's stage began (phi's
+# in the first stage), which the held sweep pays wherever the sum leaves
+# the outputs' block.  A narrower stage begins with plan.narrow(d): both
+# rows and both outputs move d slots inward at each end, d a whole number
+# of lines, so the outputs stay on lines; the call lists, which read the
+# old views, go; and the row last written, whose slots just outside the
+# new outputs become its strips, is copied into the other row, so the
+# steps of either direction read the same strips.  The first step that is
+# not held reads its block off the last row written, and no stage begins
+# after it.
 #
 # Call lists per block.  A step's calls depend only on the family, on the
 # rows they read and write, and on the number of outputs, yet slicing the
@@ -165,12 +172,12 @@ def _aligned_rows(*sizes):
 # - len(values) >= out_len + reach, and
 # - the list's length, its block, is out_len .. out_len + _SLACK points;
 # otherwise it builds a list at exactly out_len, as a sweep's first step
-# and the no-plan form always do.  A held sweep's steps all have one
-# length, so each direction reuses one list until the block shrinks.  A
-# reused list computes `block` outputs, and slots [out_len, block) hold
-# don't-care values.  No valid output reads one: output i < out_len reads
-# inputs up to i + reach < out_len + reach <= len(values), all of them the
-# previous step's valid outputs (or strips).  A list is kept only when its
+# and the no-plan form always do.  A held stage's steps all have one
+# length, so each direction reuses one list per stage until the block
+# shrinks.  A reused list computes `block` outputs, and slots [out_len,
+# block) hold don't-care values.  No valid output reads one: output i <
+# out_len reads inputs up to i + reach < out_len + reach <= len(values),
+# all of them the previous step's valid outputs (or strips).  A list is kept only when its
 # whole input span held valid values, so past
 # len(values) it reads earlier outputs of the plan, strip values or the
 # zeros dp_plan fills both rows with: no step reads uninitialised memory.
@@ -222,6 +229,17 @@ class _DpPlan:
             row.fill(0.0)
         self.outs = [row[margin : margin + n_out] for row in self.rows]
         self.turn, self.last, self.lists = 0, None, [None, None]
+
+    def narrow(self, d):
+        """Move both rows and outputs ``d`` slots inward at each end, for a narrower held window.
+
+        The call lists read the old views, so they go; the row last written
+        is copied into the other, so both hold its strips.
+        """
+        self.rows = [row[d : len(row) - d] for row in self.rows]
+        self.outs = [out[d : len(out) - d] for out in self.outs]
+        self.lists = [None, None]
+        self.rows[self.turn ^ 1][:] = self.rows[self.turn]
 
 
 def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
@@ -306,7 +324,7 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     return plan.last
 
 
-def _sweep(laws, values, lo, n_steps, radius):
+def _sweep(laws, values, lo, n_steps, stages):
     """Apply the operator of ``laws`` ``n_steps`` times to ``values``, the block from index ``lo``.
 
     ``laws`` holds one ``(indices, probs)`` pair of int64 and float64
@@ -318,18 +336,24 @@ def _sweep(laws, values, lo, n_steps, radius):
     resuming) and may hold -0.0 where the per-atom loop holds +0.0: add 0.0
     to what you read to get its bits.
 
-    While the block is wider than ``[-radius, radius]`` (``k_lo <= 0 <=
-    k_hi`` and a window inside the first block), a step holds its outputs
-    there and the strips ``[k_lo - radius, -radius)`` and ``(radius,
-    radius + k_hi]`` keep their first values (see "Rows and strips"), so
-    the sweep computes the game stopped where the sum leaves the window.
-    The first step that is not held reads its block off the plan's rows.
+    ``stages`` is the window's schedule: ``(first step, radius)`` per
+    stage, the first at step 1, each radius below the last by a whole
+    number of cache lines; empty for no window.  While the block is wider
+    than ``[-radius, radius]`` (``k_lo <= 0 <= k_hi`` and a window inside
+    the first block), a step holds its outputs there and the strips
+    ``[k_lo - radius, -radius)`` and ``(radius, radius + k_hi]`` keep the
+    values they had when the stage began, phi's in the first (see "Rows
+    and strips"), so the sweep computes the game stopped where the sum
+    leaves its stage's window.  The first step that is not held reads its
+    block off the plan's rows, and no stage begins after it.
     """
     ptr = np.cumsum([0] + [len(k) for k, _ in laws])
     ks = np.concatenate([k for k, _ in laws])
     ps = np.concatenate([p for _, p in laws])
     k_lo, k_hi = int(ks.min()), int(ks.max())
     hi = lo + len(values) - 1
+    radius = stages[0][1] if stages else math.inf
+    later = dict(stages[1:])
     # both rows start as the first block cut to the window and its strips:
     # slot j of a row a step reads off is the block's slot start + j
     start = max(lo, k_lo - radius)
@@ -338,8 +362,12 @@ def _sweep(laws, values, lo, n_steps, radius):
     for row in plan.rows:
         row[: len(first)] = first
     values = None  # until the first step that is not held reads its block off the row
-    for _ in range(n_steps):
+    for m in range(1, n_steps + 1):
         lo, hi = lo - k_lo, hi - k_hi
+        if m in later and values is None:
+            d = radius - later[m]
+            plan.narrow(d)
+            radius, start = later[m], start + d
         if lo < -radius or hi > radius:
             out = dp_step(plan.rows[plan.turn], ptr, ks, ps, -k_lo, 2 * radius + 1, plan=plan)
             if out is not plan.last:  # a stand-in for dp_step returned a fresh array

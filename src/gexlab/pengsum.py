@@ -2,9 +2,10 @@
 
 The n-fold upper expectation of phi(S_n) is computed by backward induction:
 one application of the one-step operator per summand, on the integer lattice,
-held at a window that moves no exact value by more than 2^-60 of max|phi|;
-the rest of the error is the arithmetic's rounding.  A brute-force
-oracle enumerates every adapted law-choice strategy for cross-checks.
+held at a window, narrowing in stages, that moves no exact value by more than
+2^-60 of max|phi|; the rest of the error is the arithmetic's rounding.  A
+brute-force oracle enumerates every adapted law-choice strategy for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -43,35 +44,82 @@ def _check_n(n, what: str = "n", low: int = 1) -> int:
 
 
 _HOLD_TOL = 2.0**-60  # how far a held sweep may move a value, as a share of max|phi| on the block
+_STAGE = 64  # a held window narrows by whole multiples of this many slots (8 cache lines)
 
 
-def _hold_radius(aset: AmbiguitySet, n: int):
-    """Half-width of the window a sweep of ``n`` steps holds, or inf for no window.
+def _hold_stages(aset: AmbiguitySet, n: int):
+    """The window a sweep of ``n`` steps holds, as ``(J, stages)``.
+
+    ``stages`` lists ``(first step, radius)`` per stage, from step 1 and
+    with falling radii, or nothing for no window; ``J >= len(stages)``.
 
     Under any adapted choice of laws, the sum less its laws' means is a
     martingale whose steps each lie in a range of width ``k_hi - k_lo <=
-    2K``, and the means add at most ``n * drift``.  By Azuma-Hoeffding it
-    leaves ``[-radius, radius]`` within n steps with chance at most
-    ``2 exp(-(radius - n * drift)^2 / (2 n K^2)) <= _HOLD_TOL / 2``, and
-    only there does the held sweep's game differ from the full one, by at
-    most phi's oscillation ``osc <= 2 max|phi|``: the value moves by at
-    most ``tol = _HOLD_TOL * max|phi|``, for every phi.  No window unless
-    it lies inside the first block with room for its strips and both signs
-    of atom.
+    2K``, and the means add at most ``t * drift`` in t steps.  By the
+    Azuma-Hoeffding maximal inequality the sum leaves ``[-rho(t), rho(t)]``
+    within its first t steps with chance at most ``2 exp(-L) = _HOLD_TOL /
+    (2J)``, where ``rho(t) = ceil(K sqrt(2 t L) + t * drift) + 1`` and ``L =
+    ln(4J / _HOLD_TOL)``.  Step m writes states the sum reaches in n - m
+    steps off states it reaches in t = n - m + 1, so a stage whose radius
+    is at least rho(t) at its first step covers all its steps.  The held
+    game differs from the full one only where the sum leaves a stage's
+    window during that stage, and there by at most phi's oscillation ``osc
+    <= 2 max|phi|``, so over the J stages the value moves by at most ``tol
+    = _HOLD_TOL * max|phi|``, for every phi.
+
+    The first radius is ``rho(n)``.  At the first step whose rho(t) is
+    ``_STAGE`` or more below the radius, the radius falls by whole
+    multiples of ``_STAGE`` to the least one still at least rho(t).  Stages
+    end where the sweep hands off to the shrinking block, at the first step
+    whose block fits the window.  J starts at 1 and takes the count of
+    stages until it covers them.  No window unless the first lies inside
+    the first block with room for its strips and both signs of atom.
     """
     K, k_lo, k_hi = int(np.abs(aset.indices).max()), int(aset.indices[0]), int(aset.indices[-1])
     drift = max(abs(float(law.probs @ law.indices)) for law in aset.laws)
-    half = K * math.sqrt(2.0 * n * math.log(4.0 / _HOLD_TOL)) + n * drift
-    if k_lo <= 0 <= k_hi and half <= n * K - K - 1:
-        return math.ceil(half) + 1
-    return math.inf
+    edge = min(-k_lo, k_hi)  # the held block's nearer end moves in by this many slots a step
+    J = 1
+    while True:
+        L = math.log(4.0 * J / _HOLD_TOL)
+
+        def rho(t):
+            return math.ceil(K * math.sqrt(2.0 * t * L) + t * drift) + 1
+
+        if not (k_lo <= 0 <= k_hi and rho(n) <= n * K - K):
+            return J, ()
+        stages = [(1, rho(n))]
+        a = K * math.sqrt(2.0 * L)
+        while True:
+            radius = stages[-1][1]
+            # the largest t with rho(t) <= radius - _STAGE, from the root of
+            # a sqrt(t) + drift t = radius - _STAGE - 1, settled on rho itself
+            y = max(radius - _STAGE - 1, 0)
+            t = int((2.0 * y / (a + math.sqrt(a * a + 4.0 * drift * y))) ** 2)
+            while t > 0 and rho(t) > radius - _STAGE:
+                t -= 1
+            while rho(t + 1) <= radius - _STAGE:
+                t += 1
+            step, narrower = n - t + 1, radius - (radius - rho(t)) // _STAGE * _STAGE
+            # the sweep holds through the step before and at the stage's first step
+            if t < 1 or n * K - (step - 1) * edge <= radius or n * K - step * edge <= narrower:
+                break
+            stages.append((step, narrower))
+        if len(stages) <= J:
+            return J, stages
+        J = len(stages)
+
+
+def _hold_radius(aset: AmbiguitySet, n: int):
+    """Half-width of the widest window a sweep of ``n`` steps holds, its first stage's; inf for no window."""
+    stages = _hold_stages(aset, n)[1]
+    return stages[0][1] if stages else math.inf
 
 
 def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, float]:
     """Refuse, by ``_kernels``' rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps.
 
-    The sweep is priced at the window it holds; returns K and that
-    window's ``_hold_radius``.
+    The sweep is priced at its widest window, the first stage's; returns K
+    and that window's ``_hold_radius``.
     """
     K = int(np.abs(aset.indices).max())
     atoms = sum(law.indices.size for law in aset.laws)
@@ -88,8 +136,9 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     ``W_m = T^m phi`` is the same for every n >= m, so one backward sweep,
     ``_kernels._sweep``, from the block ``[-N*K, N*K]`` (N the largest n, K
     the largest absolute atom index) passes every n on its way and reads
-    ``W_n`` at the origin.  It holds the window of ``_hold_radius``, fixed
-    by N and priced by admission, so in exact arithmetic each entry is
+    ``W_n`` at the origin.  It holds the window of ``_hold_stages``, set
+    by N, narrowing in stages as the sweep nears the origin's time and
+    priced by admission at its widest, so in exact arithmetic each entry is
     within ``tol = _HOLD_TOL * max|phi|`` (on the block) of the whole
     block's value, and so of ``sum_expectation(aset, n, phi)``'s.  Tests
     pin that the floats are the same bits as the whole block's on the
@@ -102,11 +151,13 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
         raise ValidationError("need at least one n")
     n_max = max(ns)
     K, radius = _admit_sweep(aset, n_max)
+    # the sweep is held only where admission priced a window
+    stages = _hold_stages(aset, n_max)[1] if radius < math.inf else ()
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
     wanted = set(ns)
     at_origin = {}
     laws = [(law.indices, law.probs) for law in aset.laws]
-    sweeps = _kernels._sweep(laws, evaluate_on(phi, points), -n_max * K, n_max, radius)
+    sweeps = _kernels._sweep(laws, evaluate_on(phi, points), -n_max * K, n_max, stages)
     for m, (values, lo, _) in enumerate(sweeps, start=1):
         if m in wanted:
             # every block of the sweep contains index 0; + 0.0 turns a

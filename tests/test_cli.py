@@ -232,7 +232,7 @@ class TestExitCodes:
              "PDE march would need about 6.56e+19 updates (limit 2e+10); increase dx"),
             # the largest n is refused before the PDE solve and the smaller n's sweeps
             (["clt", "--n", "8,32,4000000"],
-             "lattice sweep would need about 1.25e+12 updates (limit 2e+10); reduce n or the atom span"),
+             "lattice sweep would need about 1.34e+12 updates (limit 2e+10); reduce n or the atom span"),
             # each suite is refused before its first draw, not after days of trials
             (["axioms", "--trials", "1000000000"],
              "axiom suite would need about 1.84e+14 updates (limit 2e+10); reduce the trial count"),
@@ -778,6 +778,9 @@ REPORT_SHA256 = {
     "gheat --format csv": "f98ed80c288d938c4deaf9d3c711c71cc53eac94fbcd9b0b7a894d6cb3356c7f",
     "gheat --sigma-lo 0 --sigma-hi 1 --phi negabs --format csv":
         "9f04182edea26aea08b8ec794bf0d889d98c2718e3c64923bab564fda0b1d332",
+    # held sweeps up to n = 4096, through every stage of their window
+    "moments --n 256,512,1024,2048,4096": "23aaa18b4dcba02d4bfc847c5cf6a6bdd0602f6a04b15feb60ccde09b2adc163",
+    "moments --r 3.5 --n 256,512,1024,2048,4096": "c40bdd4e0f0e307e372ea6ba9095ff02fa525864fde5ad91101480676d16e0a6",
 }
 
 
@@ -788,12 +791,16 @@ def test_default_report_bytes_pinned(argv, capsys):
 
 
 class TestReportBytesThroughLoop:
-    """The lattice reports print the per-atom loop's bytes, at their defaults and on one-atom laws."""
+    """The lattice reports print the per-atom loop's bytes, at their defaults, on one-atom laws and
+    through every stage of a held window (the stand-in's fresh arrays copied into the narrowed rows)."""
 
     @pytest.mark.parametrize(
         "command, laws",
-        [("moments", None), ("clt", None), ("oracle", None), ("oracle", DIRAC_PAIR), ("clt --n 8,32", DIRAC_AND_COIN)],
-        ids=["moments", "clt", "oracle", "oracle-dirac-pair", "clt-dirac-and-coin"],
+        [
+            ("moments", None), ("clt", None), ("oracle", None), ("oracle", DIRAC_PAIR), ("clt --n 8,32", DIRAC_AND_COIN),
+            ("moments --n 256,512,1024,2048,4096", None),
+        ],
+        ids=["moments", "clt", "oracle", "oracle-dirac-pair", "clt-dirac-and-coin", "moments-held-to-4096"],
     )
     def test_default_report_matches_loop(self, monkeypatch, capsys, tmp_path, command, laws):
         argv = command.split()

@@ -564,19 +564,35 @@ def full_block_sweep(aset, ns, phi):
         return sum_expectations(aset, ns, phi)
 
 
-def held_sweep(monkeypatch, aset, ns, phi):
-    """``sum_expectations``' values and the outputs of its first step."""
-    out_lens = []
+def recorded_sweep(monkeypatch, aset, ns, phi):
+    """``sum_expectations``' values and, per step, its outputs, whether it
+    was held (read a whole plan row) and the line offsets of the plan's outputs."""
+    steps = []
     step = _kernels.dp_step
 
     def recording(*args, plan):
-        out_lens.append(args[5])
+        steps.append((args[5], args[0] is plan.rows[plan.turn], [line_offset(out) for out in plan.outs]))
         return step(*args, plan=plan)
 
     monkeypatch.setattr(pengsum._kernels, "dp_step", recording)
     got = sum_expectations(aset, ns, phi)
     monkeypatch.setattr(pengsum._kernels, "dp_step", step)
-    return got, out_lens[0]
+    return got, steps
+
+
+def held_sweep(monkeypatch, aset, ns, phi):
+    """``sum_expectations``' values and the outputs of its first step."""
+    got, steps = recorded_sweep(monkeypatch, aset, ns, phi)
+    return got, steps[0][0]
+
+
+def held_stages(steps):
+    """``(first step, radius)`` per stage of a recorded sweep's held steps."""
+    stages = []
+    for m, (out_len, held, _) in enumerate(steps, start=1):
+        if held and (not stages or 2 * stages[-1][1] + 1 != out_len):
+            stages.append((m, (out_len - 1) // 2))
+    return stages
 
 
 def dp_scan_families(seed):
@@ -592,10 +608,21 @@ def dp_scan_families(seed):
     return families
 
 
-def stopped_game(aset, ns, phi, B):
-    """The game stopped where the sum leaves ``[-B, B]``, by the per-atom loop on the whole block.
+def drifting_family():
+    """The +-1 coin beside a law of mean 1/2 in lattice points, as in ``test_drift_widens_the_window``."""
+    return AmbiguitySet((
+        DiscreteDistribution.from_atoms(0.5, [(-2, 0.5), (2, 0.5)]),
+        DiscreteDistribution.from_atoms(0.5, [(-1, 0.5), (2, 0.5)]),
+    ))
 
-    After every step each point outside ``[-B, B]`` gets phi's value back.
+
+def stopped_game(aset, ns, phi, radii):
+    """The game stopped where the sum leaves step m's window ``[-radii[m - 1], radii[m - 1]]``,
+    by the per-atom loop on the whole block.
+
+    After every step each point outside its window gets back the value it
+    had when it left: its value after the last step it was inside, or
+    phi's if it never was.
     """
     n_max, K = max(ns), int(np.abs(aset.indices).max())
     k_lo, k_hi = int(aset.indices[0]), int(aset.indices[-1])
@@ -604,11 +631,14 @@ def stopped_game(aset, ns, phi, B):
     ps = np.concatenate([law.probs for law in aset.laws])
     lo, hi = -n_max * K, n_max * K
     values, at_origin = evaluate_on(phi, np.arange(lo, hi + 1) * aset.step), {}
+    left = values.copy()  # per point of the first block, its value when it left
     for m in range(1, n_max + 1):
         values = dp_step_loop_reference(values, ptr, ks, ps, -k_lo, hi - lo + 1 - (k_hi - k_lo))
         lo, hi = lo - k_lo, hi - k_hi
-        outside = np.abs(np.arange(lo, hi + 1)) > B
-        values[outside] = evaluate_on(phi, np.arange(lo, hi + 1)[outside] * aset.step)
+        inside = np.abs(np.arange(lo, hi + 1)) <= radii[m - 1]
+        kept = left[lo + n_max * K : hi + n_max * K + 1]
+        values[~inside] = kept[~inside]
+        kept[inside] = values[inside]
         at_origin[m] = values[-lo] + 0.0
     return [at_origin[n] for n in ns]
 
@@ -640,20 +670,25 @@ class TestHeldSweep:
                              ids=lambda p: p.label)
     def test_azuma_hoeffding_bound(self, monkeypatch, ref_set, phi):
         # with tol at 2^-3 of max|phi| the window is narrow enough to move the
-        # values; each is the game stopped outside [-B, B], and moves by at most
-        # osc * P(the sum leaves [-B, B] by step n), plus the two sweeps' rounding
+        # values, and over n = 1024 it narrows twice; each value is the game
+        # stopped where the sum leaves its stage's window, and moves by at most
+        # osc * P(the sum leaves a stage's window by the stage's last step),
+        # summed over the stages, plus the two sweeps' rounding
         monkeypatch.setattr(pengsum, "_HOLD_TOL", 2.0**-3)
-        ns, K, atoms = (64, 128, 256), 2, 4
-        got, first = held_sweep(monkeypatch, ref_set, ns, phi)
+        ns, K, atoms = (256, 512, 1024), 2, 4
+        got, steps = recorded_sweep(monkeypatch, ref_set, ns, phi)
         want = full_block_sweep(ref_set, ns, phi)
-        B = (first - 1) // 2
-        assert B < 256 * K // 4
-        assert same_bits(got, stopped_game(ref_set, ns, phi, B))
-        values = evaluate_on(phi, np.arange(-256 * K, 256 * K + 1) * ref_set.step)
+        stages = held_stages(steps)
+        assert len(stages) >= 3 and stages[0][1] < 1024 * K // 4
+        radii = [(out_len - 1) // 2 if held else math.inf for out_len, held, _ in steps]
+        assert same_bits(got, stopped_game(ref_set, ns, phi, radii))
+        values = evaluate_on(phi, np.arange(-1024 * K, 1024 * K + 1) * ref_set.step)
         osc, top = values.max() - values.min(), np.abs(values).max()
         for n, held, full in zip(ns, got, want):
+            # stage j holds steps m_j.. and reads states the sum reaches in at most n - m_j + 1 steps
+            leave = sum(2.0 * math.exp(-B * B / (2 * (n - m + 1) * K * K)) for m, B in stages if m <= n)
             rounding = 2 * n * atoms * 2.0**-53 * top
-            assert abs(held - full) <= osc * 2.0 * math.exp(-B * B / (2 * n * K * K)) + rounding, n
+            assert abs(held - full) <= osc * leave + rounding, n
         assert got[-1] != want[-1]
 
     @pytest.mark.parametrize("r", [12.0, 20.0, 40.0])
@@ -661,7 +696,7 @@ class TestHeldSweep:
         # the certificate is tol = 2^-60 max|phi| on the block, plus both
         # sweeps' rounding; for fast-growing phi it is far above the value
         # (at n = 4096 and r = 20, 1.5e54 against 8.6e44), and the window
-        # moves the value at n = 4096 by 1.7e-14, 4.4e-11 and 1.0e-5 of it
+        # moves the value at n = 4096 by 2.1e-15, 6.0e-12 and 2.0e-6 of it
         ns, K, atoms = DP_SCAN_NS[1:], 2, 4
         phi = make_phi("abspow", r)
         got, want = sum_expectations(ref_set, ns, phi), full_block_sweep(ref_set, ns, phi)
@@ -698,6 +733,45 @@ class TestHeldSweep:
         got, first = held_sweep(monkeypatch, ref_set, [n], make_phi("indicator", 1e6, 2e6))
         assert got == [0.0]
         assert admitted == [first] and first < 2 * n * 2 + 1 - 4
+
+    @pytest.mark.parametrize("n", [256, 4096, 65536])
+    @pytest.mark.parametrize("name", ["reference", "dp-scan", "drift"])
+    def test_window_narrows_in_stages(self, monkeypatch, ref_set, name, n):
+        # step m reads states the sum reaches in t = n - m + 1 steps, so its
+        # window is at least rho(t) = ceil(K sqrt(2 t L) + t drift) + 1, with
+        # L = ln(4J / 2^-60) and J at least the count of stages; the window
+        # narrows by whole multiples of 64 slots and keeps its rows on lines
+        aset = {"reference": ref_set, "dp-scan": dp_scan_families(21)[0], "drift": drifting_family()}[name]
+        K = int(np.abs(aset.indices).max())
+        drift = max(abs(float(law.probs @ law.indices)) for law in aset.laws)
+        J, stages = pengsum._hold_stages(aset, n)
+        L = math.log(4.0 * J / 2.0**-60)
+
+        def rho(t):
+            return math.ceil(K * math.sqrt(2.0 * t * L) + t * drift) + 1
+
+        assert len(stages) <= J
+        assert stages[0] == (1, rho(n)) == (1, pengsum._hold_radius(aset, n))
+        for (_, radius), (_, narrower) in zip(stages, stages[1:]):
+            assert narrower < radius and (radius - narrower) % 64 == 0
+        assert all(radius >= rho(n - m + 1) for m, radius in stages)
+        if name == "drift" and n == 65536:
+            # admission refuses this sweep (about 2.09e10 updates), not its schedule
+            with pytest.raises(SizeError, match="updates"):
+                pengsum._admit_sweep(aset, n)
+            return
+        _, steps = recorded_sweep(monkeypatch, aset, [n], make_phi("abs"))
+        # the sweep holds exactly the schedule's stages, the first at the admitted width
+        assert held_stages(steps) == stages
+        for m, (out_len, held, offsets) in enumerate(steps, start=1):
+            if held:
+                assert out_len >= 2 * rho(n - m + 1) + 1 and offsets == [0, 0], m
+
+    def test_point_updates_per_sweep(self, monkeypatch, ref_set):
+        # the reference family's n = 4096 sweep: 9.03e6 output points at one
+        # window over its held steps, 6.94e6 with the window narrowing in stages
+        _, steps = recorded_sweep(monkeypatch, ref_set, [4096], make_phi("abs"))
+        assert sum(out_len for out_len, _, _ in steps) <= 7.3e6
 
     @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
     @pytest.mark.parametrize("n", [88, 89, 90, 91])

@@ -141,56 +141,55 @@ def _aligned_rows(*sizes):
 # step would cost two of the reference family's 13 array streams per step,
 # for zeros that nothing reads before the origin.
 #
-# Rows and strips.  Each of the plan's two output rows sits `margin` =
-# max(base, 0) slots into a row of input width, on a line: outs[t] is
-# rows[t][margin : margin + n_out].  _sweep fills both rows with its first
-# block, cut to its window and strips.  Where base >= 0 output slot i lies
-# where input slot i + base lies, so a slot keeps its index all sweep and
-# a held step reads rows[t ^ 1] entire: the last outputs plus `base` strip
-# slots before them and reach - base after.  No step writes a strip, so
-# the strips keep the values they had when the window's stage began (phi's
-# in the first stage), which the held sweep pays wherever the sum leaves
-# the outputs' block.  A narrower stage begins with plan.narrow(d): both
-# rows and both outputs move d slots inward at each end, d a whole number
-# of lines, so the outputs stay on lines; the call lists, which read the
-# old views, go; and the row last written, whose slots just outside the
-# new outputs become its strips, is copied into the other row, so the
-# steps of either direction read the same strips.  The first step that is
-# not held reads its block off the last row written, and no stage begins
-# after it.
+# Rows and strips.  The outputs of each of the plan's two rows of input
+# width start `margin` = max(base, 0) slots into it, on a line: output slot
+# i of row t is rows[t][margin + i].  _sweep passes base = -min(k_lo, 0) >= 0
+# and fills both rows with phi's block cut to its first window [-R, R] and
+# the strips [min(k_lo, 0) - R, -R) and (R, R + max(k_hi, 0)], so output
+# slot i lies where input slot i + base lies, a point keeps its slot all
+# sweep, and every step reads rows[t ^ 1] entire: the last outputs and the
+# strips around them.  No step writes a strip, so the strips keep the
+# values they had when the window's stage began (phi's in the first
+# stage), which the sweep pays wherever the sum leaves the window.  The
+# window narrows with plan.narrow(d, cut): both rows, and so their
+# outputs, move d slots inward at each end.  A stage's radius cuts the
+# game: d is a whole number of lines, so the outputs stay on lines; the
+# call lists, which read the old views, go; and the row last written,
+# whose slots just outside the new outputs become its strips, is copied
+# into the other row, so the steps of either direction read the same
+# strips.  The origin's cone (N - m) K cuts nothing the origin reads, so
+# it moves the views only.
 #
-# Call lists per block.  A step's calls depend only on the family, on the
+# Call lists per window.  A step's calls depend only on the family, on the
 # rows they read and write, and on the number of outputs, yet slicing the
 # plan's buffers anew at every length costs a Python slice per view: a
 # step of an n = 64 reference-family sweep took 11-13 us sliced anew and
 # 5.5-7 us with kept lists (2-vCPU Xeon guest, NumPy 2.4, thread time).  So a
 # step's calls are built as one list over views of a fixed length, and the
-# plan keeps one list per ping-pong direction, with what it read: the
-# plan's last output, or the whole row around it (a held step).
-# A step reuses the list of its direction only when
-# - it is handed back what that list read (the same row, from the same slot),
-# - len(values) >= out_len + reach, and
-# - the list's length, its block, is out_len .. out_len + _SLACK points;
-# otherwise it builds a list at exactly out_len, as a sweep's first step
-# and the no-plan form always do.  A held stage's steps all have one
-# length, so each direction reuses one list per stage until the block
-# shrinks.  A reused list computes `block` outputs, and slots [out_len,
-# block) hold don't-care values.  No valid output reads one: output i <
-# out_len reads inputs up to i + reach < out_len + reach <= len(values),
-# all of them the previous step's valid outputs (or strips).  A list is kept only when its
-# whole input span held valid values, so past
-# len(values) it reads earlier outputs of the plan, strip values or the
-# zeros dp_plan fills both rows with: no step reads uninitialised memory.
-# On finite data a don't-care value is thus a probability-weighted sum of
-# finite values like any other.  A list of a block near out_len wastes a
-# few points of arithmetic per call and saves one Python slice per view.
-# _SLACK was chosen by timing sweeps of one process over every candidate in
-# turn.  Held sweeps use it only in their shrinking tail (~radius / K
-# steps), and it still pays (2-vCPU Xeon guest, NumPy 2.4, thread time,
-# medians of 15 rounds, _SLACK = 0 / 32 / 128 / 256 / 512): at n = 4096
-# the reference family took 21.9 / 19.9 / 19.5 / 19.4 / 19.5 ms and the
-# dp-scan shape 42.2 / 39.7 / 39.5 / 38.8 / 39.3 ms; at n = 512, 2.75 /
-# 2.09 / 2.00 / 1.99 / 1.95 and 4.44 / 3.53 / 3.40 / 3.37 / 3.42 ms.
+# plan keeps one list per ping-pong direction, for steps that read its
+# whole row.  Such a step reuses its direction's list while the list's
+# length, its window's outputs, is out_len .. out_len + _SLACK points;
+# otherwise it builds a list at exactly out_len, as a step handed any
+# other array and the no-plan form always do.  A stage's steps all have
+# one length, so each direction reuses one list per stage.  Narrowing to
+# the cone keeps the lists: a kept list still writes its own wider window
+# at the same slots, the new outputs among them, and reads the rows it was
+# built on, around them.  The slots outside the new outputs hold
+# don't-care values, which no output of the cone reads (each reads only
+# the last step's outputs) and which are read from earlier outputs, strip
+# values or the zeros dp_plan fills both rows with: no step reads
+# uninitialised memory, and on finite data a don't-care value is a
+# probability-weighted sum of finite values like any other.  A list of a
+# window near out_len wastes a few points of arithmetic per call and saves
+# one Python slice per view.  _SLACK was chosen by timing sweeps of one
+# process over every candidate in turn, when shrinking blocks did what the
+# cone does now, losing 2K outputs a step; sweeps use it only while the
+# window follows the cone (~radius / K steps), and it still paid (2-vCPU Xeon
+# guest, NumPy 2.4, thread time, medians of 15 rounds, _SLACK = 0 / 32 /
+# 128 / 256 / 512): at n = 4096 the reference family took 21.9 / 19.9 /
+# 19.5 / 19.4 / 19.5 ms and the dp-scan shape 42.2 / 39.7 / 39.5 / 38.8 /
+# 39.3 ms; at n = 512, 2.75 / 2.09 / 2.00 / 1.99 / 1.95 and 4.44 / 3.53 /
+# 3.40 / 3.37 / 3.42 ms.
 # Precondition: at least one law, every law has at least one atom, and
 # every atom's start base + k_j is >= 0.
 #
@@ -201,9 +200,9 @@ def _aligned_rows(*sizes):
 # is optional: _sweep builds it once and passes it to every step, and
 # without it dp_step builds its own, so the six positional arguments alone
 # still work.  Result lifetime: with a plan, dp_step returns exactly
-# outs[turn][:out_len], a view that stays valid until the plan's
-# next-but-one call (so it may be the next call's input); without one it
-# returns a fresh 1-D array.
+# rows[turn][margin : margin + out_len], a view that stays valid until
+# the plan's next-but-one call (so it may be the next call's input);
+# without one it returns a fresh 1-D array.
 # ---------------------------------------------------------------------------
 
 
@@ -214,12 +213,12 @@ class _DpPlan:
     """Per-family constants, work buffers and call lists of ``dp_step``; see ``dp_plan``."""
 
     __slots__ = (
-        "shared_p", "laws", "reach", "margin", "rows", "outs", "acc", "scratch", "shared", "turn", "last", "lists",
+        "shared_p", "laws", "reach", "margin", "rows", "acc", "scratch", "shared", "turn", "lists",
     )
 
     def __init__(self, shared_p, laws, reach, base, n_in, n_out):
         self.shared_p, self.laws, self.reach = shared_p, laws, reach
-        # each output row sits `margin` slots into a row of input width, on a line
+        # a row's outputs start `margin` slots into it, on a line
         margin = self.margin = max(base, 0)
         width, pad = max(n_in, margin + n_out), -margin % _LINE
         rows = _aligned_rows(pad + width, pad + width, n_out, n_out, *[n_in] * len(shared_p))
@@ -227,19 +226,20 @@ class _DpPlan:
         self.rows = [row[pad:] for row in rows[:2]]
         for row in self.rows:  # a kept call list reads its input row past the valid values
             row.fill(0.0)
-        self.outs = [row[margin : margin + n_out] for row in self.rows]
-        self.turn, self.last, self.lists = 0, None, [None, None]
+        self.turn, self.lists = 0, [None, None]
 
-    def narrow(self, d):
-        """Move both rows and outputs ``d`` slots inward at each end, for a narrower held window.
+    def narrow(self, d, cut):
+        """Move both rows, and so their outputs, ``d`` > 0 slots inward at each end.
 
-        The call lists read the old views, so they go; the row last written
-        is copied into the other, so both hold its strips.
+        A ``cut`` (a stage's radius) drops the call lists, which read the
+        old views, and copies the row last written into the other, so both
+        hold its strips; the origin's cone keeps both (see "Rows and strips").
         """
-        self.rows = [row[d : len(row) - d] for row in self.rows]
-        self.outs = [out[d : len(out) - d] for out in self.outs]
-        self.lists = [None, None]
-        self.rows[self.turn ^ 1][:] = self.rows[self.turn]
+        a, b = self.rows
+        self.rows = [a[d:-d], b[d:-d]]
+        if cut:
+            self.lists = [None, None]
+            self.rows[self.turn ^ 1][:] = self.rows[self.turn]
 
 
 def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
@@ -252,9 +252,9 @@ def dp_plan(law_ptr, law_k, law_p, base, n_in, n_out):
     atom's 0-d probability (a one-atom law multiplies its own term, whatever
     its slot); ``reach`` is the largest start.  The buffers are sized
     when the plan is built, for one sweep: inputs of up to ``n_in`` and
-    outputs of up to ``n_out`` points, both rows zero-filled, each output
-    row ``outs[t]`` ``margin`` slots into its row ``rows[t]``.  The call
-    lists are kept by the steps that reuse them.
+    outputs of up to ``n_out`` points, both rows zero-filled, the outputs
+    of ``rows[t]`` from its slot ``margin``.  The call lists are kept by
+    the steps that reuse them.
     """
     probs = law_p.tolist()
     ptr = law_ptr.tolist()
@@ -306,78 +306,68 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     if plan is None:
         plan = dp_plan(law_ptr, law_k, law_p, base, len(values), out_len)
     turn = plan.turn = plan.turn ^ 1
-    held = values is plan.rows[turn ^ 1]  # a held step reads the whole row around the last output
-    handed_back = (held or values is plan.last) and len(values) >= out_len + plan.reach
+    held = values is plan.rows[turn ^ 1]  # the whole row the last step wrote
     kept = plan.lists[turn]
-    if handed_back and kept is not None and kept[2] == held and out_len <= kept[0] <= out_len + _SLACK:
+    if held and kept is not None and out_len <= kept[0] <= out_len + _SLACK:
         calls = kept[1]
     else:
-        calls = _step_calls(plan, values, plan.outs[turn], out_len)
-        if handed_back:
-            plan.lists[turn] = (out_len, calls, held)
+        calls = _step_calls(plan, values, plan.rows[turn][plan.margin :], out_len)
+        if held:
+            plan.lists[turn] = (out_len, calls)
     for f, a, b, result in calls:
         if f is None:
             np.maximum(a, b, out=result)
         else:
             f(a, b, result)
-    plan.last = plan.outs[turn][:out_len]
-    return plan.last
+    return plan.rows[turn][plan.margin : plan.margin + out_len]
 
 
 def _sweep(laws, values, lo, n_steps, stages):
     """Apply the operator of ``laws`` ``n_steps`` times to ``values``, the block from index ``lo``.
 
     ``laws`` holds one ``(indices, probs)`` pair of int64 and float64
-    arrays per law.  Each step, one ``dp_step`` call with the sweep's plan,
-    keeps the largest block on which every law's shifted support stays
-    inside the last one, and yields ``(outputs, lo, hi)`` for it; the last
-    block is non-empty if ``hi - lo >= n_steps * (k_hi - k_lo)``.  The
-    outputs live in the plan until the next step (read or copy them before
-    resuming) and may hold -0.0 where the per-atom loop holds +0.0: add 0.0
-    to what you read to get its bits.
+    arrays per law, and ``values`` holds at least ``[-n_steps K,
+    n_steps K]``, K the largest absolute atom index.  Step m, one
+    ``dp_step`` call with the sweep's plan, writes its outputs at the
+    window ``[-R, R]`` and yields them, the origin at their centre: R is
+    the least of its stage's radius and the origin's cone ``(n_steps - m)
+    K``, outside which no point reaches the origin in the steps left.
 
     ``stages`` is the window's schedule: ``(first step, radius)`` per
-    stage, the first at step 1, each radius below the last by a whole
-    number of cache lines; empty for no window.  While the block is wider
-    than ``[-radius, radius]`` (``k_lo <= 0 <= k_hi`` and a window inside
-    the first block), a step holds its outputs there and the strips
-    ``[k_lo - radius, -radius)`` and ``(radius, radius + k_hi]`` keep the
+    stage, the first at step 1 and at most ``(n_steps - 1) K``, each later
+    radius below the last by a whole number of cache lines.  The strips
+    ``[min(k_lo, 0) - R, -R)`` and ``(R, R + max(k_hi, 0)]`` keep the
     values they had when the stage began, phi's in the first (see "Rows
     and strips"), so the sweep computes the game stopped where the sum
-    leaves its stage's window.  The first step that is not held reads its
-    block off the plan's rows, and no stage begins after it.
+    leaves its stage's window.  A stage no narrower than the window is
+    skipped, and the cone stops nothing the origin reads.  The outputs
+    live in the plan until the next step (read or copy them before
+    resuming) and may hold -0.0 where the per-atom loop holds +0.0: add
+    0.0 to what you read to get its bits.
     """
     ptr = np.cumsum([0] + [len(k) for k, _ in laws])
     ks = np.concatenate([k for k, _ in laws])
     ps = np.concatenate([p for _, p in laws])
     k_lo, k_hi = int(ks.min()), int(ks.max())
-    hi = lo + len(values) - 1
-    radius = stages[0][1] if stages else math.inf
+    K, base = max(-k_lo, k_hi), max(-k_lo, 0)
+    radius = stages[0][1]
     later = dict(stages[1:])
-    # both rows start as the first block cut to the window and its strips:
-    # slot j of a row a step reads off is the block's slot start + j
-    start = max(lo, k_lo - radius)
-    first = values[start - lo : min(hi, radius + k_hi) - lo + 1]
-    plan = dp_plan(ptr, ks, ps, -k_lo, len(first), len(first) - (k_hi - k_lo))
+    # slot j of both rows holds point j - base - radius of the first block
+    first = values[-base - radius - lo :][: base + 2 * radius + 1 + max(k_hi, 0)]
+    plan = dp_plan(ptr, ks, ps, base, len(first), 2 * radius + 1)
     for row in plan.rows:
         row[: len(first)] = first
-    values = None  # until the first step that is not held reads its block off the row
     for m in range(1, n_steps + 1):
-        lo, hi = lo - k_lo, hi - k_hi
-        if m in later and values is None:
-            d = radius - later[m]
-            plan.narrow(d)
-            radius, start = later[m], start + d
-        if lo < -radius or hi > radius:
-            out = dp_step(plan.rows[plan.turn], ptr, ks, ps, -k_lo, 2 * radius + 1, plan=plan)
-            if out is not plan.last:  # a stand-in for dp_step returned a fresh array
-                plan.rows[plan.turn][plan.margin : plan.margin + len(out)] = out
-            yield out, -radius, radius
-            continue
-        if values is None:
-            values = plan.rows[plan.turn][lo + k_lo - start : hi + k_hi - start + 1]
-        values = dp_step(values, ptr, ks, ps, -k_lo, hi - lo + 1, plan=plan)
-        yield values, lo, hi
+        cone = (n_steps - m) * K
+        window = min(later.get(m, radius), cone)
+        if window < radius:  # only a stage's radius below the cone cuts the game
+            plan.narrow(radius - window, window < cone)
+            radius = window
+        row = plan.rows[plan.turn]
+        out = dp_step(row, ptr, ks, ps, base, 2 * radius + 1, plan=plan)
+        if out.base is not row.base:  # a stand-in for dp_step returned an array of its own
+            row[base : base + len(out)] = out
+        yield out
 
 
 # ---------------------------------------------------------------------------

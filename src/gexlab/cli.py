@@ -275,10 +275,11 @@ def _cmd_oracle(opts: dict):
     strategy_counts = [{"n": n, "strategies": pengsum.count_adapted_strategies(aset, n)} for n in ns]
     # one sweep per phi reads every n, with the same bits as one sweep per n
     dp_columns = [pengsum.sum_expectations(aset, ns, phi) for phi in phis]
+    reachable = pengsum.reachable_index_sets(aset, ns[-1])
     entries = []
     passed = True
     for i, n in enumerate(ns):
-        terminal = pengsum.reachable_index_sets(aset, n)[-1] * aset.step
+        terminal = reachable[n] * aset.step
         for phi, oracle_val, dp_vals in zip(phis, oracle_rows[i], dp_columns):
             dp_val = dp_vals[i]
             diff = abs(dp_val - oracle_val)

@@ -51,7 +51,7 @@ def _hold_stages(aset: AmbiguitySet, n: int):
     """The window a sweep of ``n`` steps holds, as ``(J, stages)``.
 
     ``stages`` lists ``(first step, radius)`` per stage, from step 1 and
-    with falling radii, or nothing for no window; ``J >= len(stages)``.
+    with falling radii; ``J >= len(stages)``.
 
     Under any adapted choice of laws, the sum less its laws' means is a
     martingale whose steps each lie in a range of width ``k_hi - k_lo <=
@@ -69,15 +69,18 @@ def _hold_stages(aset: AmbiguitySet, n: int):
 
     The first radius is ``rho(n)``.  At the first step whose rho(t) is
     ``_STAGE`` or more below the radius, the radius falls by whole
-    multiples of ``_STAGE`` to the least one still at least rho(t).  Stages
-    end where the sweep hands off to the shrinking block, at the first step
-    whose block fits the window.  J starts at 1 and takes the count of
-    stages until it covers them.  No window unless the first lies inside
-    the first block with room for its strips and both signs of atom.
+    multiples of ``_STAGE`` to the least one still at least rho(t).  The
+    list ends where the whole block, whose nearer end moves in by
+    ``min(-k_lo, k_hi)`` slots a step, fits the window; the sweep skips a
+    stage no narrower than the origin's cone ``(n - m) K``.  J starts at 1
+    and takes the count of stages until it covers them.  Without a window
+    (the first must lie inside the first block with room for its strips,
+    and the atoms must take both signs), the one stage is the cone ``(n -
+    1) K``, which cuts nothing.
     """
     K, k_lo, k_hi = int(np.abs(aset.indices).max()), int(aset.indices[0]), int(aset.indices[-1])
     drift = max(abs(float(law.probs @ law.indices)) for law in aset.laws)
-    edge = min(-k_lo, k_hi)  # the held block's nearer end moves in by this many slots a step
+    edge = min(-k_lo, k_hi)
     J = 1
     while True:
         L = math.log(4.0 * J / _HOLD_TOL)
@@ -86,7 +89,7 @@ def _hold_stages(aset: AmbiguitySet, n: int):
             return math.ceil(K * math.sqrt(2.0 * t * L) + t * drift) + 1
 
         if not (k_lo <= 0 <= k_hi and rho(n) <= n * K - K):
-            return J, ()
+            return J, [(1, n * K - K)]
         stages = [(1, rho(n))]
         a = K * math.sqrt(2.0 * L)
         while True:
@@ -100,7 +103,7 @@ def _hold_stages(aset: AmbiguitySet, n: int):
             while rho(t + 1) <= radius - _STAGE:
                 t += 1
             step, narrower = n - t + 1, radius - (radius - rho(t)) // _STAGE * _STAGE
-            # the sweep holds through the step before and at the stage's first step
+            # the block is wider than the window through the step before and at the stage's first step
             if t < 1 or n * K - (step - 1) * edge <= radius or n * K - step * edge <= narrower:
                 break
             stages.append((step, narrower))
@@ -109,25 +112,19 @@ def _hold_stages(aset: AmbiguitySet, n: int):
         J = len(stages)
 
 
-def _hold_radius(aset: AmbiguitySet, n: int):
-    """Half-width of the widest window a sweep of ``n`` steps holds, its first stage's; inf for no window."""
-    stages = _hold_stages(aset, n)[1]
-    return stages[0][1] if stages else math.inf
-
-
-def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, float]:
+def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, list[tuple[int, int]]]:
     """Refuse, by ``_kernels``' rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps.
 
     The sweep is priced at its widest window, the first stage's; returns K
-    and that window's ``_hold_radius``.
+    and the window's schedule, ``_hold_stages``' stages.
     """
     K = int(np.abs(aset.indices).max())
     atoms = sum(law.indices.size for law in aset.laws)
     remedy = "reduce n or the atom span"
     _kernels._admit("lattice sweep", 2 * n * K + 1, 0, atoms, remedy)
-    radius = _hold_radius(aset, n)
-    _kernels._admit("lattice sweep", 2 * min(radius, n * K) + 1, n, atoms, remedy)
-    return K, radius
+    stages = _hold_stages(aset, n)[1]
+    _kernels._admit("lattice sweep", 2 * stages[0][1] + 1, n, atoms, remedy)
+    return K, stages
 
 
 def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> list[float]:
@@ -137,32 +134,29 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     ``_kernels._sweep``, from the block ``[-N*K, N*K]`` (N the largest n, K
     the largest absolute atom index) passes every n on its way and reads
     ``W_n`` at the origin.  It holds the window of ``_hold_stages``, set
-    by N, narrowing in stages as the sweep nears the origin's time and
-    priced by admission at its widest, so in exact arithmetic each entry is
-    within ``tol = _HOLD_TOL * max|phi|`` (on the block) of the whole
-    block's value, and so of ``sum_expectation(aset, n, phi)``'s.  Tests
-    pin that the floats are the same bits as the whole block's on the
-    catalog's shapes and the benchmark's families.  Raises SizeError,
-    before phi is evaluated, when ``_kernels`` refuses the block's points
-    or the sweep's work.
+    by N, narrowing in stages and to the origin's cone as the sweep nears
+    the origin's time and priced by admission at its widest, so in exact
+    arithmetic each entry is within ``tol = _HOLD_TOL * max|phi|`` (on the
+    block) of the whole block's value, and so of ``sum_expectation(aset,
+    n, phi)``'s.  Tests pin that the floats are the same bits as the whole
+    block's on the catalog's shapes and the benchmark's families.  Raises
+    SizeError, before phi is evaluated, when ``_kernels`` refuses the
+    block's points or the sweep's work.
     """
     ns = [_check_n(n) for n in ns]
     if not ns:
         raise ValidationError("need at least one n")
     n_max = max(ns)
-    K, radius = _admit_sweep(aset, n_max)
-    # the sweep is held only where admission priced a window
-    stages = _hold_stages(aset, n_max)[1] if radius < math.inf else ()
+    K, stages = _admit_sweep(aset, n_max)
     points = np.arange(-n_max * K, n_max * K + 1, dtype=np.int64) * aset.step
     wanted = set(ns)
     at_origin = {}
     laws = [(law.indices, law.probs) for law in aset.laws]
     sweeps = _kernels._sweep(laws, evaluate_on(phi, points), -n_max * K, n_max, stages)
-    for m, (values, lo, _) in enumerate(sweeps, start=1):
+    for m, values in enumerate(sweeps, start=1):
         if m in wanted:
-            # every block of the sweep contains index 0; + 0.0 turns a
-            # -0.0 the kernel may leave there into the per-atom loop's +0.0
-            at_origin[m] = float(values[-lo]) + 0.0
+            # + 0.0 turns a -0.0 the kernel may leave at the origin into the per-atom loop's +0.0
+            at_origin[m] = float(values[len(values) // 2]) + 0.0
     return [at_origin[n] for n in ns]
 
 

@@ -43,6 +43,12 @@ DIRAC_AND_COIN = [
     {"step": 0.5, "atoms": [{"k": 0, "p": 1.0}]},
     {"step": 0.5, "atoms": [{"k": -2, "p": 0.5}, {"k": 2, "p": 0.5}]},
 ]
+# an asymmetric mean-zero law beside the +-1 coin: the origin's cone narrows the
+# window long before the whole block would fit it, and stages still cut it after
+SKEWED_AND_COIN = [
+    {"step": 0.5, "atoms": [{"k": -3, "p": 0.25}, {"k": 1, "p": 0.75}]},
+    {"step": 0.5, "atoms": [{"k": -1, "p": 0.5}, {"k": 1, "p": 0.5}]},
+]
 
 
 class TestParseConfig:
@@ -798,9 +804,10 @@ class TestReportBytesThroughLoop:
         "command, laws",
         [
             ("moments", None), ("clt", None), ("oracle", None), ("oracle", DIRAC_PAIR), ("clt --n 8,32", DIRAC_AND_COIN),
-            ("moments --n 256,512,1024,2048,4096", None),
+            ("moments --n 256,512,1024,2048,4096", None), ("moments --n 256,512,1024,2048,4096", SKEWED_AND_COIN),
         ],
-        ids=["moments", "clt", "oracle", "oracle-dirac-pair", "clt-dirac-and-coin", "moments-held-to-4096"],
+        ids=["moments", "clt", "oracle", "oracle-dirac-pair", "clt-dirac-and-coin", "moments-held-to-4096",
+             "moments-skewed-to-4096"],
     )
     def test_default_report_matches_loop(self, monkeypatch, capsys, tmp_path, command, laws):
         argv = command.split()
@@ -815,3 +822,11 @@ class TestReportBytesThroughLoop:
         monkeypatch.setattr(pengsum._kernels, "dp_step", loop_step)
         assert cli.main(argv) == cli.EXIT_PASS
         assert capsys.readouterr().out == got
+
+    def test_skewed_family_bytes_pinned(self, capsys, tmp_path):
+        # the whole block would fit its window only at step 4094 of 4096; the
+        # cone narrows the window from step 3480, and later stages still cut below it
+        config = write_config(tmp_path, {"ambiguity": SKEWED_AND_COIN})
+        assert cli.main(["moments", "--config", config, "--n", "256,512,1024,2048,4096"]) == cli.EXIT_PASS
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == "d60e0d8f52db9cc76bead8de8d0f3af7dcce7e0b952bdbb88e492a5e5aab30a6"

@@ -76,19 +76,16 @@ def line_offset(a):
     return a.ctypes.data % 64
 
 
-def kept_list_bound(n_steps, reach):
-    """Call lists a chain of ``n_steps`` planned steps builds under the slack rule.
+def cone_list_count(n_steps, K):
+    """Call lists a sweep of ``n_steps`` steps builds when its window is the origin's cone from step 1.
 
-    Each step's output is ``reach`` points shorter than its input.  The
-    first step builds one list and keeps none; later steps alternate
-    between the plan's two directions, so within one direction the output
-    shrinks by ``2 * reach`` per step, and a list built at block B serves
-    its direction while B - out_len <= _SLACK: for 1 + _SLACK // (2 * reach)
-    of that direction's steps.
+    The steps alternate between the plan's two directions, so within one
+    direction the window loses 4K outputs per step, and a list built at
+    length B serves its direction while B - out_len <= _SLACK: for
+    1 + _SLACK // (4K) of that direction's steps.
     """
-    per_list = 1 + _kernels._SLACK // (2 * reach)
-    later = n_steps - 1
-    return 1 + -(-((later + 1) // 2) // per_list) + -(-(later // 2) // per_list)
+    per_list = 1 + _kernels._SLACK // (4 * K)
+    return -(-((n_steps + 1) // 2) // per_list) + -(-(n_steps // 2) // per_list)
 
 
 def counting_step_calls(monkeypatch):
@@ -104,16 +101,25 @@ def counting_step_calls(monkeypatch):
     return built
 
 
-def run_chain(values, law_ptr, law_k, law_p, base, out_len, n_steps):
-    """``n_steps`` planned steps, each on the previous output as a sweep does,
-    checked against the per-atom loop after every step."""
-    plan = _kernels.dp_plan(law_ptr, law_k, law_p, base, len(values), out_len)
-    got, want = values, values.copy()
-    for _ in range(n_steps):
-        got = _kernels.dp_step(got, law_ptr, law_k, law_p, base, out_len, plan=plan)
+def run_held_chain(values, law_ptr, law_k, law_p, base, out_len, n_steps):
+    """A sweep of ``n_steps`` held steps whose window is the origin's cone
+    from step 1, on the block ``values`` centred on the origin, checked
+    against the per-atom loop on the whole block after every step.
+
+    The family's atoms span ``[-base, base]``, so the cone keeps the
+    loop's output but ``pad`` points at each end.
+    """
+    K = base
+    laws = [(law_k[a:b], law_p[a:b]) for a, b in zip(law_ptr[:-1], law_ptr[1:])]
+    half = (len(values) - 1) // 2
+    pad = half - n_steps * K
+    sweep = _kernels._sweep(laws, values, -half, n_steps, [(1, (n_steps - 1) * K)])
+    want = values.copy()
+    for m, got in enumerate(sweep, start=1):
         want = dp_step_loop_reference(want, law_ptr, law_k, law_p, base, out_len)
-        assert_loop_values(got, want)
-        out_len -= plan.reach
+        assert len(got) == 2 * (n_steps - m) * K + 1
+        assert_loop_values(got, want[pad : len(want) - pad])
+        out_len -= 2 * K
 
 
 def dp_step_loop_reference(values, law_ptr, law_k, law_p, base, out_len):
@@ -327,7 +333,7 @@ class TestBufferContract:
         args = three_law_inputs(rng, 301)
         plan = _kernels.dp_plan(*args[1:5], 301, args[5])
         out = _kernels.dp_step(*args, plan=plan)
-        buffers = [*plan.outs, plan.acc, plan.scratch, *plan.shared]
+        buffers = [*(row[plan.margin :] for row in plan.rows), plan.acc, plan.scratch, *plan.shared]
         assert len(plan.shared) == 3
         assert [line_offset(b) for b in buffers + [out]] == [0] * (len(buffers) + 1)
         for n in (3, 9, 1201):
@@ -359,21 +365,22 @@ DIRAC = (np.array([0, 1]), np.array([0]), np.array([1.0]), 0)  # one law at 0, r
 
 
 class TestCallLists:
-    """Kept call lists: reused within their slack, never past valid input."""
+    """Kept call lists of held steps: reused within their slack as the cone narrows the window."""
 
     @pytest.mark.parametrize("offset", range(0, 64, 8))
     def test_long_chain_matches_loop(self, monkeypatch, rng, offset):
+        # the sweep copies its block into the plan's rows, wherever the block lies
         built = counting_step_calls(monkeypatch)
         values, *family, out_len = three_law_inputs(rng, 4 * CHAIN_STEPS + 21)
         values = at_offset(sprinkled(rng, values), offset)
-        run_chain(values, *family, out_len, CHAIN_STEPS)
+        run_held_chain(values, *family, out_len, CHAIN_STEPS)
         # the chain outlasts a kept list in each direction, so lists are
         # both reused and rebuilt
-        assert len(built) == kept_list_bound(CHAIN_STEPS, 4) > 3
+        assert len(built) == cone_list_count(CHAIN_STEPS, 2) > 2
 
     def test_new_plan_zeroes_both_output_rows(self):
         plan = _kernels.dp_plan(*COIN, 40, 38)
-        assert all(same_bits(row, np.zeros(38)) for row in plan.outs)
+        assert all(same_bits(row, np.zeros(40)) for row in plan.rows)
 
     @pytest.mark.parametrize("family, n_in", [(COIN, 41), (COIN, 40), (DIRAC, 1)], ids=["coin41", "coin40", "dirac1"])
     def test_step_longer_than_plan_is_refused(self, rng, family, n_in):
@@ -383,31 +390,12 @@ class TestCallLists:
         plan = _kernels.dp_plan(*family, 40, 38)
         with pytest.raises(ValueError, match="^a step of 39 outputs exceeds its plan's 38$"):
             _kernels.dp_step(rng.normal(size=n_in), *family, 39, plan=plan)
-        assert len(plan.outs[0]) == len(plan.outs[1]) == len(plan.acc) == 38
+        assert len(plan.rows[0]) == len(plan.rows[1]) == 40 and len(plan.acc) == 38
 
     def test_dont_care_slots_raise_no_flag(self, rng):
         values, *family, out_len = three_law_inputs(rng, 4 * CHAIN_STEPS + 21)
         with np.errstate(all="raise"):
-            run_chain(values, *family, out_len, CHAIN_STEPS)
-
-    @pytest.mark.parametrize("out_len", [2, 3, 4])
-    def test_short_handed_back_input_is_read_as_given(self, rng, out_len):
-        # a kept list would read the row past the 3 valid points; the step
-        # must instead read only what it is given, as the per-atom loop does:
-        # a 1-point slice broadcasts (out_len 2 and 3), a longer short one fails
-        plan = _kernels.dp_plan(*COIN, 9, 7)
-        last = rng.normal(size=9)
-        for n in (7, 5, 3):
-            last = _kernels.dp_step(last, *COIN, n, plan=plan)
-        assert plan.lists[0] is not None and plan.lists[0][0] >= out_len
-        given = last.copy()
-        try:
-            want = dp_step_loop_reference(given, *COIN, out_len)
-        except ValueError:
-            with pytest.raises(ValueError):
-                _kernels.dp_step(last, *COIN, out_len, plan=plan)
-        else:
-            assert_loop_values(_kernels.dp_step(last, *COIN, out_len, plan=plan), want)
+            run_held_chain(values, *family, out_len, CHAIN_STEPS)
 
 
 def assert_sweeps_match_loop(monkeypatch, aset, phi, ns=(1, 2, 17, 128, 256)):
@@ -480,18 +468,23 @@ class TestSweepBits:
         assert len(built) == 2
 
     def test_call_lists_per_sweep(self, monkeypatch, ref_set):
+        # two lists per stage, and two per _SLACK // (2K) steps of the cone,
+        # whose window loses 2K outputs a step
         built = counting_step_calls(monkeypatch)
-        sum_expectations(ref_set, [4096], make_phi("abs"))
-        reach = int(ref_set.indices[-1] - ref_set.indices[0])
-        assert len(built) <= kept_list_bound(4096, reach)
+        n, K = 4096, 2
+        sum_expectations(ref_set, [n], make_phi("abs"))
+        stages = pengsum._hold_stages(ref_set, n)[1]
+        cone = sum(w == (n - m) * K for m, w in enumerate(scheduled_windows(ref_set, n), start=1))
+        assert len(built) <= 2 * len(stages) + 2 * -(-cone // (_kernels._SLACK // (2 * K)))
+        assert 0 < cone < n
 
 
-# Families whose atoms all have one sign: no window, and the rows' other layouts
+# Families whose atoms all have one sign: no window, and strips on one side only
 ONE_SIDED = {
-    # base = -k_lo < 0, so the outputs sit at margin 0, not at base
+    # k_lo > 0: base = 0 and no strip on the left
     "dirac-at-1": (1.0, [[(1, 1.0)]]),
     "coin-1-3": (1.0, [[(1, 0.5), (3, 0.5)]]),
-    # k_hi < 0: each row is wider than its input, and its tail stays zero-filled
+    # k_hi < 0: base = -k_lo and no strip on the right
     "negative": (0.5, [[(-3, 0.5), (-1, 0.5)], [(-2, 1.0)]]),
 }
 ONE_SIDED_NS = (1, 2, 17, 300)
@@ -557,11 +550,26 @@ class TestExactRoute:
         assert got == [Fraction(2, 3) + Fraction((-1) ** n, 3 * 2**n) for n in ns]
 
 
+def no_window(aset, n):
+    """``_hold_stages`` with no window: one uncut stage, the origin's cone at step 1."""
+    return 1, [(1, (n - 1) * int(np.abs(aset.indices).max()))]
+
+
 def full_block_sweep(aset, ns, phi):
-    """``sum_expectations`` on the whole block ``[-N*K, N*K]``, as with no window."""
+    """``sum_expectations`` with no window: every value the whole block's."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pengsum, "_hold_radius", lambda *args: math.inf)
+        mp.setattr(pengsum, "_hold_stages", no_window)
         return sum_expectations(aset, ns, phi)
+
+
+def scheduled_windows(aset, n):
+    """Per step of a sweep of ``n`` steps, its window's radius: the least of its stage's and the cone's."""
+    K = int(np.abs(aset.indices).max())
+    stages, radius, windows = dict(pengsum._hold_stages(aset, n)[1]), None, []
+    for m in range(1, n + 1):
+        radius = stages.get(m, radius)
+        windows.append(min(radius, (n - m) * K))
+    return windows
 
 
 def recorded_sweep(monkeypatch, aset, ns, phi):
@@ -571,7 +579,7 @@ def recorded_sweep(monkeypatch, aset, ns, phi):
     step = _kernels.dp_step
 
     def recording(*args, plan):
-        steps.append((args[5], args[0] is plan.rows[plan.turn], [line_offset(out) for out in plan.outs]))
+        steps.append((args[5], args[0] is plan.rows[plan.turn], [line_offset(row[plan.margin :]) for row in plan.rows]))
         return step(*args, plan=plan)
 
     monkeypatch.setattr(pengsum._kernels, "dp_step", recording)
@@ -586,12 +594,15 @@ def held_sweep(monkeypatch, aset, ns, phi):
     return got, steps[0][0]
 
 
-def held_stages(steps):
-    """``(first step, radius)`` per stage of a recorded sweep's held steps."""
-    stages = []
-    for m, (out_len, held, _) in enumerate(steps, start=1):
-        if held and (not stages or 2 * stages[-1][1] + 1 != out_len):
-            stages.append((m, (out_len - 1) // 2))
+def held_stages(steps, K):
+    """``(first step, radius)`` per stage of a recorded sweep that cut its window:
+    each window narrower than the one before and than the origin's cone."""
+    stages, last = [], math.inf
+    for m, (out_len, _, _) in enumerate(steps, start=1):
+        radius = (out_len - 1) // 2
+        if radius < last and radius < (len(steps) - m) * K:
+            stages.append((m, radius))
+        last = radius
     return stages
 
 
@@ -678,9 +689,9 @@ class TestHeldSweep:
         ns, K, atoms = (256, 512, 1024), 2, 4
         got, steps = recorded_sweep(monkeypatch, ref_set, ns, phi)
         want = full_block_sweep(ref_set, ns, phi)
-        stages = held_stages(steps)
+        stages = held_stages(steps, K)
         assert len(stages) >= 3 and stages[0][1] < 1024 * K // 4
-        radii = [(out_len - 1) // 2 if held else math.inf for out_len, held, _ in steps]
+        radii = [(out_len - 1) // 2 for out_len, _, _ in steps]
         assert same_bits(got, stopped_game(ref_set, ns, phi, radii))
         values = evaluate_on(phi, np.arange(-1024 * K, 1024 * K + 1) * ref_set.step)
         osc, top = values.max() - values.min(), np.abs(values).max()
@@ -751,7 +762,7 @@ class TestHeldSweep:
             return math.ceil(K * math.sqrt(2.0 * t * L) + t * drift) + 1
 
         assert len(stages) <= J
-        assert stages[0] == (1, rho(n)) == (1, pengsum._hold_radius(aset, n))
+        assert stages[0] == (1, rho(n))
         for (_, radius), (_, narrower) in zip(stages, stages[1:]):
             assert narrower < radius and (radius - narrower) % 64 == 0
         assert all(radius >= rho(n - m + 1) for m, radius in stages)
@@ -760,11 +771,13 @@ class TestHeldSweep:
             with pytest.raises(SizeError, match="updates"):
                 pengsum._admit_sweep(aset, n)
             return
+        assert pengsum._admit_sweep(aset, n) == (K, stages)
         _, steps = recorded_sweep(monkeypatch, aset, [n], make_phi("abs"))
-        # the sweep holds exactly the schedule's stages, the first at the admitted width
-        assert held_stages(steps) == stages
-        for m, (out_len, held, offsets) in enumerate(steps, start=1):
-            if held:
+        # the sweep cuts its window at exactly the schedule's stages, the
+        # first at the admitted width; the cone takes over from the last
+        assert held_stages(steps, K) == stages
+        for m, (out_len, _, offsets) in enumerate(steps, start=1):
+            if out_len < 2 * (n - m) * K + 1:
                 assert out_len >= 2 * rho(n - m + 1) + 1 and offsets == [0, 0], m
 
     def test_point_updates_per_sweep(self, monkeypatch, ref_set):
@@ -773,17 +786,32 @@ class TestHeldSweep:
         _, steps = recorded_sweep(monkeypatch, ref_set, [4096], make_phi("abs"))
         assert sum(out_len for out_len, _, _ in steps) <= 7.3e6
 
+    def test_output_lengths_with_no_window(self, monkeypatch, ref_set):
+        # n = 8 has no window: the cone from step 1, 2 (8 - m) K + 1 outputs at step m
+        _, steps = recorded_sweep(monkeypatch, ref_set, [8], make_phi("abs"))
+        assert [out_len for out_len, _, _ in steps] == [29, 25, 21, 17, 13, 9, 5, 1]
+
+    @pytest.mark.parametrize("name", ["reference", "dp-scan"])
+    def test_output_lengths_follow_stage_and_cone(self, monkeypatch, ref_set, name):
+        # every step reads a whole plan row and writes 2 min(stage radius, (N - m) K) + 1 outputs
+        aset = ref_set if name == "reference" else dp_scan_families(21)[0]
+        n = 4096
+        _, steps = recorded_sweep(monkeypatch, aset, [n], make_phi("abs"))
+        assert [out_len for out_len, _, _ in steps] == [2 * w + 1 for w in scheduled_windows(aset, n)]
+        assert all(held for _, held, _ in steps)
+
     @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
     @pytest.mark.parametrize("n", [88, 89, 90, 91])
     def test_hand_off_boundary(self, monkeypatch, ref_set, phi, n):
-        # 88 has no window and 89's is exactly its first block, so neither
-        # holds; 90 holds one step, then reads its block off the held row;
-        # 91 holds one step, then its first tail step is as wide as the window
-        ns, block = (1, n - 1, n), 2 * n * 2 + 1 - 4
+        # where a window first holds: 88 has none and 89's is exactly the
+        # cone at step 1, so both follow the cone from step 1; 90 holds its
+        # window one step, then narrows to the cone; 91 holds one step,
+        # then the cone is as wide as the window
+        ns, cone = (1, n - 1, n), 2 * (n - 1) * 2 + 1
         got, first = held_sweep(monkeypatch, ref_set, ns, phi)
-        assert (first < block) == (n >= 90)
+        assert (first < cone) == (n >= 90)
         if n >= 90:
-            assert first == 2 * pengsum._hold_radius(ref_set, n) + 1
+            assert first == 2 * pengsum._hold_stages(ref_set, n)[1][0][1] + 1
         assert same_bits(got, full_block_sweep(ref_set, ns, phi))
         assert_sweeps_match_loop(monkeypatch, ref_set, phi, ns=ns)
 
@@ -793,7 +821,7 @@ class TestHeldSweep:
         # within TestExactRoute's rounding bound
         n, atoms, K = 65536, 4, 2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pengsum, "_hold_radius", lambda *args: math.inf)
+            mp.setattr(pengsum, "_hold_stages", no_window)
             with pytest.raises(SizeError, match="updates"):
                 pengsum._admit_sweep(ref_set, n)
         got = sum_expectations(ref_set, [n], make_phi("abs"))[0]

@@ -103,8 +103,9 @@ class TestSumExpectation:
             sum_expectation(AmbiguitySet((law,)), 10**7, np.abs)
 
     def test_work_limit_refused_before_any_step(self, monkeypatch, ref_set):
-        # n = 2 on the reference family: 2 steps x 4 atoms x (9 block points + the per-step cost)
-        work = 2 * 4 * (9 + _kernels._STEP_COST)
+        # n = 2 on the reference family has no window: 2 steps x 4 atoms x (the
+        # 5 points of the cone at step 1 + the per-step cost)
+        work = 2 * 4 * (5 + _kernels._STEP_COST)
         monkeypatch.setattr(_kernels, "MAX_WORK", work)
         assert sum_expectation(ref_set, 2, np.abs) == 1.0
         monkeypatch.setattr(_kernels, "MAX_WORK", work - 1)
@@ -112,7 +113,7 @@ class TestSumExpectation:
         def unread(x):
             raise AssertionError("phi must not be evaluated")
 
-        with pytest.raises(SizeError, match=r"^lattice sweep would need about 32840 updates \(limit 32839\); reduce n or the atom span$"):
+        with pytest.raises(SizeError, match=r"^lattice sweep would need about 32808 updates \(limit 32807\); reduce n or the atom span$"):
             sum_expectations(ref_set, [1, 2], unread)
 
     def test_fixed_cost_steps_refused(self, no_compute):

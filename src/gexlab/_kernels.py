@@ -181,15 +181,16 @@ def _aligned_rows(*sizes):
 # uninitialised memory, and on finite data a don't-care value is a
 # probability-weighted sum of finite values like any other.  A list of a
 # window near out_len wastes a few points of arithmetic per call and saves
-# one Python slice per view.  _SLACK was chosen by timing sweeps of one
-# process over every candidate in turn, when shrinking blocks did what the
-# cone does now, losing 2K outputs a step; sweeps use it only while the
-# window follows the cone (~radius / K steps), and it still paid (2-vCPU Xeon
-# guest, NumPy 2.4, thread time, medians of 15 rounds, _SLACK = 0 / 32 /
-# 128 / 256 / 512): at n = 4096 the reference family took 21.9 / 19.9 /
-# 19.5 / 19.4 / 19.5 ms and the dp-scan shape 42.2 / 39.7 / 39.5 / 38.8 /
-# 39.3 ms; at n = 512, 2.75 / 2.09 / 2.00 / 1.99 / 1.95 and 4.44 / 3.53 /
-# 3.40 / 3.37 / 3.42 ms.
+# one Python slice per view.  Sweeps use _SLACK only while the window
+# follows the cone (~radius / K steps, losing 2K outputs a step).  Timed by
+# held sweeps of one process over every candidate in turn (2-vCPU Xeon
+# guest, NumPy 2.4, thread time, medians of 31 rounds, _SLACK = 0 / 64 /
+# 128 / 256 / 512), the reference family took 0.604 / 0.354 / 0.316 /
+# 0.306 / 0.316 ms at n = 64, 1.49 / 1.07 / 0.993 / 1.01 / 0.999 ms at
+# n = 256 and 19.7 / 19.1 / 18.4 / 18.5 / 18.8 ms at n = 4096; the
+# dp-scan shape 0.847 / 0.510 / 0.459 / 0.452 / 0.460, 2.35 / 1.69 / 1.71
+# / 1.64 / 1.67 and 39.2 / 36.4 / 36.4 / 36.1 / 36.0 ms.  No other value
+# is faster at every size on both shapes.
 # Precondition: at least one law, every law has at least one atom, and
 # every atom's start base + k_j is >= 0.
 #
@@ -335,12 +336,13 @@ def _sweep(laws, values, lo, n_steps, stages):
 
     ``stages`` is the window's schedule: ``(first step, radius)`` per
     stage, the first at step 1 and at most ``(n_steps - 1) K``, each later
-    radius below the last by a whole number of cache lines.  The strips
-    ``[min(k_lo, 0) - R, -R)`` and ``(R, R + max(k_hi, 0)]`` keep the
-    values they had when the stage began, phi's in the first (see "Rows
-    and strips"), so the sweep computes the game stopped where the sum
-    leaves its stage's window.  A stage no narrower than the window is
-    skipped, and the cone stops nothing the origin reads.  The outputs
+    radius below the last by a whole number of cache lines and below the
+    window of the step before and the cone at its first step, so each
+    stage cuts the window.  The strips ``[min(k_lo, 0) - R, -R)`` and ``(R, R + max(k_hi,
+    0)]`` keep the values they had when the stage began, phi's in the
+    first (see "Rows and strips"), so the sweep computes the game stopped
+    where the sum leaves its stage's window.  The cone, which follows the
+    last stage, stops nothing the origin reads.  The outputs
     live in the plan until the next step (read or copy them before
     resuming) and may hold -0.0 where the per-atom loop holds +0.0: add
     0.0 to what you read to get its bits.

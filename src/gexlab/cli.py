@@ -23,14 +23,6 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .gheat import (
-    DEFAULT_DX,
-    PAD_FACTOR,
-    GParams,
-    g_normal_solution,
-    gaussian_quadrature_oracle,
-    params_from_envelope,
-)
 from .phis import PhiSpec, parse_phi
 from .serialize import dumps_csv, dumps_json, write_text
 
@@ -199,8 +191,7 @@ def _ambiguity_or_reference(opts: dict) -> AmbiguitySet:
 
 # Each command takes the resolved options and returns
 # (JSON report, CSV header, CSV rows, whether its checks passed).  It imports
-# its driver when it runs, so a process loads only its subcommand's modules;
-# gheat is imported above as the owner of DEFAULT_DX and PAD_FACTOR.
+# its driver when it runs, so a process loads only its subcommand's modules.
 
 
 def _cmd_axioms(opts: dict):
@@ -232,6 +223,10 @@ def _cmd_clt(opts: dict):
 
 
 def _cmd_gheat(opts: dict):
+    from .gheat import (
+        DEFAULT_DX, PAD_FACTOR, GParams, g_normal_solution, gaussian_quadrature_oracle, params_from_envelope,
+    )
+
     sigma_lo, sigma_hi = opts["sigma_lo"], opts["sigma_hi"]
     band = "--sigma-lo and --sigma-hi (/experiment/sigmaLo and /experiment/sigmaHi)"
     if (sigma_lo is None) != (sigma_hi is None):
@@ -246,14 +241,14 @@ def _cmd_gheat(opts: dict):
         params = params_from_envelope(moment_envelope(aset))
     else:
         params = GParams(sigma_lo, sigma_hi)
-    phi = opts["phi"]
-    sol = g_normal_solution(params, phi, dx=opts["dx"])
+    phi, dx = opts["phi"], DEFAULT_DX if opts["dx"] is None else opts["dx"]
+    sol = g_normal_solution(params, phi, dx=dx)
     value = sol.value_at(0.0)
     report = {
         "sigmaLo": params.sigma_lo,
         "sigmaHi": params.sigma_hi,
         "phi": phi.to_dict(),
-        "dx": opts["dx"],
+        "dx": dx,
         "padFactor": PAD_FACTOR,
         "value": value,
         "steps": sol.steps_taken,
@@ -349,7 +344,7 @@ _OPTIONS = {
                    {"clt": parse_phi("abs"), "gheat": parse_phi("square"),
                     "oracle": tuple(map(parse_phi, ("abs", "square", "cube", "quartic", "clamp:-1,1")))}),
     "dx": _Option("experiment/dx", float, _scalar(float, 0.0, strict=True), "PDE space step",
-                  {"clt": DEFAULT_DX, "gheat": DEFAULT_DX}),
+                  dict.fromkeys(("clt", "gheat"))),
     "sigma_lo": _Option("experiment/sigmaLo", float, _scalar(float, 0.0), "lower volatility",
                         {"gheat": None}),
     "sigma_hi": _Option("experiment/sigmaHi", float, _scalar(float, 0.0), "upper volatility",

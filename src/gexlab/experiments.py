@@ -24,7 +24,6 @@ from .ambiguity import (
     upper_expectation,
 )
 from .errors import ConfigurationError, HypothesisError, ValidationError
-from .gheat import DEFAULT_DX, g_normal_expectation, params_from_envelope
 from .pengsum import _admit_sweep, _check_n, normalized_sum_expectation, sum_expectations
 from .phis import PhiSpec, make_phi
 # sum_expectation stays bound here: gexbench traces calls made through this
@@ -200,21 +199,24 @@ class CltReport:
 
 
 def clt_convergence(
-    aset: AmbiguitySet, phi: PhiSpec, n_list: Sequence[int], dx: float = DEFAULT_DX
+    aset: AmbiguitySet, phi: PhiSpec, n_list: Sequence[int], dx: float | None = None
 ) -> CltReport:
     """Compare normalized-sum expectations with the limiting PDE value.
 
     The volatility band comes from the set's second-moment envelope and the
     PDE domain from ``g_normal_solution``, so the comparison needs no extra
-    parameter beyond the PDE space step ``dx``.  The sweep for the largest n
-    is admitted before any compute, so a refused n costs no PDE solve.
+    parameter beyond the PDE space step ``dx``, ``gheat.DEFAULT_DX`` if None.
+    The sweep for the largest n is admitted before any compute, so a refused
+    n costs no PDE solve.
     """
+    from .gheat import DEFAULT_DX, g_normal_expectation, params_from_envelope
+
     require_mean_zero(aset)
     ns = _check_n_list(n_list)
     _admit_sweep(aset, ns[-1])
     envelope = moment_envelope(aset)
     params = params_from_envelope(envelope)
-    pde_value = g_normal_expectation(params, phi, dx=dx)
+    pde_value = g_normal_expectation(params, phi, dx=DEFAULT_DX if dx is None else dx)
     pairs = [(n, normalized_sum_expectation(aset, n, phi)) for n in ns]
     entries = tuple((n, dp, abs(dp - pde_value)) for n, dp in pairs)
     return CltReport(

@@ -70,17 +70,19 @@ def _hold_stages(aset: AmbiguitySet, n: int):
     The first radius is ``rho(n)``.  At the first step whose rho(t) is
     ``_STAGE`` or more below the radius, the radius falls by whole
     multiples of ``_STAGE`` to the least one still at least rho(t).  The
-    list ends where the whole block, whose nearer end moves in by
-    ``min(-k_lo, k_hi)`` slots a step, fits the window; the sweep skips a
-    stage no narrower than the origin's cone ``(n - m) K``.  J starts at 1
-    and takes the count of stages until it covers them.  Without a window
-    (the first must lie inside the first block with room for its strips,
-    and the atoms must take both signs), the one stage is the cone ``(n -
-    1) K``, which cuts nothing.
+    list ends at the origin's cone ``(n - m) K``, outside which no point
+    reaches the origin in the steps left: before the first stage whose
+    radius is no narrower than the cone at its first step, or whose
+    predecessor's is no narrower than the cone at the step before.  So
+    every stage cuts the game, the first below the block and each later
+    one below the window of the step before, and J, which starts at 1 and
+    takes the count of stages until it covers them, counts cuts only.
+    Without a window (the first must lie inside the first block with room
+    for its strips, and the atoms must take both signs), the one stage is
+    the cone ``(n - 1) K``, which cuts nothing.
     """
     K, k_lo, k_hi = int(np.abs(aset.indices).max()), int(aset.indices[0]), int(aset.indices[-1])
     drift = max(abs(float(law.probs @ law.indices)) for law in aset.laws)
-    edge = min(-k_lo, k_hi)
     J = 1
     while True:
         L = math.log(4.0 * J / _HOLD_TOL)
@@ -103,8 +105,8 @@ def _hold_stages(aset: AmbiguitySet, n: int):
             while rho(t + 1) <= radius - _STAGE:
                 t += 1
             step, narrower = n - t + 1, radius - (radius - rho(t)) // _STAGE * _STAGE
-            # the block is wider than the window through the step before and at the stage's first step
-            if t < 1 or n * K - (step - 1) * edge <= radius or n * K - step * edge <= narrower:
+            # a cut lies below the window of the step before and below the cone at its first step
+            if t < 1 or (n - step + 1) * K <= radius or (n - step) * K <= narrower:
                 break
             stages.append((step, narrower))
         if len(stages) <= J:

@@ -43,8 +43,8 @@ DIRAC_AND_COIN = [
     {"step": 0.5, "atoms": [{"k": 0, "p": 1.0}]},
     {"step": 0.5, "atoms": [{"k": -2, "p": 0.5}, {"k": 2, "p": 0.5}]},
 ]
-# an asymmetric mean-zero law beside the +-1 coin: the origin's cone narrows the
-# window long before the whole block would fit it, and stages still cut it after
+# an asymmetric mean-zero law beside the +-1 coin: its atoms reach 3 slots left and
+# 1 right, so the origin's cone, not the block, ends the window's schedule
 SKEWED_AND_COIN = [
     {"step": 0.5, "atoms": [{"k": -3, "p": 0.25}, {"k": 1, "p": 0.75}]},
     {"step": 0.5, "atoms": [{"k": -1, "p": 0.5}, {"k": 1, "p": 0.5}]},
@@ -796,6 +796,14 @@ def test_default_report_bytes_pinned(argv, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256[argv]
 
 
+def test_skewed_report_bytes_pinned_at_scale(capsys, tmp_path):
+    # the skewed family held up to n = 65 536, through 112 stages of its window
+    config = write_config(tmp_path, {"ambiguity": SKEWED_AND_COIN})
+    assert cli.main(["moments", "--config", config, "--n", "8192,16384,32768,65536"]) == cli.EXIT_PASS
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == "82bf19f6cb57450cb2100d5906752fd0cacbc7747a552b9291f6be00081fddc5"
+
+
 class TestReportBytesThroughLoop:
     """The lattice reports print the per-atom loop's bytes, at their defaults, on one-atom laws and
     through every stage of a held window (the stand-in's fresh arrays copied into the narrowed rows)."""
@@ -824,8 +832,8 @@ class TestReportBytesThroughLoop:
         assert capsys.readouterr().out == got
 
     def test_skewed_family_bytes_pinned(self, capsys, tmp_path):
-        # the whole block would fit its window only at step 4094 of 4096; the
-        # cone narrows the window from step 3480, and later stages still cut below it
+        # 24 stages at n = 4096, each cutting the game; the cone first narrows
+        # the window at step 3972, after the last stage's at step 3930
         config = write_config(tmp_path, {"ambiguity": SKEWED_AND_COIN})
         assert cli.main(["moments", "--config", config, "--n", "256,512,1024,2048,4096"]) == cli.EXIT_PASS
         got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

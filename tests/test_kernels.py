@@ -9,6 +9,7 @@ from gexlab import _kernels, cli, gheat, pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, evaluate_on
 from gexlab.errors import SizeError
 from gexlab.experiments import uniform_moment_check
+from gexlab.fuzz import random_ambiguity_set
 from gexlab.gheat import GParams, PdeGrid, g_normal_solution, solve_g_heat
 from gexlab.pengsum import sum_expectations
 from gexlab.phis import make_phi
@@ -627,6 +628,14 @@ def drifting_family():
     ))
 
 
+def skewed_family():
+    """An asymmetric mean-zero law beside the +-1 coin, as in ``test_cli.SKEWED_AND_COIN``."""
+    return AmbiguitySet((
+        DiscreteDistribution.from_atoms(0.5, [(-3, 0.25), (1, 0.75)]),
+        DiscreteDistribution.from_atoms(0.5, [(-1, 0.5), (1, 0.5)]),
+    ))
+
+
 def stopped_game(aset, ns, phi, radii):
     """The game stopped where the sum leaves step m's window ``[-radii[m - 1], radii[m - 1]]``,
     by the per-atom loop on the whole block.
@@ -827,6 +836,52 @@ class TestHeldSweep:
         got = sum_expectations(ref_set, [n], make_phi("abs"))[0]
         want = Fraction(n * math.comb(n, n // 2), 2**n)
         assert abs(Fraction(got) - want) <= Fraction(n * atoms, 2**53) * Fraction(n * K * ref_set.step)
+
+
+SCHEDULE_NS = (64, 100, 256, 1000, 4096)
+
+
+def schedule_families(ref_set):
+    """The reference, dp-scan and skewed families and 40 seeded draws, every other one mean-zero."""
+    rng = np.random.default_rng(32)
+    draws = {f"draw-{i}": random_ambiguity_set(rng, mean_zero=bool(i % 2)) for i in range(40)}
+    return {"reference": ref_set, "dp-scan": dp_scan_families(21)[0], "skewed": skewed_family(), **draws}
+
+
+class TestSchedule:
+    """The window's schedule ends at the origin's cone: every stage after the first cuts the game."""
+
+    @pytest.mark.parametrize("n", SCHEDULE_NS)
+    def test_every_later_stage_cuts(self, monkeypatch, ref_set, n):
+        # a later stage lies below the radius before it and below the cone at
+        # its first step, and the sweep narrows its plan with a cut at each
+        # such stage and at no other step
+        cuts, narrow = [], _kernels._DpPlan.narrow
+
+        def spying(plan, d, cut):
+            cuts[-1] += cut
+            return narrow(plan, d, cut)
+
+        monkeypatch.setattr(_kernels._DpPlan, "narrow", spying)
+        for name, aset in schedule_families(ref_set).items():
+            K = int(np.abs(aset.indices).max())
+            stages = pengsum._hold_stages(aset, n)[1]
+            for (_, radius), (step, narrower) in zip(stages, stages[1:]):
+                assert narrower < min(radius, (n - step) * K), (name, step)
+            cuts.append(0)
+            sum_expectations(aset, [n], make_phi("abs"))
+            assert cuts[-1] == len(stages) - 1, name
+
+    @pytest.mark.parametrize("name, counts", [("reference", [2, 16, 75]), ("skewed", [3, 24, 112])])
+    def test_stage_counts_pinned(self, ref_set, name, counts):
+        # the skewed family's block loses 1 slot a step at its nearer end and
+        # the cone 3, so the cone, well before the block, ends its schedule
+        aset = ref_set if name == "reference" else skewed_family()
+        assert [len(pengsum._hold_stages(aset, n)[1]) for n in (256, 4096, 65536)] == counts
+
+    def test_skewed_first_radius(self):
+        # 24 stages at n = 4096 give L = ln(96 / 2^-60), so rho(4096) = 1 846
+        assert pengsum._hold_stages(skewed_family(), 4096)[1][0] == (1, 1846)
 
 
 class TestGheatMarch:

@@ -109,3 +109,7 @@ class TestCommandLoads:
         mods = command_loads(command)
         assert "gexlab.fuzz" in mods
         assert "gexlab.experiments" not in mods
+
+    @pytest.mark.parametrize("command", ["axioms", "independence", "moments", "oracle"])
+    def test_commands_without_a_pde_load_no_solver(self, command):
+        assert "gexlab.gheat" not in command_loads(command)

@@ -160,37 +160,32 @@ def _aligned_rows(*sizes):
 # strips.  The origin's cone (N - m) K cuts nothing the origin reads, so
 # it moves the views only.
 #
-# Call lists per window.  A step's calls depend only on the family, on the
+# Call lists per stage.  A step's calls depend only on the family, on the
 # rows they read and write, and on the number of outputs, yet slicing the
 # plan's buffers anew at every length costs a Python slice per view: a
 # step of an n = 64 reference-family sweep took 11-13 us sliced anew and
 # 5.5-7 us with kept lists (2-vCPU Xeon guest, NumPy 2.4, thread time).  So a
 # step's calls are built as one list over views of a fixed length, and the
 # plan keeps one list per ping-pong direction, for steps that read its
-# whole row.  Such a step reuses its direction's list while the list's
-# length, its window's outputs, is out_len .. out_len + _SLACK points;
-# otherwise it builds a list at exactly out_len, as a step handed any
-# other array and the no-plan form always do.  A stage's steps all have
-# one length, so each direction reuses one list per stage.  Narrowing to
-# the cone keeps the lists: a kept list still writes its own wider window
-# at the same slots, the new outputs among them, and reads the rows it was
-# built on, around them.  The slots outside the new outputs hold
+# whole row.  A kept list lives for one stage: the stage's first step in
+# each direction builds it at exactly out_len, the later steps of that
+# direction reuse it, and a cut drops it; a step handed any other array,
+# and the no-plan form, always build a list at exactly out_len.  Narrowing
+# to the cone keeps the lists: a kept list still writes its own wider
+# window at the same slots, the new outputs among them, and reads the rows
+# it was built on, around them.  The slots outside the new outputs hold
 # don't-care values, which no output of the cone reads (each reads only
 # the last step's outputs) and which are read from earlier outputs, strip
 # values or the zeros dp_plan fills both rows with: no step reads
 # uninitialised memory, and on finite data a don't-care value is a
-# probability-weighted sum of finite values like any other.  A list of a
-# window near out_len wastes a few points of arithmetic per call and saves
-# one Python slice per view.  Sweeps use _SLACK only while the window
-# follows the cone (~radius / K steps, losing 2K outputs a step).  Timed by
-# held sweeps of one process over every candidate in turn (2-vCPU Xeon
-# guest, NumPy 2.4, thread time, medians of 31 rounds, _SLACK = 0 / 64 /
-# 128 / 256 / 512), the reference family took 0.604 / 0.354 / 0.316 /
-# 0.306 / 0.316 ms at n = 64, 1.49 / 1.07 / 0.993 / 1.01 / 0.999 ms at
-# n = 256 and 19.7 / 19.1 / 18.4 / 18.5 / 18.8 ms at n = 4096; the
-# dp-scan shape 0.847 / 0.510 / 0.459 / 0.452 / 0.460, 2.35 / 1.69 / 1.71
-# / 1.64 / 1.67 and 39.2 / 36.4 / 36.4 / 36.1 / 36.0 ms.  No other value
-# is faster at every size on both shapes.
+# probability-weighted sum of finite values like any other.  The cone
+# steps in stages of its own: a kept list serves while it is at most
+# _SLACK points longer than out_len, and the next step builds one at
+# out_len.  So a list computes at most _SLACK points nothing reads, to
+# save one Python slice per view.  The bound matters where the cone is
+# long: a sweep with no window follows it from step 1, and kept to the
+# end its first lists would compute its widest window at every step.
+# ROADMAP's Settled list holds the timings that chose 256 and kept it.
 # Precondition: at least one law, every law has at least one atom, and
 # every atom's start base + k_j is >= 0.
 #

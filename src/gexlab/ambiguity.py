@@ -68,10 +68,11 @@ def indicator_of(event: Callable) -> Callable:
 class DiscreteDistribution:
     """One prior law: finite support on the lattice ``step*Z``.
 
-    ``indices`` are strictly increasing lattice indices; support point j is
-    ``indices[j] * step``.  Probabilities must be non-negative and sum to 1
-    within PROB_TOL; inputs that miss that are rejected rather than
-    renormalized.
+    ``indices`` are strictly increasing integer lattice indices in
+    ``[-2^53, 2^53]``, where ``indices * step`` converts them to floats
+    exactly; support point j is ``indices[j] * step``.  Probabilities must
+    be non-negative and sum to 1 within PROB_TOL; inputs that miss that
+    are rejected rather than renormalized.
     """
 
     step: float
@@ -80,7 +81,11 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         step = float(self.step)
-        indices = np.asarray(self.indices, dtype=np.int64)
+        span = "lattice indices must be integers in [-2^53, 2^53]"
+        try:
+            indices = np.asarray(self.indices, dtype=np.int64)
+        except (OverflowError, ValueError):  # an index past int64, NaN or infinite
+            raise ValidationError(span) from None
         probs = np.asarray(self.probs, dtype=np.float64)
         if not (np.isfinite(step) and step > 0.0):
             raise ValidationError(f"lattice step must be positive, got {step!r}")
@@ -90,7 +95,10 @@ class DiscreteDistribution:
             raise ValidationError(
                 f"got {indices.size} lattice indices but {probs.size} probabilities"
             )
-        if np.any(np.diff(indices) <= 0):
+        # a fraction cut off, an index wrapped, or (if the order holds) an index past 2^53
+        if indices.tolist() != list(self.indices) or indices[0] < -(2**53) or indices[-1] > 2**53:
+            raise ValidationError(span)
+        if np.any(indices[1:] <= indices[:-1]):
             raise ValidationError("lattice indices must be strictly increasing")
         if np.any(probs < 0.0) or not np.isfinite(probs).all():
             raise ValidationError("probabilities must be finite and non-negative")
@@ -109,9 +117,7 @@ class DiscreteDistribution:
     @classmethod
     def from_atoms(cls, step: float, atoms: Sequence[tuple[int, float]]) -> "DiscreteDistribution":
         """Build from ``(lattice index, probability)`` pairs."""
-        ks = np.array([k for k, _ in atoms], dtype=np.int64)
-        ps = np.array([p for _, p in atoms], dtype=np.float64)
-        return cls(step, ks, ps)
+        return cls(step, [k for k, _ in atoms], [p for _, p in atoms])
 
     @property
     def atoms(self) -> list[tuple[int, float]]:

@@ -10,6 +10,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -93,17 +94,10 @@ def _hold_stages(aset: AmbiguitySet, n: int):
         if not (k_lo <= 0 <= k_hi and rho(n) <= n * K - K):
             return J, [(1, n * K - K)]
         stages = [(1, rho(n))]
-        a = K * math.sqrt(2.0 * L)
         while True:
             radius = stages[-1][1]
-            # the largest t with rho(t) <= radius - _STAGE, from the root of
-            # a sqrt(t) + drift t = radius - _STAGE - 1, settled on rho itself
-            y = max(radius - _STAGE - 1, 0)
-            t = int((2.0 * y / (a + math.sqrt(a * a + 4.0 * drift * y))) ** 2)
-            while t > 0 and rho(t) > radius - _STAGE:
-                t -= 1
-            while rho(t + 1) <= radius - _STAGE:
-                t += 1
+            # the largest t in 1 .. n - 1 with rho(t) <= radius - _STAGE (rho rises with t), or 0
+            t = bisect.bisect_right(range(1, n), radius - _STAGE, key=rho)
             step, narrower = n - t + 1, radius - (radius - rho(t)) // _STAGE * _STAGE
             # a cut lies below the window of the step before and below the cone at its first step
             if t < 1 or (n - step + 1) * K <= radius or (n - step) * K <= narrower:

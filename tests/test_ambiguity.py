@@ -57,6 +57,34 @@ class TestDiscreteDistribution:
         with pytest.raises(ValidationError):
             DiscreteDistribution(1.0, ks, p)
 
+    @pytest.mark.parametrize("k", [2**63, -(2**63), 2**53 + 1, -(2**53) - 1])
+    def test_index_out_of_range(self, k):
+        # past 2^53 an index no longer converts to a float exactly, and 2^63 is past int64
+        ks = sorted([0, k])
+        for build in (lambda: DiscreteDistribution(1.0, ks, [0.5, 0.5]),
+                      lambda: DiscreteDistribution.from_atoms(1.0, [(j, 0.5) for j in ks])):
+            with pytest.raises(ValidationError, match=r"^lattice indices must be integers in \[-2\^53, 2\^53\]$"):
+                build()
+
+    @pytest.mark.parametrize("ks", [[0.5, 1.7], [1.2, 1.7], [float("nan"), 1], [0, float("inf")]],
+                             ids=["fractions", "fractions-equal-parts", "nan", "inf"])
+    def test_index_not_an_integer(self, ks):
+        # int64 conversion cuts 1.7 to 1 (and 1.2, 1.7 to equal indices) and fails on NaN or inf
+        with pytest.raises(ValidationError, match="must be integers"):
+            DiscreteDistribution(1.0, ks, [0.5, 0.5])
+
+    def test_integral_floats_accepted(self):
+        assert DiscreteDistribution(1.0, [-1.0, 2.0], [0.5, 0.5]).indices.tolist() == [-1, 2]
+
+    def test_far_apart_indices_name_their_range(self):
+        # their difference, 2^63, is past int64: the fault is the range, not the order
+        with pytest.raises(ValidationError, match="must be integers in"):
+            DiscreteDistribution(1.0, [-(2**62), 2**62], [0.5, 0.5])
+
+    def test_range_ends_accepted(self):
+        law = DiscreteDistribution(1.0, [-(2**53), 2**53], [0.5, 0.5])
+        assert law.support.tolist() == [-(2.0**53), 2.0**53]
+
     def test_negative_prob(self):
         with pytest.raises(ValidationError):
             DiscreteDistribution(1.0, [-1, 1], [1.2, -0.2])

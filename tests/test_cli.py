@@ -159,6 +159,14 @@ class TestExitCodes:
         assert cli.main(["moments", "--config", path]) == cli.EXIT_CONFIG
         assert "mean-zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [2**63, -(2**63), 2**53 + 1], ids=["2^63", "-2^63", "2^53+1"])
+    def test_index_out_of_range_is_config_error(self, k, tmp_path, capsys):
+        # 2^63 is past int64, -2^63 is not, and all three are past 2^53
+        law = {"step": 1.0, "atoms": sorted([{"k": k, "p": 0.5}, {"k": 1, "p": 0.5}], key=lambda a: a["k"])}
+        path = write_config(tmp_path, {"ambiguity": [*ONE_LAW, law]})
+        assert cli.main(["moments", "--config", path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gexlab: /ambiguity/1: lattice indices must be integers in [-2^53, 2^53]\n"
+
     def test_negative_seed_flag(self, capsys):
         assert cli.main(["axioms", "--seed", "-3"]) == cli.EXIT_CONFIG
         capsys.readouterr()

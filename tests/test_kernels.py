@@ -77,18 +77,6 @@ def line_offset(a):
     return a.ctypes.data % 64
 
 
-def cone_list_count(n_steps, K):
-    """Call lists a sweep of ``n_steps`` steps builds when its window is the origin's cone from step 1.
-
-    The steps alternate between the plan's two directions, so within one
-    direction the window loses 4K outputs per step, and a list built at
-    length B serves its direction while B - out_len <= _SLACK: for
-    1 + _SLACK // (4K) of that direction's steps.
-    """
-    per_list = 1 + _kernels._SLACK // (4 * K)
-    return -(-((n_steps + 1) // 2) // per_list) + -(-(n_steps // 2) // per_list)
-
-
 def counting_step_calls(monkeypatch):
     """Record the number of outputs of every call list ``dp_step`` builds."""
     built = []
@@ -366,7 +354,7 @@ DIRAC = (np.array([0, 1]), np.array([0]), np.array([1.0]), 0)  # one law at 0, r
 
 
 class TestCallLists:
-    """Kept call lists of held steps: reused within their slack as the cone narrows the window."""
+    """Kept call lists of held steps: one per direction and stage, the cone's stages included."""
 
     @pytest.mark.parametrize("offset", range(0, 64, 8))
     def test_long_chain_matches_loop(self, monkeypatch, rng, offset):
@@ -375,9 +363,15 @@ class TestCallLists:
         values, *family, out_len = three_law_inputs(rng, 4 * CHAIN_STEPS + 21)
         values = at_offset(sprinkled(rng, values), offset)
         run_held_chain(values, *family, out_len, CHAIN_STEPS)
-        # the chain outlasts a kept list in each direction, so lists are
-        # both reused and rebuilt
-        assert len(built) == cone_list_count(CHAIN_STEPS, 2) > 2
+        # the chain follows the cone from step 1, so each direction loses 4K
+        # outputs per step it takes and keeps a list for 1 + _SLACK // 4K of
+        # them: the lists are built at the chain's first two steps and every
+        # 2 + 2 _SLACK // 4K steps after, at 2 (CHAIN_STEPS - m) K + 1 outputs
+        K = 2
+        period = 2 + 2 * _kernels._SLACK // (4 * K)
+        firsts = [m for m in range(1, CHAIN_STEPS + 1) if (m - 1) % period < 2]
+        assert built == [2 * (CHAIN_STEPS - m) * K + 1 for m in firsts]
+        assert firsts == [1, 2, 67, 68]
 
     def test_new_plan_zeroes_both_output_rows(self):
         plan = _kernels.dp_plan(*COIN, 40, 38)
@@ -469,15 +463,15 @@ class TestSweepBits:
         assert len(built) == 2
 
     def test_call_lists_per_sweep(self, monkeypatch, ref_set):
-        # two lists per stage, and two per _SLACK // (2K) steps of the cone,
-        # whose window loses 2K outputs a step
+        # one list per direction and stage, the cone's stages included; the
+        # one-sided family has no window, so its sweep follows the cone throughout
         built = counting_step_calls(monkeypatch)
-        n, K = 4096, 2
-        sum_expectations(ref_set, [n], make_phi("abs"))
-        stages = pengsum._hold_stages(ref_set, n)[1]
-        cone = sum(w == (n - m) * K for m, w in enumerate(scheduled_windows(ref_set, n), start=1))
-        assert len(built) <= 2 * len(stages) + 2 * -(-cone // (_kernels._SLACK // (2 * K)))
-        assert 0 < cone < n
+        for aset, n, count in ((ref_set, 64, 2), (ref_set, 256, 6), (ref_set, 1000, 16), (ref_set, 4096, 36),
+                               (one_sided("coin-1-3"), 300, 14), (one_sided("coin-1-3"), 4096, 188)):
+            built.clear()
+            sum_expectations(aset, [n], make_phi("abs"))
+            assert built == stage_lists(aset, n)
+            assert len(built) == count
 
 
 # Families whose atoms all have one sign: no window, and strips on one side only
@@ -571,6 +565,25 @@ def scheduled_windows(aset, n):
         radius = stages.get(m, radius)
         windows.append(min(radius, (n - m) * K))
     return windows
+
+
+def stage_lists(aset, n):
+    """The outputs of each call list a sweep of ``n`` steps builds, in order.
+
+    A direction (odd or even steps) builds a list at its first step after
+    a cut, and, as the cone narrows the window, at its first step whose
+    list is more than ``_SLACK`` points longer than its outputs.
+    """
+    cuts = {step for step, _ in pengsum._hold_stages(aset, n)[1]}
+    kept, built = [None, None], []
+    for m, radius in enumerate(scheduled_windows(aset, n), start=1):
+        if m in cuts:
+            kept = [None, None]
+        out = 2 * radius + 1
+        if kept[m % 2] is None or kept[m % 2] > out + _kernels._SLACK:
+            kept[m % 2] = out
+            built.append(out)
+    return built
 
 
 def recorded_sweep(monkeypatch, aset, ns, phi):
@@ -842,10 +855,45 @@ SCHEDULE_NS = (64, 100, 256, 1000, 4096)
 
 
 def schedule_families(ref_set):
-    """The reference, dp-scan and skewed families and 40 seeded draws, every other one mean-zero."""
+    """The reference, dp-scan, skewed and drifting families and 40 seeded draws, every other one mean-zero."""
     rng = np.random.default_rng(32)
     draws = {f"draw-{i}": random_ambiguity_set(rng, mean_zero=bool(i % 2)) for i in range(40)}
-    return {"reference": ref_set, "dp-scan": dp_scan_families(21)[0], "skewed": skewed_family(), **draws}
+    named = {"reference": ref_set, "dp-scan": dp_scan_families(21)[0], "skewed": skewed_family(),
+             "drift": drifting_family()}
+    return {**named, **draws}
+
+
+def scanned_stages(aset, n):
+    """``_hold_stages`` with its stage search as a linear scan over the steps.
+
+    Each later stage starts at the first step m whose rho(n - m + 1) is
+    ``_STAGE`` or more below the radius before it; the rest of the
+    schedule (J, the radii and where the list ends) is ``_hold_stages``'.
+    """
+    K, k_lo, k_hi = int(np.abs(aset.indices).max()), int(aset.indices[0]), int(aset.indices[-1])
+    drift = max(abs(float(law.probs @ law.indices)) for law in aset.laws)
+    J, stage = 1, pengsum._STAGE
+    while True:
+        L = math.log(4.0 * J / pengsum._HOLD_TOL)
+
+        def rho(t):
+            return math.ceil(K * math.sqrt(2.0 * t * L) + t * drift) + 1
+
+        if not (k_lo <= 0 <= k_hi and rho(n) <= (n - 1) * K):
+            return J, [(1, (n - 1) * K)]
+        stages = [(1, rho(n))]
+        while True:
+            first, radius = stages[-1]
+            step = next((m for m in range(first + 1, n + 1) if rho(n - m + 1) <= radius - stage), None)
+            if step is None:
+                break
+            narrower = radius - (radius - rho(n - step + 1)) // stage * stage
+            if (n - step + 1) * K <= radius or (n - step) * K <= narrower:
+                break
+            stages.append((step, narrower))
+        if len(stages) <= J:
+            return J, stages
+        J = len(stages)
 
 
 class TestSchedule:
@@ -871,6 +919,11 @@ class TestSchedule:
             cuts.append(0)
             sum_expectations(aset, [n], make_phi("abs"))
             assert cuts[-1] == len(stages) - 1, name
+
+    @pytest.mark.parametrize("n", SCHEDULE_NS)
+    def test_stage_search_matches_linear_scan(self, ref_set, n):
+        for name, aset in schedule_families(ref_set).items():
+            assert pengsum._hold_stages(aset, n) == scanned_stages(aset, n), name
 
     @pytest.mark.parametrize("name, counts", [("reference", [2, 16, 75]), ("skewed", [3, 24, 112])])
     def test_stage_counts_pinned(self, ref_set, name, counts):

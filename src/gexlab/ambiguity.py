@@ -82,8 +82,10 @@ class DiscreteDistribution:
     def __post_init__(self):
         step = float(self.step)
         span = "lattice indices must be integers in [-2^53, 2^53]"
+        # converted through Python values, since numpy's float-array cast warns on NaN, inf or > int64
+        raw = np.asarray(self.indices).tolist()
         try:
-            indices = np.asarray(self.indices, dtype=np.int64)
+            indices = np.asarray(raw, dtype=np.int64)
         except (OverflowError, ValueError):  # an index past int64, NaN or infinite
             raise ValidationError(span) from None
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -96,7 +98,7 @@ class DiscreteDistribution:
                 f"got {indices.size} lattice indices but {probs.size} probabilities"
             )
         # a fraction cut off, an index wrapped, or (if the order holds) an index past 2^53
-        if indices.tolist() != list(self.indices) or indices[0] < -(2**53) or indices[-1] > 2**53:
+        if indices.tolist() != raw or indices[0] < -(2**53) or indices[-1] > 2**53:
             raise ValidationError(span)
         if np.any(indices[1:] <= indices[:-1]):
             raise ValidationError("lattice indices must be strictly increasing")

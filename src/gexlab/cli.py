@@ -223,9 +223,7 @@ def _cmd_clt(opts: dict):
 
 
 def _cmd_gheat(opts: dict):
-    from .gheat import (
-        DEFAULT_DX, PAD_FACTOR, GParams, g_normal_solution, gaussian_quadrature_oracle, params_from_envelope,
-    )
+    from .gheat import PAD_FACTOR, GParams, g_normal_solution, gaussian_quadrature_oracle, params_from_envelope
 
     sigma_lo, sigma_hi = opts["sigma_lo"], opts["sigma_hi"]
     band = "--sigma-lo and --sigma-hi (/experiment/sigmaLo and /experiment/sigmaHi)"
@@ -241,14 +239,14 @@ def _cmd_gheat(opts: dict):
         params = params_from_envelope(moment_envelope(aset))
     else:
         params = GParams(sigma_lo, sigma_hi)
-    phi, dx = opts["phi"], DEFAULT_DX if opts["dx"] is None else opts["dx"]
-    sol = g_normal_solution(params, phi, dx=dx)
+    phi = opts["phi"]
+    sol = g_normal_solution(params, phi, dx=opts["dx"])
     value = sol.value_at(0.0)
     report = {
         "sigmaLo": params.sigma_lo,
         "sigmaHi": params.sigma_hi,
         "phi": phi.to_dict(),
-        "dx": dx,
+        "dx": sol.grid.dx,
         "padFactor": PAD_FACTOR,
         "value": value,
         "steps": sol.steps_taken,

@@ -209,14 +209,14 @@ def clt_convergence(
     The sweep for the largest n is admitted before any compute, so a refused
     n costs no PDE solve.
     """
-    from .gheat import DEFAULT_DX, g_normal_expectation, params_from_envelope
+    from .gheat import g_normal_expectation, params_from_envelope
 
     require_mean_zero(aset)
     ns = _check_n_list(n_list)
     _admit_sweep(aset, ns[-1])
     envelope = moment_envelope(aset)
     params = params_from_envelope(envelope)
-    pde_value = g_normal_expectation(params, phi, dx=DEFAULT_DX if dx is None else dx)
+    pde_value = g_normal_expectation(params, phi, dx=dx)
     pairs = [(n, normalized_sum_expectation(aset, n, phi)) for n in ns]
     entries = tuple((n, dp, abs(dp - pde_value)) for n, dp in pairs)
     return CltReport(

@@ -152,15 +152,17 @@ def solve_g_heat(params: GParams, phi: Callable, grid: PdeGrid) -> PdeSolution:
     return PdeSolution(grid, u)
 
 
-def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> PdeSolution:
+def g_normal_solution(params: GParams, phi: Callable, dx: float | None = None) -> PdeSolution:
     """Solve to t = 1 on a symmetric domain sized from the volatility band.
 
-    The half width is ``PAD_FACTOR * sigma_hi`` plus any shift margin the
-    test function declares, rounded up to a whole number of cells.  The
-    step count is the least with ``dt <= 0.4 * (dx / sigma_hi)^2``.  For
-    ``u`` at another time tau, solve with the band scaled by ``sqrt(tau)``:
+    The space step is ``dx``, DEFAULT_DX if None.  The half width is
+    ``PAD_FACTOR * sigma_hi`` plus any shift margin the test function
+    declares, rounded up to a whole number of cells.  The step count is
+    the least with ``dt <= 0.4 * (dx / sigma_hi)^2``.  For ``u`` at
+    another time tau, solve with the band scaled by ``sqrt(tau)``:
     ``GParams(lo * sqrt(tau), hi * sqrt(tau))``.
     """
+    dx = DEFAULT_DX if dx is None else dx
     if not (np.isfinite(dx) and dx > 0.0):
         raise ValidationError(f"dx must be positive, got {dx!r}")
     margin = float(getattr(phi, "margin", 0.0))
@@ -175,7 +177,7 @@ def g_normal_solution(params: GParams, phi: Callable, dx: float = DEFAULT_DX) ->
     return solve_g_heat(params, phi, PdeGrid(-n_half * dx, dx, 2 * n_half, n_steps))
 
 
-def g_normal_expectation(params: GParams, phi: Callable, dx: float = DEFAULT_DX) -> float:
+def g_normal_expectation(params: GParams, phi: Callable, dx: float | None = None) -> float:
     """Sublinear expectation of ``phi`` under the limit law of the band."""
     sol = g_normal_solution(params, phi, dx=dx)
     return sol.value_at(0.0)

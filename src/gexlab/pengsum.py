@@ -332,7 +332,6 @@ class IndependenceCheck:
     product_upper: float
     joint_lower: float
     product_lower: float
-    tol: float
 
     @property
     def upper_gap(self) -> float:
@@ -344,7 +343,7 @@ class IndependenceCheck:
 
     @property
     def passed(self) -> bool:
-        return self.upper_gap <= self.tol and self.lower_gap <= self.tol
+        return self.upper_gap <= INDEPENDENCE_TOL and self.lower_gap <= INDEPENDENCE_TOL
 
 
 def pairwise_independence_check(
@@ -367,5 +366,4 @@ def pairwise_independence_check(
         product_upper=_upper(xset, ind_x) * _upper(yset, ind_y),
         joint_lower=-_iterated_upper(xset, yset, -rect),
         product_lower=_lower(xset, ind_x) * _lower(yset, ind_y),
-        tol=INDEPENDENCE_TOL,
     )

@@ -12,7 +12,6 @@ import numpy as np
 
 from gexlab.ambiguity import evaluate_on, indicator_of
 from gexlab.fuzz import (
-    SUITE_TOL,
     THRESHOLD_GRID,
     SuiteReport,
     random_ambiguity_set,
@@ -100,7 +99,7 @@ def axiom_suite(seed, trials):
         a, b = random_interval(rng, aset)
         worst["capacityDuality"] = max(worst["capacityDuality"], _duality_residual(aset, a, b))
     worst = {k: max(v, 0.0) for k, v in worst.items()}
-    return SuiteReport("axioms", trials, seed, SUITE_TOL, worst)
+    return SuiteReport("axioms", trials, seed, worst)
 
 
 def independence_suite(seed, n_pairs):
@@ -127,6 +126,6 @@ def independence_suite(seed, n_pairs):
                 worst_upper = max(worst_upper, abs(joint_upper - up_x * up_y))
                 worst_lower = max(worst_lower, abs(joint_lower - low_x * low_y))
     return SuiteReport(
-        "independence", n_pairs * THRESHOLD_GRID**2, seed, SUITE_TOL,
+        "independence", n_pairs * THRESHOLD_GRID**2, seed,
         {"upperFactorization": worst_upper, "lowerFactorization": worst_lower},
     )

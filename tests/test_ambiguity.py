@@ -66,10 +66,16 @@ class TestDiscreteDistribution:
             with pytest.raises(ValidationError, match=r"^lattice indices must be integers in \[-2\^53, 2\^53\]$"):
                 build()
 
-    @pytest.mark.parametrize("ks", [[0.5, 1.7], [1.2, 1.7], [float("nan"), 1], [0, float("inf")]],
-                             ids=["fractions", "fractions-equal-parts", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "ks",
+        [[0.5, 1.7], [1.2, 1.7], [float("nan"), 1], [0, float("inf")], np.array([np.nan, 1.0]),
+         np.array([np.inf, 1.0]), np.array([2.0**70, 1.0]), np.array([0.5, 1.7])],
+        ids=["fractions", "fractions-equal-parts", "nan", "inf", "nan-array", "inf-array",
+             "past-int64-array", "fractions-array"],
+    )
     def test_index_not_an_integer(self, ks):
-        # int64 conversion cuts 1.7 to 1 (and 1.2, 1.7 to equal indices) and fails on NaN or inf
+        # int64 conversion cuts 1.7 to 1 (and 1.2, 1.7 to equal indices) and fails on NaN, inf
+        # or 2^70; a float array must fail the same way, not with numpy's cast warning
         with pytest.raises(ValidationError, match="must be integers"):
             DiscreteDistribution(1.0, ks, [0.5, 0.5])
 

@@ -89,12 +89,12 @@ class TestSuiteSeeds:
 
 class TestSuiteReport:
     def test_empty_checks(self):
-        report = SuiteReport("empty", 0, 0, 1e-12, {})
+        report = SuiteReport("empty", 0, 0, {})
         assert report.max_violation == 0.0
         assert report.passed
 
     def test_dict_and_csv_projections(self):
-        report = SuiteReport("demo", 3, 7, 1e-12, {"a": 1e-15, "b": 2e-15})
+        report = SuiteReport("demo", 3, 7, {"a": 1e-15, "b": 2e-15})
         d = report.to_dict()
         assert list(d) == [
             "kind", "trials", "seed", "tolerance", "checks", "maxViolation", "pass",

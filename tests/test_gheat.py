@@ -14,6 +14,7 @@ from gexlab.errors import (
     ValidationError,
 )
 from gexlab.gheat import (
+    DEFAULT_DX,
     PAD_FACTOR,
     GParams,
     PdeGrid,
@@ -183,6 +184,14 @@ class TestGNormal:
     def test_rejects_bad_dx(self, dx):
         with pytest.raises(ValidationError, match="dx must be positive"):
             g_normal_solution(BAND, make_phi("square"), dx=dx)
+
+    def test_none_dx_is_the_default(self):
+        phi = make_phi("abs")
+        default = g_normal_solution(BAND, phi, dx=DEFAULT_DX)
+        for sol in (g_normal_solution(BAND, phi), g_normal_solution(BAND, phi, dx=None)):
+            assert sol.grid == default.grid
+            assert sol.u.tobytes() == default.u.tobytes()
+        assert g_normal_expectation(BAND, phi, dx=None) == default.value_at(0.0)
 
     @pytest.mark.parametrize("dx, n_steps", [(0.04, 1563), (0.02, 6250), (0.01, 25000), (0.005, 100000)])
     def test_one_march_of_whole_steps(self, monkeypatch, dx, n_steps):

@@ -162,30 +162,39 @@ def _aligned_rows(*sizes):
 #
 # Call lists per stage.  A step's calls depend only on the family, on the
 # rows they read and write, and on the number of outputs, yet slicing the
-# plan's buffers anew at every length costs a Python slice per view: a
-# step of an n = 64 reference-family sweep took 11-13 us sliced anew and
-# 5.5-7 us with kept lists (2-vCPU Xeon guest, NumPy 2.4, thread time).  So a
-# step's calls are built as one list over views of a fixed length, and the
-# plan keeps one list per ping-pong direction, for steps that read its
-# whole row.  A kept list lives for one stage: the stage's first step in
-# each direction builds it at exactly out_len, the later steps of that
-# direction reuse it, and a cut drops it; a step handed any other array,
-# and the no-plan form, always build a list at exactly out_len.  Narrowing
-# to the cone keeps the lists: a kept list still writes its own wider
-# window at the same slots, the new outputs among them, and reads the rows
-# it was built on, around them.  The slots outside the new outputs hold
-# don't-care values, which no output of the cone reads (each reads only
-# the last step's outputs) and which are read from earlier outputs, strip
-# values or the zeros dp_plan fills both rows with: no step reads
-# uninitialised memory, and on finite data a don't-care value is a
-# probability-weighted sum of finite values like any other.  The cone
-# steps in stages of its own: a kept list serves while it is at most
-# _SLACK points longer than out_len, and the next step builds one at
-# out_len.  So a list computes at most _SLACK points nothing reads, to
-# save one Python slice per view.  The bound matters where the cone is
-# long: a sweep with no window follows it from step 1, and kept to the
-# end its first lists would compute its widest window at every step.
-# ROADMAP's Settled list holds the timings that chose 256 and kept it.
+# plan's buffers anew at every length costs a Python slice per view: a step
+# of an n = 64 reference-family sweep took 11-13 us sliced anew and 5.5-7 us
+# with kept lists (2-vCPU Xeon guest, NumPy 2.4, thread time).  So a step's
+# calls are built as one list over views of a fixed length, and the plan
+# keeps one list per ping-pong direction, for steps that read its whole row.
+# A kept list lives for one stage: the stage's first step in each direction
+# builds it at exactly out_len, the later steps of that direction reuse it,
+# and a cut drops it; a step handed any other array, and the no-plan form,
+# always build a list at exactly out_len.  A list is kept with the row it
+# reads and the output view it writes, so a later step of its stage, handed
+# that same row at the same out_len, runs the list and returns the stored
+# view: it tests no bound and slices nothing.  _sweep runs each stage as
+# one loop, its held steps at one width, with the step where the cone takes
+# over worked out once per stage.  The Python around a step's ufunc calls fell
+# from ~0.9 to ~0.4 us when held steps stopped redoing the cone arithmetic,
+# re-testing the bound and slicing their outputs (reference family,
+# n = 4096, a whole sum_expectations with its call lists emptied; 2-vCPU
+# Xeon guest, NumPy 2.4, thread time).  Narrowing to the cone keeps the lists,
+# and its steps, handed new row views, take the general path: a kept list
+# still writes its own wider window at the same slots, the new outputs among
+# them, and reads the rows it was built on, around them.  The slots outside
+# the new outputs hold don't-care values, which no output of the cone reads
+# (each reads only the last step's outputs) and which are read from earlier
+# outputs, strip values or the zeros dp_plan fills both rows with: no step
+# reads uninitialised memory, and on finite data a don't-care value is a
+# probability-weighted sum of finite values like any other.  The cone steps
+# in stages of its own: a kept list serves while it is at most _SLACK points
+# longer than out_len, and the next step builds one at out_len.  So a list
+# computes at most _SLACK points nothing reads, to save one Python slice per
+# view.  The bound matters where the cone is long: a sweep with no window
+# follows it from step 1, and kept to the end its first lists would compute
+# its widest window at every step.  ROADMAP's Settled list holds the timings
+# that chose 256 and kept it.
 # Precondition: at least one law, every law has at least one atom, and
 # every atom's start base + k_j is >= 0.
 #
@@ -302,20 +311,24 @@ def dp_step(values, law_ptr, law_k, law_p, base, out_len, plan=None):
     if plan is None:
         plan = dp_plan(law_ptr, law_k, law_p, base, len(values), out_len)
     turn = plan.turn = plan.turn ^ 1
-    held = values is plan.rows[turn ^ 1]  # the whole row the last step wrote
     kept = plan.lists[turn]
-    if held and kept is not None and out_len <= kept[0] <= out_len + _SLACK:
-        calls = kept[1]
+    if kept is not None and kept[2] is values and kept[0] == out_len:  # a later step of a held stage
+        calls, out = kept[1], kept[3]
     else:
-        calls = _step_calls(plan, values, plan.rows[turn][plan.margin :], out_len)
-        if held:
-            plan.lists[turn] = (out_len, calls)
+        held = values is plan.rows[turn ^ 1]  # the whole row the last step wrote
+        out = plan.rows[turn][plan.margin : plan.margin + out_len]
+        if held and kept is not None and out_len <= kept[0] <= out_len + _SLACK:
+            calls = kept[1]
+        else:
+            calls = _step_calls(plan, values, out, out_len)
+            if held:
+                plan.lists[turn] = (out_len, calls, values, out)
     for f, a, b, result in calls:
         if f is None:
             np.maximum(a, b, out=result)
         else:
             f(a, b, result)
-    return plan.rows[turn][plan.margin : plan.margin + out_len]
+    return out
 
 
 def _sweep(laws, values, lo, n_steps, stages):
@@ -327,7 +340,9 @@ def _sweep(laws, values, lo, n_steps, stages):
     ``dp_step`` call with the sweep's plan, writes its outputs at the
     window ``[-R, R]`` and yields them, the origin at their centre: R is
     the least of its stage's radius and the origin's cone ``(n_steps - m)
-    K``, outside which no point reaches the origin in the steps left.
+    K``, outside which no point reaches the origin in the steps left.  A
+    stage's steps at its radius run as one loop at one width; once the
+    cone is narrower, each step first narrows the plan's views to it.
 
     ``stages`` is the window's schedule: ``(first step, radius)`` per
     stage, the first at step 1 and at most ``(n_steps - 1) K``, each later
@@ -348,23 +363,30 @@ def _sweep(laws, values, lo, n_steps, stages):
     k_lo, k_hi = int(ks.min()), int(ks.max())
     K, base = max(-k_lo, k_hi), max(-k_lo, 0)
     radius = stages[0][1]
-    later = dict(stages[1:])
     # slot j of both rows holds point j - base - radius of the first block
     first = values[-base - radius - lo :][: base + 2 * radius + 1 + max(k_hi, 0)]
     plan = dp_plan(ptr, ks, ps, base, len(first), 2 * radius + 1)
     for row in plan.rows:
         row[: len(first)] = first
-    for m in range(1, n_steps + 1):
-        cone = (n_steps - m) * K
-        window = min(later.get(m, radius), cone)
-        if window < radius:  # only a stage's radius below the cone cuts the game
-            plan.narrow(radius - window, window < cone)
+    ends = [m for m, _ in stages[1:]] + [n_steps + 1]
+    for (start, window), end in zip(stages, ends):
+        if window < radius:  # a later stage: its radius cuts the game
+            plan.narrow(radius - window, True)
             radius = window
-        row = plan.rows[plan.turn]
-        out = dp_step(row, ptr, ks, ps, base, 2 * radius + 1, plan=plan)
-        if out.base is not row.base:  # a stand-in for dp_step returned an array of its own
-            row[base : base + len(out)] = out
-        yield out
+        # the stage holds its radius while the cone (n_steps - m) K is no narrower, through
+        # step n_steps - ceil(radius / K); where K = 0 the radius is 0 and it holds every step
+        cone_from = min(end, n_steps + 1 + -radius // max(K, 1))
+        out_len = 2 * radius + 1
+        for m in range(start, end):
+            if m >= cone_from:  # then the window follows the cone, which cuts nothing
+                cone = (n_steps - m) * K
+                plan.narrow(radius - cone, False)
+                radius, out_len = cone, 2 * cone + 1
+            row = plan.rows[plan.turn]
+            out = dp_step(row, ptr, ks, ps, base, out_len, plan=plan)
+            if out.base is not row.base:  # a stand-in for dp_step returned an array of its own
+                row[base : base + out_len] = out
+            yield out
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,8 @@ def _cmd_oracle(opts: dict):
     aset = _ambiguity_or_reference(opts)
     phis = opts["phi"] if isinstance(opts["phi"], tuple) else (opts["phi"],)
     ns = sorted(set(opts["n"]))
-    oracle_rows = [pengsum.brute_force_adapted_oracle_many(aset, n, phis) for n in ns]
+    # the largest n first: where admission or the strategy ceiling refuses it, no smaller n has enumerated
+    oracle_rows = [pengsum.brute_force_adapted_oracle_many(aset, n, phis) for n in reversed(ns)][::-1]
     strategy_counts = [{"n": n, "strategies": pengsum.count_adapted_strategies(aset, n)} for n in ns]
     # one sweep per phi reads every n, with the same bits as one sweep per n
     dp_columns = [pengsum.sum_expectations(aset, ns, phi) for phi in phis]

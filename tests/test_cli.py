@@ -645,6 +645,21 @@ class TestOracleCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("gexlab: brute-force oracle would need about ")
 
+    @pytest.mark.parametrize("laws, ns", [(ONE_LAW, "700,1249,1300"), (REFERENCE_LAWS, "1,2,60")],
+                             ids=["work", "ceiling"])
+    def test_largest_n_refused_before_any_enumeration(self, laws, ns, tmp_path, monkeypatch, capsys):
+        # admission refuses one law at n = 1300 and the strategy ceiling the
+        # reference family at n = 60: before any smaller n enumerates, and
+        # with the exit code and message of the largest n alone
+        config = write_config(tmp_path, {"ambiguity": laws})
+        assert cli.main(["oracle", "--config", config, "--n", ns.rsplit(",", 1)[1]]) == cli.EXIT_RUNTIME
+        alone = capsys.readouterr()
+        enumerated = []
+        monkeypatch.setattr(pengsum, "_enumerate_strategy_distributions", lambda aset, n: enumerated.append(n))
+        assert cli.main(["oracle", "--config", config, "--n", ns]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr() == alone and alone.err.startswith("gexlab: ")
+        assert enumerated == []
+
     def test_csv_header(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert cli.main(["oracle", "--n", "1", "--format", "csv", "--out", str(out)]) == 0

@@ -813,14 +813,28 @@ class TestHeldSweep:
         _, steps = recorded_sweep(monkeypatch, ref_set, [8], make_phi("abs"))
         assert [out_len for out_len, _, _ in steps] == [29, 25, 21, 17, 13, 9, 5, 1]
 
-    @pytest.mark.parametrize("name", ["reference", "dp-scan"])
+    @pytest.mark.parametrize("name", ["reference", "dp-scan", "skewed", "coin-1-3", "dirac-at-0"])
     def test_output_lengths_follow_stage_and_cone(self, monkeypatch, ref_set, name):
-        # every step reads a whole plan row and writes 2 min(stage radius, (N - m) K) + 1 outputs
-        aset = ref_set if name == "reference" else dp_scan_families(21)[0]
-        n = 4096
+        # every step reads a whole plan row and writes 2 min(stage radius, (N - m) K) + 1 outputs,
+        # and returns exactly the plan's view of them: the skewed family's radii are no
+        # multiples of K = 3, the {1, 3} coin has no window and the Dirac law at 0 has K = 0
+        aset = {"reference": ref_set, "dp-scan": dp_scan_families(21)[0], "skewed": skewed_family(),
+                "coin-1-3": one_sided("coin-1-3"),
+                "dirac-at-0": AmbiguitySet((DiscreteDistribution.from_atoms(1.0, [(0, 1.0)]),))}[name]
+        n, step, views = 4096, _kernels.dp_step, []
+
+        def viewing(*args, plan):
+            out = step(*args, plan=plan)
+            want = plan.rows[plan.turn][plan.margin : plan.margin + args[5]]
+            views.append(out.base is want.base and (out.ctypes.data, out.shape, out.strides)
+                         == (want.ctypes.data, want.shape, want.strides))
+            return out
+
+        monkeypatch.setattr(_kernels, "dp_step", viewing)
         _, steps = recorded_sweep(monkeypatch, aset, [n], make_phi("abs"))
         assert [out_len for out_len, _, _ in steps] == [2 * w + 1 for w in scheduled_windows(aset, n)]
         assert all(held for _, held, _ in steps)
+        assert len(views) == n and all(views)
 
     @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
     @pytest.mark.parametrize("n", [88, 89, 90, 91])

@@ -9,12 +9,13 @@ evaluated once on a family's union support, so they must be pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, ValidationError, _Frozen
 
 PROB_TOL = 1e-12
 
@@ -64,31 +65,28 @@ def indicator_of(event: Callable) -> Callable:
     return f
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
+class DiscreteDistribution(_Frozen):
     """One prior law: finite support on the lattice ``step*Z``.
 
     ``indices`` are strictly increasing integer lattice indices in
     ``[-2^53, 2^53]``, where ``indices * step`` converts them to floats
-    exactly; support point j is ``indices[j] * step``.  Probabilities must
-    be non-negative and sum to 1 within PROB_TOL; inputs that miss that
-    are rejected rather than renormalized.
+    exactly; support point j is ``indices[j] * step``, and each must be a
+    finite float.  Probabilities must be non-negative and sum to 1 within
+    PROB_TOL; inputs that miss that are rejected rather than renormalized.
     """
 
-    step: float
-    indices: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
+    __slots__ = ("step", "indices", "probs")
 
-    def __post_init__(self):
-        step = float(self.step)
+    def __init__(self, step: float, indices, probs):
+        step = float(step)
         span = "lattice indices must be integers in [-2^53, 2^53]"
         # converted through Python values, since numpy's float-array cast warns on NaN, inf or > int64
-        raw = np.asarray(self.indices).tolist()
+        raw = np.asarray(indices).tolist()
         try:
             indices = np.asarray(raw, dtype=np.int64)
         except (OverflowError, ValueError):  # an index past int64, NaN or infinite
             raise ValidationError(span) from None
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.asarray(probs, dtype=np.float64)
         if not (np.isfinite(step) and step > 0.0):
             raise ValidationError(f"lattice step must be positive, got {step!r}")
         if indices.ndim != 1 or indices.size == 0:
@@ -102,6 +100,9 @@ class DiscreteDistribution:
             raise ValidationError(span)
         if np.any(indices[1:] <= indices[:-1]):
             raise ValidationError("lattice indices must be strictly increasing")
+        k = max(int(indices[0]), int(indices[-1]), key=abs)
+        if not math.isfinite(k * step):  # Python floats, so numpy prints no overflow warning
+            raise ValidationError(f"support point of lattice index {k} at step {step!r} is not a finite float")
         if np.any(probs < 0.0) or not np.isfinite(probs).all():
             raise ValidationError("probabilities must be finite and non-negative")
         total = float(probs.sum())
@@ -112,9 +113,7 @@ class DiscreteDistribution:
             )
         indices.setflags(write=False)
         probs.setflags(write=False)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "probs", probs)
+        self._set(step=step, indices=indices, probs=probs)
 
     @classmethod
     def from_atoms(cls, step: float, atoms: Sequence[tuple[int, float]]) -> "DiscreteDistribution":
@@ -138,22 +137,17 @@ class DiscreteDistribution:
         return float(self.probs @ evaluate_on(f, self.support))
 
 
-@dataclass(frozen=True, eq=False)
-class AmbiguitySet:
+class AmbiguitySet(_Frozen):
     """A finite family of laws sharing one lattice step.
 
     ``indices`` is the sorted union of the laws' lattice indices, ``support``
     its points, and ``columns[i]`` the positions of law i's atoms in both.
     """
 
-    laws: tuple[DiscreteDistribution, ...]
-    labels: tuple[str, ...] | None = None
-    indices: np.ndarray = field(init=False, repr=False)
-    support: np.ndarray = field(init=False, repr=False)
-    columns: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    __slots__ = ("laws", "labels", "indices", "support", "columns")
 
-    def __post_init__(self):
-        laws = tuple(self.laws)
+    def __init__(self, laws: Sequence[DiscreteDistribution], labels: Sequence[str] | None = None):
+        laws = tuple(laws)
         if len(laws) == 0:
             raise ValidationError("ambiguity set needs at least one law")
         step = laws[0].step
@@ -162,7 +156,6 @@ class AmbiguitySet:
                 raise ValidationError(
                     f"law {i} has step {law.step!r}, expected common step {step!r}"
                 )
-        labels = self.labels
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != len(laws):
@@ -175,11 +168,7 @@ class AmbiguitySet:
         columns = tuple(np.searchsorted(indices, law.indices) for law in laws)
         for arr in (indices, support, *columns):
             arr.setflags(write=False)
-        object.__setattr__(self, "laws", laws)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "columns", columns)
+        self._set(laws=laws, labels=labels, indices=indices, support=support, columns=columns)
 
     @property
     def step(self) -> float:
@@ -195,20 +184,17 @@ class AmbiguitySet:
         return np.array([law.probs @ values[cols] for law, cols in zip(self.laws, self.columns)])
 
 
-@dataclass(frozen=True)
-class MomentEnvelope:
+class MomentEnvelope(namedtuple("MomentEnvelope", "mean_lower mean_upper var_lower var_upper")):
     """Mean and second-raw-moment bounds of an ambiguity set."""
 
-    mean_lower: float
-    mean_upper: float
-    var_lower: float
-    var_upper: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.mean_lower <= self.mean_upper:
+    def __new__(cls, mean_lower: float, mean_upper: float, var_lower: float, var_upper: float):
+        if not mean_lower <= mean_upper:
             raise ValidationError("mean_lower must not exceed mean_upper")
-        if not 0.0 <= self.var_lower <= self.var_upper:
+        if not 0.0 <= var_lower <= var_upper:
             raise ValidationError("need 0 <= var_lower <= var_upper")
+        return super().__new__(cls, mean_lower, mean_upper, var_lower, var_upper)
 
 
 def per_law_expectations(aset: AmbiguitySet, f: Callable) -> np.ndarray:

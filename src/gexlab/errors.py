@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all gexlab modules."""
+"""Exception hierarchy shared by all gexlab modules, and the base of its frozen values."""
 
 
 class GexlabError(Exception):
@@ -35,3 +35,21 @@ class DivergenceError(GexlabError):
 
 class HypothesisError(GexlabError):
     """An experiment hypothesis (mean-zero laws) does not hold."""
+
+
+class _Frozen:
+    """Base of the slotted values: ``__init__`` sets each slot once through ``_set``.
+
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

@@ -11,8 +11,7 @@ so ``E|S_n / sqrt n|^q = n^(-q/2) E|S_n|^q`` and one sweep serves every n;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,8 +78,7 @@ def _loglog_slope(pairs: Sequence[tuple[int, float]]) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-@dataclass(frozen=True)
-class MomentScanReport:
+class MomentScanReport(NamedTuple):
     """Growth of a_n = upper expectation of |S_n|^r against n^{r/2}."""
 
     r: float
@@ -134,8 +132,7 @@ def moment_scan(aset: AmbiguitySet, r: float, n_list: Sequence[int]) -> MomentSc
     )
 
 
-@dataclass(frozen=True)
-class SubadditivityRow:
+class SubadditivityRow(NamedTuple):
     n: int
     lhs: float
     rhs: float
@@ -158,8 +155,7 @@ def variance_subadditivity_check(aset: AmbiguitySet, n_max: int) -> list[Subaddi
     return rows
 
 
-@dataclass(frozen=True)
-class CltReport:
+class CltReport(NamedTuple):
     """Normalized-sum expectations against the PDE limit value.
 
     ``errors_decreasing`` compares only the ends: it holds when the error at
@@ -229,8 +225,7 @@ def clt_convergence(
     )
 
 
-@dataclass(frozen=True)
-class UniformMomentReport:
+class UniformMomentReport(NamedTuple):
     """Boundedness of b_n = normalized |S_n|^{p+1} expectations."""
 
     p: float

@@ -8,7 +8,7 @@ numpy Generator, so identical seeds give identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,8 +135,7 @@ def _duality_residual(aset: AmbiguitySet, a: float, b: float) -> float:
     return abs(big + small_c - 1.0)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Shared shape for the randomized suites: worst residual per check.
 
     A report passes when no check's worst exceeds SUITE_TOL.

@@ -12,14 +12,14 @@ A Gaussian quadrature oracle covers the classical corner ``lo == hi``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels
 from .ambiguity import MomentEnvelope, evaluate_on
-from .errors import ConfigurationError, DivergenceError, DomainError, ValidationError
+from .errors import ConfigurationError, DivergenceError, DomainError, ValidationError, _Frozen
 
 CFL_LIMIT = 0.5
 PAD_FACTOR = 6.0  # g_normal_solution's half width is PAD_FACTOR * sigma_hi + phi's margin
@@ -28,23 +28,20 @@ QUAD_Z_MAX = 10.0
 QUAD_NODES = 10001  # odd, as the 1/3 rule needs
 
 
-@dataclass(frozen=True)
-class GParams:
+class GParams(namedtuple("GParams", "sigma_lo sigma_hi")):
     """Volatility band ``0 <= sigma_lo <= sigma_hi`` with ``sigma_hi > 0``."""
 
-    sigma_lo: float
-    sigma_hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo, hi = float(self.sigma_lo), float(self.sigma_hi)
+    def __new__(cls, sigma_lo: float, sigma_hi: float):
+        lo, hi = float(sigma_lo), float(sigma_hi)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError(f"volatilities must be finite, got {lo!r}, {hi!r}")
         if not 0.0 <= lo <= hi:
             raise ValidationError(f"need 0 <= sigma_lo <= sigma_hi, got {lo!r}, {hi!r}")
         if hi <= 0.0:
             raise ValidationError("sigma_hi must be positive")
-        object.__setattr__(self, "sigma_lo", lo)
-        object.__setattr__(self, "sigma_hi", hi)
+        return super().__new__(cls, lo, hi)
 
 
 def params_from_envelope(env: MomentEnvelope) -> GParams:
@@ -61,8 +58,7 @@ def g_function(params: GParams, a):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PdeGrid:
+class PdeGrid(namedtuple("PdeGrid", "x_min dx n_cells n_steps")):
     """Uniform space-time grid for the explicit scheme.
 
     Its ``n_cells + 1`` nodes are ``x_min + j * dx``, j = 0 .. n_cells, and
@@ -70,23 +66,20 @@ class PdeGrid:
     are given, never recovered from floats, and ``_kernels`` admits them.
     """
 
-    x_min: float
-    dx: float
-    n_cells: int
-    n_steps: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("n_cells", "n_steps"):
-            n = getattr(self, name)
+    def __new__(cls, x_min: float, dx: float, n_cells: int, n_steps: int):
+        for name, n in (("n_cells", n_cells), ("n_steps", n_steps)):
             if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {n!r}")
-            object.__setattr__(self, name, int(n))
-        if not (np.isfinite(self.dx) and self.dx > 0.0):
-            raise ValidationError(f"dx must be positive, got {self.dx!r}")
-        _kernels._admit("PDE grid", self.n_cells + 1, self.n_steps, 1.0, "reduce n_cells or n_steps")
-        last = self.x_min + self.n_cells * self.dx
+        n_cells, n_steps = int(n_cells), int(n_steps)
+        if not (np.isfinite(dx) and dx > 0.0):
+            raise ValidationError(f"dx must be positive, got {dx!r}")
+        _kernels._admit("PDE grid", n_cells + 1, n_steps, 1.0, "reduce n_cells or n_steps")
+        last = x_min + n_cells * dx
         if not np.isfinite(last):  # finite only if x_min is, and then so is every node between
-            raise ValidationError(f"nodes must be finite, got x_min {self.x_min!r}, last node {last!r}")
+            raise ValidationError(f"nodes must be finite, got x_min {x_min!r}, last node {last!r}")
+        return super().__new__(cls, x_min, dx, n_cells, n_steps)
 
     @property
     def dt(self) -> float:
@@ -97,12 +90,13 @@ class PdeGrid:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
 
-@dataclass(frozen=True, eq=False)
-class PdeSolution:
+class PdeSolution(_Frozen):
     """Terminal-value problem solution marched back to time 0."""
 
-    grid: PdeGrid
-    u: np.ndarray = field(repr=False)
+    __slots__ = ("grid", "u")
+
+    def __init__(self, grid: PdeGrid, u: np.ndarray):
+        self._set(grid=grid, u=u)
 
     @property
     def steps_taken(self) -> int:

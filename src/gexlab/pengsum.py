@@ -13,14 +13,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .ambiguity import AmbiguitySet, _lower, _upper, evaluate_on, indicator_of
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, SizeError, ValidationError
 
 STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
@@ -66,7 +65,13 @@ def _hold_stages(aset: AmbiguitySet, n: int):
     game differs from the full one only where the sum leaves a stage's
     window during that stage, and there by at most phi's oscillation ``osc
     <= 2 max|phi|``, so over the J stages the value moves by at most ``tol
-    = _HOLD_TOL * max|phi|``, for every phi.
+    = _HOLD_TOL * max|phi|``, with max|phi| taken on the whole block.  That
+    bound is relative to phi's largest value there, not to the value, so
+    for fast-growing or exponential phi it certifies nothing.  On the
+    reference family at n = 4096 the held value of ``abspow:60`` is 2.7e-3
+    (relative) below the whole block's, and that of ``exp(10 S_n / sqrt n)``
+    is 57% below its exact value ``M^n``, M the family's largest one-step
+    ``E exp(10 X / sqrt n)``.
 
     The first radius is ``rho(n)``.  At the first step whose rho(t) is
     ``_STAGE`` or more below the radius, the radius falls by whole
@@ -108,16 +113,31 @@ def _hold_stages(aset: AmbiguitySet, n: int):
         J = len(stages)
 
 
+def _admit_reach(aset: AmbiguitySet, n: int, what: str) -> None:
+    """Raise SizeError if ``n`` steps reach a lattice point ``n * K * step`` that is not a finite float.
+
+    Call it once ``_kernels`` has admitted the run, so ``n * K`` is small.
+    """
+    K = int(np.abs(aset.indices).max())
+    if not math.isfinite(n * K * aset.step):  # Python floats, so numpy prints no overflow warning
+        raise SizeError(
+            f"{what} would reach lattice index {n * K} at step {aset.step!r}, "
+            "whose point is not a finite float; reduce n or the step"
+        )
+
+
 def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, list[tuple[int, int]]]:
     """Refuse, by ``_kernels``' rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps.
 
-    The sweep is priced at its widest window, the first stage's; returns K
-    and the window's schedule, ``_hold_stages``' stages.
+    The block must also have finite points (``_admit_reach``).  The sweep
+    is priced at its widest window, the first stage's; returns K and the
+    window's schedule, ``_hold_stages``' stages.
     """
     K = int(np.abs(aset.indices).max())
     atoms = sum(law.indices.size for law in aset.laws)
     remedy = "reduce n or the atom span"
     _kernels._admit("lattice sweep", 2 * n * K + 1, 0, atoms, remedy)
+    _admit_reach(aset, n, "lattice sweep")
     stages = _hold_stages(aset, n)[1]
     _kernels._admit("lattice sweep", 2 * stages[0][1] + 1, n, atoms, remedy)
     return K, stages
@@ -134,10 +154,14 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     the origin's time and priced by admission at its widest, so in exact
     arithmetic each entry is within ``tol = _HOLD_TOL * max|phi|`` (on the
     block) of the whole block's value, and so of ``sum_expectation(aset,
-    n, phi)``'s.  Tests pin that the floats are the same bits as the whole
-    block's on the catalog's shapes and the benchmark's families.  Raises
-    SizeError, before phi is evaluated, when ``_kernels`` refuses the
-    block's points or the sweep's work.
+    n, phi)``'s.  ``tol`` scales with phi's largest value on the block, so
+    it certifies nothing for fast-growing or exponential phi (see
+    ``_hold_stages``: ``abspow:60`` moves by 2.7e-3 and ``exp(10 S_n /
+    sqrt n)`` by 57% at n = 4096).  Tests pin that the floats are the same
+    bits as the whole block's on the catalog's shapes and the benchmark's
+    families.  Raises SizeError, before phi is evaluated, when ``_kernels``
+    refuses the block's points or the sweep's work, or when a point of the
+    block is not a finite float.
     """
     ns = [_check_n(n) for n in ns]
     if not ns:
@@ -287,12 +311,14 @@ def brute_force_adapted_oracle_many(
     Raises SizeError, before it counts or enumerates, when ``_kernels``
     refuses n levels of up to n * span + 1 points with one dense tensor row
     per law at each point: measured 0.13-0.37 ns per such update on one +-1
-    law at n = 100..800 (2-vCPU Xeon), so it stops past ~5 s (n ~ 1 250).
+    law at n = 100..800 (2-vCPU Xeon), so it stops past ~5 s (n ~ 1 250);
+    and when ``_admit_reach`` refuses the lattice.
     """
     n = _check_n(n)
     n_laws = len(aset.laws)
     width = n * int(aset.indices[-1] - aset.indices[0]) + 1
     _kernels._admit("brute-force oracle", width, n, n_laws * width, "reduce n or the atom span")
+    _admit_reach(aset, n, "brute-force oracle")
     n_states = _reachable_state_count(aset, n)
     # With L >= 2 laws, L ** S exceeds the ceiling as soon as S exceeds its
     # bit length, so capping S there keeps the comparison exact and the
@@ -324,8 +350,7 @@ def _iterated_upper(xset: AmbiguitySet, yset: AmbiguitySet, grid: np.ndarray) ->
     return _upper(xset, np.array([_upper(yset, row) for row in grid]))
 
 
-@dataclass(frozen=True)
-class IndependenceCheck:
+class IndependenceCheck(NamedTuple):
     """Joint-vs-product capacities for a pair of marginal events."""
 
     joint_upper: float

@@ -8,12 +8,11 @@ widens PDE domains for shifted shapes like ramp and clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _Frozen
 
 
 def _arg_text(a: float) -> str:
@@ -22,16 +21,29 @@ def _arg_text(a: float) -> str:
     return text if float(text) == a else repr(a)
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """A named test function with solver-relevant metadata."""
+class PhiSpec(_Frozen):
+    """A named test function with solver-relevant metadata.
 
-    name: str
-    args: tuple[float, ...]
-    growth_exponent: float
-    convexity: str  # "convex" | "concave" | "neither"
-    margin: float
-    fn: Callable = field(compare=False, repr=False)
+    ``convexity`` is "convex", "concave" or "neither".  Two specs are equal,
+    and hash alike, when all but ``fn`` are, so reports that hold one
+    compare by value.
+    """
+
+    __slots__ = ("name", "args", "growth_exponent", "convexity", "margin", "fn")
+
+    def __init__(self, name: str, args: tuple[float, ...], growth_exponent: float,
+                 convexity: str, margin: float, fn: Callable):
+        self._set(name=name, args=args, growth_exponent=growth_exponent,
+                  convexity=convexity, margin=margin, fn=fn)
+
+    def _key(self) -> tuple:
+        return self.name, self.args, self.growth_exponent, self.convexity, self.margin
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is PhiSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def label(self) -> str:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,16 @@ from gexlab.ambiguity import (
     upper_expectation,
 )
 from gexlab.errors import EvaluationError, ValidationError
-from gexlab.fuzz import random_ambiguity_set, random_catalog_phi, random_interval
-from gexlab.gheat import PdeGrid, PdeSolution
-from gexlab.pengsum import joint_expectation
+from gexlab.experiments import (
+    clt_convergence,
+    moment_scan,
+    reference_set,
+    uniform_moment_check,
+    variance_subadditivity_check,
+)
+from gexlab.fuzz import axiom_suite, random_ambiguity_set, random_catalog_phi, random_interval
+from gexlab.gheat import GParams, PdeGrid, PdeSolution, solve_g_heat
+from gexlab.pengsum import joint_expectation, pairwise_independence_check
 from gexlab.phis import CATALOG, make_phi
 
 
@@ -90,6 +98,16 @@ class TestDiscreteDistribution:
     def test_range_ends_accepted(self):
         law = DiscreteDistribution(1.0, [-(2**53), 2**53], [0.5, 0.5])
         assert law.support.tolist() == [-(2.0**53), 2.0**53]
+
+    @pytest.mark.parametrize("step, ks, k", [(1e308, [-2, 2], -2), (1e308, [0, 3], 3), (2.0**971, [-(2**53), 0], -(2**53))])
+    def test_non_finite_support_point_refused(self, step, ks, k):
+        text = f"support point of lattice index {k} at step {step!r} is not a finite float"
+        with pytest.raises(ValidationError, match="^" + re.escape(text) + "$"):
+            DiscreteDistribution(step, ks, [0.5, 0.5])
+
+    def test_largest_finite_support_points_accepted(self):
+        assert coin(1e308).support.tolist() == [-1e308, 1e308]
+        assert DiscreteDistribution(2.0**970, [-(2**53), 0], [0.5, 0.5]).support[0] == -(2.0**1023)
 
     def test_negative_prob(self):
         with pytest.raises(ValidationError):
@@ -260,6 +278,33 @@ class TestIdentitySemantics:
         sol = PdeSolution(PdeGrid(-1.0, 0.5, 4, 10), np.zeros(5))
         assert sol == sol
         assert sol in {sol}
+
+
+def _frozen_values():
+    """Each value class the package returns, by the call that returns it, with one of its fields."""
+    aset = reference_set()
+    phi = make_phi("abs")
+    grid = PdeGrid(-1.0, 0.5, 4, 10)
+    return [
+        (aset.laws[0], "step"), (aset, "laws"), (moment_envelope(aset), "var_upper"), (phi, "fn"),
+        (GParams(0.5, 1.0), "sigma_lo"), (grid, "dx"), (solve_g_heat(GParams(1.0, 1.0), phi, grid), "u"),
+        (moment_scan(aset, 3.0, [4, 8, 16, 32]), "passed"), (variance_subadditivity_check(aset, 1)[0], "lhs"),
+        (clt_convergence(aset, phi, [4], dx=0.1), "pde_value"),
+        (uniform_moment_check(aset, 1.0, [4, 8, 16, 32]), "entries"), (axiom_suite(0, 1), "checks"),
+        (pairwise_independence_check(aset, aset, np.sign, np.sign), "joint_upper"),
+    ]
+
+
+class TestFrozenValues:
+    def test_every_class_refuses_attribute_assignment(self):
+        values = _frozen_values()
+        assert len({type(value) for value, _ in values}) == 13
+        for value, field in values:
+            for name in (field, "no_such_field"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 0.0)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
 
 
 def _bits(values):

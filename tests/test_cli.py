@@ -167,6 +167,21 @@ class TestExitCodes:
         assert cli.main(["moments", "--config", path]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "gexlab: /ambiguity/1: lattice indices must be integers in [-2^53, 2^53]\n"
 
+    @pytest.mark.parametrize("command", ["moments", "oracle"])
+    def test_overflowing_lattice_is_refused_by_name(self, command, tmp_path, capsys):
+        # at step 1e308, k = +-2 has no finite support point; k = +-1 has, but S_n does not
+        path = write_config(tmp_path, {"ambiguity": [dict(WIDE_LAW[0], step=1e308)]})
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        law = "/ambiguity/0: support point of lattice index -3 at step 1e+308 is not a finite float\n"
+        assert capsys.readouterr().err == "gexlab: " + law
+        path = write_config(tmp_path, {"ambiguity": [dict(ONE_LAW[0], step=1e308)]})
+        assert cli.main([command, "--config", path]) == cli.EXIT_RUNTIME
+        what, n = ("lattice sweep", 256) if command == "moments" else ("brute-force oracle", 3)
+        assert capsys.readouterr().err == (
+            f"gexlab: {what} would reach lattice index {n} at step 1e+308, "
+            "whose point is not a finite float; reduce n or the step\n"
+        )
+
     def test_negative_seed_flag(self, capsys):
         assert cli.main(["axioms", "--seed", "-3"]) == cli.EXIT_CONFIG
         capsys.readouterr()
@@ -569,14 +584,14 @@ class TestOracleCommand:
         assert report["strategyCounts"][1]["strategies"] == 32
         assert len(report["entries"]) == 10
 
-    def test_single_phi_narrows_entries(self, tmp_path, capsys):
+    @pytest.mark.parametrize("phi, values", [("square", [1.0, 2.0]), ("abs", [1.0, 1.0])])
+    def test_single_phi_narrows_entries(self, phi, values, tmp_path, capsys):
         out = tmp_path / "o.json"
-        assert cli.main(["oracle", "--n", "1,2", "--phi", "square", "--out", str(out)]) == 0
+        assert cli.main(["oracle", "--n", "1,2", "--phi", phi, "--out", str(out)]) == 0
         capsys.readouterr()
         report = json.loads(out.read_text())
-        assert [e["phi"] for e in report["entries"]] == ["square", "square"]
-        assert report["entries"][0]["dpValue"] == 1.0
-        assert report["entries"][1]["dpValue"] == 2.0
+        assert [e["phi"] for e in report["entries"]] == [phi, phi]
+        assert [e["dpValue"] for e in report["entries"]] == values
 
     def test_counts_strategies_once_per_n(self, monkeypatch, capsys):
         seen = []

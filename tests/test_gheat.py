@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,7 +176,8 @@ class TestSolver:
         sol = solve_g_heat(GParams(1.0, 1.0), np.abs, grid)
         assert sol.value_at(-1.0) == 1.0
         for x in (0.3, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(DomainError):
+            text = f"x={x!r} is not a grid node of PdeGrid(x_min=-1.0, dx=0.5, n_cells=4, n_steps=100)"
+            with pytest.raises(DomainError, match="^" + re.escape(text) + "$"):
                 sol.value_at(x)
 
 

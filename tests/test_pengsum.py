@@ -122,6 +122,23 @@ class TestSumExpectation:
         with pytest.raises(SizeError, match=r"^lattice sweep would need about 4\.4e\+12 updates"):
             sum_expectations(AmbiguitySet((law,)), [4, 8, 16, 2**30], no_compute)
 
+    @pytest.mark.parametrize("run", [
+        lambda aset, n, phi: sum_expectations(aset, [1, n], phi)[-1],
+        lambda aset, n, phi: brute_force_adapted_oracle_many(aset, n, [phi])[0],
+    ], ids=["lattice sweep", "brute-force oracle"])
+    def test_overflowing_lattice_refused_before_phi(self, run, request):
+        # S_1 reaches +-1e308; S_2 would reach +-2e308, an inf that phi would be blamed for
+        aset = coin_set(step=1e308)
+        assert run(aset, 1, np.abs) == 1e308
+
+        def unread(x):
+            raise AssertionError("phi must not be evaluated")
+
+        what = request.node.callspec.id
+        text = f"{what} would reach lattice index 2 at step 1e+308, whose point is not a finite float; reduce n or the step"
+        with pytest.raises(SizeError, match="^" + re.escape(text) + "$"):
+            run(aset, 2, unread)
+
     def test_hand_values_reference(self, ref_set):
         # optimal strategies on the two-coin family, checked by hand
         assert sum_expectation(ref_set, 1, np.square) == 1.0

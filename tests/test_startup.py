@@ -113,3 +113,8 @@ class TestCommandLoads:
     @pytest.mark.parametrize("command", ["axioms", "independence", "moments", "oracle"])
     def test_commands_without_a_pde_load_no_solver(self, command):
         assert "gexlab.gheat" not in command_loads(command)
+
+    @pytest.mark.parametrize("command", ["axioms", "independence", "moments", "clt", "gheat", "oracle"])
+    def test_commands_build_no_dataclass(self, command):
+        # generating a dataclass's methods costs ~1 ms per class at every import
+        assert "dataclasses" not in command_loads(command)

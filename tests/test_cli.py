@@ -584,14 +584,14 @@ class TestOracleCommand:
         assert report["strategyCounts"][1]["strategies"] == 32
         assert len(report["entries"]) == 10
 
-    @pytest.mark.parametrize("phi, values", [("square", [1.0, 2.0]), ("abs", [1.0, 1.0])])
-    def test_single_phi_narrows_entries(self, phi, values, tmp_path, capsys):
+    def test_single_phi_narrows_entries(self, tmp_path, capsys):
         out = tmp_path / "o.json"
-        assert cli.main(["oracle", "--n", "1,2", "--phi", phi, "--out", str(out)]) == 0
-        capsys.readouterr()
-        report = json.loads(out.read_text())
-        assert [e["phi"] for e in report["entries"]] == [phi, phi]
-        assert [e["dpValue"] for e in report["entries"]] == values
+        for phi, values in [("square", [1.0, 2.0]), ("abs", [1.0, 1.0])]:
+            assert cli.main(["oracle", "--n", "1,2", "--phi", phi, "--out", str(out)]) == 0
+            capsys.readouterr()
+            report = json.loads(out.read_text())
+            assert [e["phi"] for e in report["entries"]] == [phi, phi]
+            assert [e["dpValue"] for e in report["entries"]] == values
 
     def test_counts_strategies_once_per_n(self, monkeypatch, capsys):
         seen = []

@@ -1,46 +1,15 @@
 """Hot numeric kernels in plain numpy.
 
-The dynamic program's lattice step and the sweep loop around it, one explicit
-G-heat march, both on whole array slices, and the size and work limits.
+The dynamic program's lattice step and the sweep loop around it, and one
+explicit G-heat march, both on whole array slices.  ``_admission`` holds the
+size and work limits that runs of them are admitted by.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import numpy as np
-
-from .errors import SizeError
-
-# ---------------------------------------------------------------------------
-# Admission.  A run is refused before any compute if it needs more than
-# MAX_GRID_POINTS points or an estimated steps * terms * (points +
-# _STEP_COST) above MAX_WORK updates (terms: a sweep's atoms, the march's 1).
-# _STEP_COST prices a step's fixed cost, which 1-point blocks and small grids
-# do not amortise.  Measured (2-vCPU Xeon, NumPy 2.4): ~1-2 us per atom of a
-# 1-point sweep step, ~5-8 us per 3-node march step; so fixed-cost steps
-# alone stop within ~40 s at the limit, and a full march within a minute.
-# ---------------------------------------------------------------------------
-
-MAX_GRID_POINTS = 1 << 26
-MAX_WORK = 2 * 10**10
-_STEP_COST = 4096  # updates that one step's fixed cost is priced at
-
-
-def _admit(what, points, steps, terms, remedy):
-    """Raise SizeError unless ``steps`` steps of ``terms`` per point on ``points`` points fit.
-
-    In floats, a count past 1e308 or NaN read as inf; ``steps`` = 0 checks the points alone.
-    """
-    points, steps, terms = (float(v) if v < 1e308 else math.inf for v in (points, steps, terms))
-    work = steps * terms * (points + _STEP_COST)
-    for need, limit, unit in ((points, MAX_GRID_POINTS, "points"), (work, MAX_WORK, "updates")):
-        if not need <= limit:
-            # the fewest digits, 3 or more, at which the need reads above the limit (17 show any float)
-            d = next(n for n in range(3, 18) if float(f"{need:.{n}g}") > float(f"{limit:.{n}g}"))
-            raise SizeError(f"{what} would need about {need:.{d}g} {unit} (limit {limit:.{d}g}); {remedy}")
-
 
 # ---------------------------------------------------------------------------
 # Calling convention of the hot loops.

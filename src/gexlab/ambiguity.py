@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ValidationError, _Frozen
+from .errors import EvaluationError, SizeError, ValidationError, _Frozen
 
 PROB_TOL = 1e-12
 
@@ -87,7 +87,7 @@ class DiscreteDistribution(_Frozen):
         except (OverflowError, ValueError):  # an index past int64, NaN or infinite
             raise ValidationError(span) from None
         probs = np.asarray(probs, dtype=np.float64)
-        if not (np.isfinite(step) and step > 0.0):
+        if not (math.isfinite(step) and step > 0.0):
             raise ValidationError(f"lattice step must be positive, got {step!r}")
         if indices.ndim != 1 or indices.size == 0:
             raise ValidationError("atom list must be a non-empty 1-d sequence")
@@ -95,17 +95,24 @@ class DiscreteDistribution(_Frozen):
             raise ValidationError(
                 f"got {indices.size} lattice indices but {probs.size} probabilities"
             )
+        # checked as Python values: numpy's calls on a few atoms cost more than the checks
+        ks, ps = indices.tolist(), probs.tolist()
         # a fraction cut off, an index wrapped, or (if the order holds) an index past 2^53
-        if indices.tolist() != raw or indices[0] < -(2**53) or indices[-1] > 2**53:
+        if ks != raw or ks[0] < -(2**53) or ks[-1] > 2**53:
             raise ValidationError(span)
-        if np.any(indices[1:] <= indices[:-1]):
+        if any(a >= b for a, b in zip(ks, ks[1:])):
             raise ValidationError("lattice indices must be strictly increasing")
-        k = max(int(indices[0]), int(indices[-1]), key=abs)
+        k = max(ks[0], ks[-1], key=abs)
         if not math.isfinite(k * step):  # Python floats, so numpy prints no overflow warning
             raise ValidationError(f"support point of lattice index {k} at step {step!r} is not a finite float")
-        if np.any(probs < 0.0) or not np.isfinite(probs).all():
+        if not all(0.0 <= p < math.inf for p in ps):
             raise ValidationError("probabilities must be finite and non-negative")
-        total = float(probs.sum())
+        if len(ps) < 8:  # np.sum adds fewer than 8 terms in order, from +0.0
+            total = 0.0
+            for p in ps:
+                total += p
+        else:
+            total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(
                 f"probabilities sum to {total!r}, not 1 within {PROB_TOL:g} "
@@ -165,7 +172,7 @@ class AmbiguitySet(_Frozen):
         # not np.unique: its first call imports numpy.ma, ~17 ms per CLI call
         indices = np.array(sorted({k for law in laws for k in law.indices.tolist()}))
         support = indices * step
-        columns = tuple(np.searchsorted(indices, law.indices) for law in laws)
+        columns = tuple(indices.searchsorted(law.indices) for law in laws)
         for arr in (indices, support, *columns):
             arr.setflags(write=False)
         self._set(laws=laws, labels=labels, indices=indices, support=support, columns=columns)
@@ -207,12 +214,25 @@ def per_law_expectations(aset: AmbiguitySet, f: Callable) -> np.ndarray:
 
 def upper_expectation(aset: AmbiguitySet, f: Callable) -> float:
     """Sublinear (upper) expectation: max of the per-law expectations."""
-    return float(per_law_expectations(aset, f).max())
+    return _upper(aset, evaluate_on(f, aset.support))
+
+
+def _max_of(dots: list[float]) -> float:
+    """``float(np.array(dots).max())``, without the array where that is safe.
+
+    ndarray.max propagates NaN, and which zero it returns where +0.0 and
+    -0.0 tie depends on its SIMD lanes, so those two cases go to NumPy.
+    """
+    best = max(dots)
+    total = sum(dots)  # NaN where a dot is NaN (or where infinities of both signs meet)
+    if total != total or (best == 0.0 and len({math.copysign(1.0, d) for d in dots if d == 0.0}) > 1):
+        return float(np.array(dots).max())
+    return best
 
 
 def _upper(aset: AmbiguitySet, values: np.ndarray) -> float:
-    """Upper expectation of ``values`` sampled on ``aset.support``."""
-    return float(aset.expectations(values).max())
+    """Upper expectation of ``values`` sampled on ``aset.support``, bit-equal to ``aset.expectations(values).max()``."""
+    return _max_of([float(law.probs @ values[cols]) for law, cols in zip(aset.laws, aset.columns)])
 
 
 def _lower(aset: AmbiguitySet, values: np.ndarray) -> float:
@@ -235,8 +255,15 @@ def moment_envelope(aset: AmbiguitySet) -> MomentEnvelope:
     """Envelope of means and second raw moments over the family.
 
     The variance bounds are raw second moments; callers needing centered
-    variances must check the mean-zero property first.
+    variances must check the mean-zero property first.  Raises SizeError,
+    naming the first such point, when a support point's square is not a
+    finite float.
     """
+    for point in aset.support.tolist():
+        if not math.isfinite(point * point):  # Python floats, so numpy prints no overflow warning
+            raise SizeError(
+                f"the family's second moment squares support point x={point!r} past the float range; reduce the step"
+            )
     x = evaluate_on(np.positive, aset.support)
     x2 = evaluate_on(np.square, aset.support)
     return MomentEnvelope(_lower(aset, x), _upper(aset, x), _lower(aset, x2), _upper(aset, x2))

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._admission import _check_n
 from .ambiguity import (
     AmbiguitySet,
     DiscreteDistribution,
@@ -23,7 +24,7 @@ from .ambiguity import (
     upper_expectation,
 )
 from .errors import ConfigurationError, HypothesisError, ValidationError
-from .pengsum import _admit_sweep, _check_n, normalized_sum_expectation, sum_expectations
+from .pengsum import _admit_sweep, normalized_sum_expectation, sum_expectations
 from .phis import PhiSpec, make_phi
 # sum_expectation stays bound here: gexbench traces calls made through this
 # module's names and its tests look it up on this module.

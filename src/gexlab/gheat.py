@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
+from . import _admission, _kernels
 from .ambiguity import MomentEnvelope, evaluate_on
 from .errors import ConfigurationError, DivergenceError, DomainError, ValidationError, _Frozen
 
@@ -63,7 +63,7 @@ class PdeGrid(namedtuple("PdeGrid", "x_min dx n_cells n_steps")):
 
     Its ``n_cells + 1`` nodes are ``x_min + j * dx``, j = 0 .. n_cells, and
     its ``n_steps`` steps of ``dt = 1 / n_steps`` end at t = 1.  Both counts
-    are given, never recovered from floats, and ``_kernels`` admits them.
+    are given, never recovered from floats, and ``_admission`` admits them.
     """
 
     __slots__ = ()
@@ -75,7 +75,7 @@ class PdeGrid(namedtuple("PdeGrid", "x_min dx n_cells n_steps")):
         n_cells, n_steps = int(n_cells), int(n_steps)
         if not (np.isfinite(dx) and dx > 0.0):
             raise ValidationError(f"dx must be positive, got {dx!r}")
-        _kernels._admit("PDE grid", n_cells + 1, n_steps, 1.0, "reduce n_cells or n_steps")
+        _admission._admit("PDE grid", n_cells + 1, n_steps, 1.0, "reduce n_cells or n_steps")
         last = x_min + n_cells * dx
         if not np.isfinite(last):  # finite only if x_min is, and then so is every node between
             raise ValidationError(f"nodes must be finite, got x_min {x_min!r}, last node {last!r}")
@@ -167,7 +167,7 @@ def g_normal_solution(params: GParams, phi: Callable, dx: float | None = None) -
     # the counts the grid gets; an inf one is refused here, before ceil would raise on it
     n_half = max(1, math.ceil(half_cells - 1e-9)) if half_cells < math.inf else math.inf
     n_steps = math.ceil(steps) if steps < math.inf else math.inf
-    _kernels._admit("PDE march", 2 * n_half + 1, n_steps, 1.0, "increase dx")
+    _admission._admit("PDE march", 2 * n_half + 1, n_steps, 1.0, "increase dx")
     return solve_g_heat(params, phi, PdeGrid(-n_half * dx, dx, 2 * n_half, n_steps))
 
 

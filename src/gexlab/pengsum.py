@@ -17,30 +17,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _admission, _kernels
+from ._admission import _check_n
 from .ambiguity import AmbiguitySet, _lower, _upper, evaluate_on, indicator_of
 from .errors import CapacityError, SizeError, ValidationError
 
 STRATEGY_CEILING = 10**6
 INDEPENDENCE_TOL = 1e-12
-
-
-def _check_n(n, what: str = "n", low: int = 1) -> int:
-    """``n`` as an int, refusing non-integral, non-finite, boolean or too small values.
-
-    ``int(n)`` alone would truncate 2.7 to 2 and answer for the wrong n.
-    ``what`` names the quantity in the message and ``low`` is the least
-    value accepted.
-    """
-    try:
-        whole = int(n)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != n or isinstance(n, (bool, np.bool_)):
-        raise ValidationError(f"need a whole number {what}, got {n!r}")
-    if whole < low:
-        raise ValidationError(f"need {what} >= {low}, got {whole}")
-    return whole
 
 
 _HOLD_TOL = 2.0**-60  # how far a held sweep may move a value, as a share of max|phi| on the block
@@ -116,7 +99,7 @@ def _hold_stages(aset: AmbiguitySet, n: int):
 def _admit_reach(aset: AmbiguitySet, n: int, what: str) -> None:
     """Raise SizeError if ``n`` steps reach a lattice point ``n * K * step`` that is not a finite float.
 
-    Call it once ``_kernels`` has admitted the run, so ``n * K`` is small.
+    Call it once ``_admission`` has admitted the run, so ``n * K`` is small.
     """
     K = int(np.abs(aset.indices).max())
     if not math.isfinite(n * K * aset.step):  # Python floats, so numpy prints no overflow warning
@@ -127,7 +110,7 @@ def _admit_reach(aset: AmbiguitySet, n: int, what: str) -> None:
 
 
 def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Refuse, by ``_kernels``' rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps.
+    """Refuse, by ``_admission``'s rule, phi's block ``[-n*K, n*K]`` or a sweep of ``n`` steps.
 
     The block must also have finite points (``_admit_reach``).  The sweep
     is priced at its widest window, the first stage's; returns K and the
@@ -136,10 +119,10 @@ def _admit_sweep(aset: AmbiguitySet, n: int) -> tuple[int, list[tuple[int, int]]
     K = int(np.abs(aset.indices).max())
     atoms = sum(law.indices.size for law in aset.laws)
     remedy = "reduce n or the atom span"
-    _kernels._admit("lattice sweep", 2 * n * K + 1, 0, atoms, remedy)
+    _admission._admit("lattice sweep", 2 * n * K + 1, 0, atoms, remedy)
     _admit_reach(aset, n, "lattice sweep")
     stages = _hold_stages(aset, n)[1]
-    _kernels._admit("lattice sweep", 2 * stages[0][1] + 1, n, atoms, remedy)
+    _admission._admit("lattice sweep", 2 * stages[0][1] + 1, n, atoms, remedy)
     return K, stages
 
 
@@ -159,7 +142,7 @@ def sum_expectations(aset: AmbiguitySet, ns: Sequence[int], phi: Callable) -> li
     ``_hold_stages``: ``abspow:60`` moves by 2.7e-3 and ``exp(10 S_n /
     sqrt n)`` by 57% at n = 4096).  Tests pin that the floats are the same
     bits as the whole block's on the catalog's shapes and the benchmark's
-    families.  Raises SizeError, before phi is evaluated, when ``_kernels``
+    families.  Raises SizeError, before phi is evaluated, when ``_admission``
     refuses the block's points or the sweep's work, or when a point of the
     block is not a finite float.
     """
@@ -308,7 +291,7 @@ def brute_force_adapted_oracle_many(
 ) -> list[float]:
     """One enumeration shared across several payoff functions.
 
-    Raises SizeError, before it counts or enumerates, when ``_kernels``
+    Raises SizeError, before it counts or enumerates, when ``_admission``
     refuses n levels of up to n * span + 1 points with one dense tensor row
     per law at each point: measured 0.13-0.37 ns per such update on one +-1
     law at n = 100..800 (2-vCPU Xeon), so it stops past ~5 s (n ~ 1 250);
@@ -317,7 +300,7 @@ def brute_force_adapted_oracle_many(
     n = _check_n(n)
     n_laws = len(aset.laws)
     width = n * int(aset.indices[-1] - aset.indices[0]) + 1
-    _kernels._admit("brute-force oracle", width, n, n_laws * width, "reduce n or the atom span")
+    _admission._admit("brute-force oracle", width, n, n_laws * width, "reduce n or the atom span")
     _admit_reach(aset, n, "brute-force oracle")
     n_states = _reachable_state_count(aset, n)
     # With L >= 2 laws, L ** S exceeds the ceiling as soon as S exceeds its
@@ -339,15 +322,27 @@ def joint_expectation(xset: AmbiguitySet, yset: AmbiguitySet, f: Callable) -> fl
     Computed by the iterated construction: integrate out Y at each fixed x,
     then take the upper expectation of the resulting function of x.  ``f``
     is evaluated once on the grid of ``xset.support`` by ``yset.support``
-    points, so it must be pointwise.
+    points, so it must be pointwise.  Y is integrated out once per distinct
+    row of that grid (``_iterated_upper``).
     """
     grid = evaluate_on(f, *np.meshgrid(xset.support, yset.support, indexing="ij"))
     return _iterated_upper(xset, yset, grid)
 
 
-def _iterated_upper(xset: AmbiguitySet, yset: AmbiguitySet, grid: np.ndarray) -> float:
-    """``joint_expectation`` of ``grid[i, j] = f(xset.support[i], yset.support[j])``."""
-    return _upper(xset, np.array([_upper(yset, row) for row in grid]))
+def _iterated_upper(xset: AmbiguitySet, yset: AmbiguitySet, grid: np.ndarray, inner: dict | None = None) -> float:
+    """``joint_expectation`` of ``grid[i, j] = f(xset.support[i], yset.support[j])``.
+
+    Y is integrated out once per distinct row: ``inner`` maps a row's bytes
+    to its ``_upper(yset, row)``, so a repeated row reuses the very float
+    its first copy gave.  Calls on one ``yset`` may share ``inner``.
+    """
+    if inner is None:
+        inner = {}
+    for row in grid:
+        key = row.tobytes()
+        if key not in inner:
+            inner[key] = _upper(yset, row)
+    return _upper(xset, np.array([inner[row.tobytes()] for row in grid]))
 
 
 class IndependenceCheck(NamedTuple):
@@ -385,10 +380,24 @@ def pairwise_independence_check(
     """
     ind_x = evaluate_on(indicator_of(event_x), xset.support)
     ind_y = evaluate_on(indicator_of(event_y), yset.support)
+    return _rectangle_check(xset, yset, _marginal(xset, ind_x), _marginal(yset, ind_y), {})
+
+
+def _marginal(aset: AmbiguitySet, ind: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """An event's indicator on ``aset.support`` with its capacities ``(ind, V, v)``."""
+    return ind, _upper(aset, ind), _lower(aset, ind)
+
+
+def _rectangle_check(xset: AmbiguitySet, yset: AmbiguitySet, mx: tuple, my: tuple, inner: dict) -> IndependenceCheck:
+    """``pairwise_independence_check`` from the two events' ``_marginal``s.
+
+    ``inner`` is ``_iterated_upper``'s, and checks on one ``yset`` may share it.
+    """
+    (ind_x, upper_x, lower_x), (ind_y, upper_y, lower_y) = mx, my
     rect = np.multiply.outer(ind_x, ind_y)
     return IndependenceCheck(
-        joint_upper=_iterated_upper(xset, yset, rect),
-        product_upper=_upper(xset, ind_x) * _upper(yset, ind_y),
-        joint_lower=-_iterated_upper(xset, yset, -rect),
-        product_lower=_lower(xset, ind_x) * _lower(yset, ind_y),
+        joint_upper=_iterated_upper(xset, yset, rect, inner),
+        product_upper=upper_x * upper_y,
+        joint_lower=-_iterated_upper(xset, yset, -rect, inner),
+        product_lower=lower_x * lower_y,
     )

@@ -5,7 +5,8 @@ Each law evaluates ``f`` on its own support through
 law's support points in the family's union with ``np.unique`` and
 ``np.searchsorted``.  The family route in ``gexlab`` evaluates each
 function once on ``AmbiguitySet.support``; the tests require the two to
-agree bit for bit.
+agree bit for bit.  ``upper_of_values`` and ``iterated_upper_rowwise`` keep
+the family route's former array max and row-by-row joint expectation.
 """
 
 import numpy as np
@@ -26,6 +27,16 @@ AXIOM_CHECKS = (
     "positiveHomogeneity",
     "capacityDuality",
 )
+
+
+def upper_of_values(aset, values):
+    """``_upper``'s former array route: the per-law dots as an array, then its max."""
+    return float(aset.expectations(values).max())
+
+
+def iterated_upper_rowwise(xset, yset, grid):
+    """``_iterated_upper``'s former route: Y integrated out at every row of ``grid``."""
+    return upper_of_values(xset, np.array([upper_of_values(yset, row) for row in grid]))
 
 
 def upper(aset, f):

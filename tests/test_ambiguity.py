@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -9,6 +10,8 @@ from gexlab.ambiguity import (
     AmbiguitySet,
     DiscreteDistribution,
     MomentEnvelope,
+    _max_of,
+    _upper,
     capacity_pair,
     evaluate_on,
     indicator_of,
@@ -27,7 +30,7 @@ from gexlab.experiments import (
 )
 from gexlab.fuzz import axiom_suite, random_ambiguity_set, random_catalog_phi, random_interval
 from gexlab.gheat import GParams, PdeGrid, PdeSolution, solve_g_heat
-from gexlab.pengsum import joint_expectation, pairwise_independence_check
+from gexlab.pengsum import _iterated_upper, joint_expectation, pairwise_independence_check
 from gexlab.phis import CATALOG, make_phi
 
 
@@ -153,6 +156,70 @@ class TestAmbiguitySet:
     def test_default_labels(self):
         aset = AmbiguitySet((coin(),))
         assert aset.label_of(0) == "law 0"
+
+
+SPAN = "lattice indices must be integers in [-2^53, 2^53]"
+NOT_PROBS = "probabilities must be finite and non-negative"
+
+
+class TestConstructionContract:
+    """Each refusal keeps its exact message, and a family's columns are searchsorted's."""
+
+    @pytest.mark.parametrize(
+        "ks, ps, message",
+        [
+            ([0, 0], [0.5, 0.5], "lattice indices must be strictly increasing"),
+            ([3, -1], [0.5, 0.5], "lattice indices must be strictly increasing"),
+            ([0.5, 2], [0.5, 0.5], SPAN),
+            (np.array([0.5, 2.0]), [0.5, 0.5], SPAN),
+            ([math.nan, 2], [0.5, 0.5], SPAN),
+            ([0, math.inf], [0.5, 0.5], SPAN),
+            ([-math.inf, 0], [0.5, 0.5], SPAN),
+            ([0, 2**53 + 1], [0.5, 0.5], SPAN),
+            ([-(2**53) - 1, 0], [0.5, 0.5], SPAN),
+            ([0, 2**63], [0.5, 0.5], SPAN),
+            ([-1, 1], [1.5, -0.5], NOT_PROBS),
+            ([-1, 1], [-0.0, -1.0], NOT_PROBS),
+            ([-1, 1], [math.nan, 0.5], NOT_PROBS),
+            ([-1, 1], [0.5, math.inf], NOT_PROBS),
+            ([-1, 1], [0.5, 0.4], "probabilities sum to 0.9, not 1 within 1e-12 (renormalization is refused)"),
+            ([-1, 1], [-0.0, -0.0], "probabilities sum to 0.0, not 1 within 1e-12 (renormalization is refused)"),
+            (list(range(9)), [0.1] * 9,
+             "probabilities sum to 0.9, not 1 within 1e-12 (renormalization is refused)"),
+            ([-1, 1], [0.1] * 2 + [0.8], "got 2 lattice indices but 3 probabilities"),
+            ([], [], "atom list must be a non-empty 1-d sequence"),
+            ([[0, 1]], [[0.5, 0.5]], "atom list must be a non-empty 1-d sequence"),
+        ],
+    )
+    def test_refusal_messages(self, ks, ps, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            DiscreteDistribution(1.0, ks, ps)
+
+    @pytest.mark.parametrize("step, ks, k", [(1e308, [-2, 2], -2), (1e308, [-1, 3], 3), (1e308, [-3, 3], -3)])
+    def test_non_finite_support_point_message(self, step, ks, k):
+        with pytest.raises(ValidationError, match=f"^support point of lattice index {k} at step 1e\\+308 is not"):
+            DiscreteDistribution(step, ks, [0.5, 0.5])
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_sum_is_numpys(self, rng, size):
+        # a refused sum prints the total np.sum gives, for short laws and long ones alike
+        for _ in range(200):
+            w = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) < 0.8)
+            total = float(np.sum(w))
+            if abs(total - 1.0) <= 1e-12:
+                continue
+            with pytest.raises(ValidationError, match=f"^probabilities sum to {re.escape(repr(total))}, not 1"):
+                DiscreteDistribution(1.0, np.arange(size), w)
+
+    def test_columns_are_searchsorted(self, rng):
+        for _ in range(50):
+            aset = random_ambiguity_set(rng)
+            assert aset.indices.dtype == np.array([0]).dtype
+            for law, cols in zip(aset.laws, aset.columns):
+                want = np.searchsorted(aset.indices, law.indices)
+                assert cols.dtype == want.dtype
+                np.testing.assert_array_equal(cols, want)
+                assert not cols.flags.writeable
 
 
 class TestMomentEnvelope:
@@ -315,11 +382,11 @@ def _assert_same_bits(got, want):
     np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
-def _random_family(rng):
-    """Laws on windows up to 24 indices apart, some atoms with probability 0."""
+def _random_family(rng, n_laws=None):
+    """Laws on windows up to 24 indices apart, some atoms with probability 0; 1-4 laws unless given."""
     step = float(rng.choice((0.25, 0.5)))
     laws = []
-    for _ in range(int(rng.integers(1, 5))):
+    for _ in range(int(rng.integers(1, 5)) if n_laws is None else n_laws):
         size = int(rng.integers(1, 6))
         window = np.arange(-5, 6) + int(rng.integers(-12, 13))
         ks = np.sort(rng.choice(window, size, replace=False))
@@ -327,6 +394,19 @@ def _random_family(rng):
         w[rng.integers(size)] += 0.5
         laws.append(DiscreteDistribution(step, ks, w / w.sum()))
     return AmbiguitySet(tuple(laws))
+
+
+MAX = np.finfo(np.float64).max
+HOSTILE = (0.0, -0.0, math.nan, 1.0, -1.0, 0.25, math.inf, -math.inf, MAX, -MAX, 5e-324)
+
+
+def _family_over_one(rng, n_laws):
+    """``_random_family`` with its last law replaced by one whose probabilities sum to
+    1 + 1e-13, within PROB_TOL, so its dot of the largest floats overflows."""
+    aset = _random_family(rng, n_laws)
+    over = DiscreteDistribution(aset.step, [-1, 0], [0.5 + 5e-14, 0.5 + 5e-14])
+    assert over.probs @ np.array([MAX, MAX]) == math.inf
+    return AmbiguitySet(aset.laws[:-1] + (over,))
 
 
 def _catalog_draws(rng):
@@ -381,6 +461,33 @@ class TestFamilyRoute:
             never = lambda x: x > 100.0
             _assert_same_bits(capacity_pair(aset, never), ref.capacity_pair(aset, never))
             assert capacity_pair(aset, never) == (0.0, 0.0)
+
+    def test_max_of_is_ndarray_max(self):
+        # every list of 1-5 of these: NaN anywhere, and +0.0 and -0.0 tied in any order
+        for n in range(1, 6):
+            for dots in itertools.product((0.0, -0.0, math.nan, 1.0, math.inf, -math.inf), repeat=n):
+                _assert_same_bits(_max_of(list(dots)), float(np.array(dots).max()))
+
+    @pytest.mark.parametrize("n_laws", [1, 2, 3, 4, 5])
+    def test_upper_matches_array_max(self, rng, n_laws):
+        # NaN, both zeros and infinite dots, which the max takes from NumPy's own route
+        with np.errstate(all="ignore"):  # inf - inf and 0 * inf
+            for i in range(400):
+                aset = _family_over_one(rng, n_laws) if i % 4 == 0 else _random_family(rng, n_laws)
+                values = rng.choice(HOSTILE if i % 2 else (0.0, -0.0), size=aset.support.size)
+                _assert_same_bits(_upper(aset, values), ref.upper_of_values(aset, values))
+
+    @pytest.mark.parametrize("n_laws", [1, 2, 3, 4, 5])
+    def test_iterated_upper_matches_rowwise(self, rng, n_laws):
+        # grids of a few distinct rows, each repeated, of the same hostile values
+        with np.errstate(all="ignore"):
+            for i in range(100):
+                xset = _random_family(rng, n_laws)
+                yset = _family_over_one(rng, n_laws) if i % 4 == 0 else _random_family(rng, 1 + i % 5)
+                rows = rng.choice(HOSTILE if i % 2 else (0.0, -0.0, 1.0), size=(3, yset.support.size))
+                grid = rows[rng.integers(0, 3, size=xset.support.size)]
+                for g in (grid, -grid):
+                    _assert_same_bits(_iterated_upper(xset, yset, g), ref.iterated_upper_rowwise(xset, yset, g))
 
     def test_joint_matches_per_law(self, rng):
         families = self.families(rng)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gexlab import _kernels, cli, pengsum
+from gexlab import _admission, cli, pengsum
 from gexlab.errors import ValidationError
 from test_kernels import dp_step_loop_reference
 
@@ -182,6 +182,15 @@ class TestExitCodes:
             "whose point is not a finite float; reduce n or the step\n"
         )
 
+    def test_overflowing_second_moment_is_refused_by_name(self, tmp_path, capsys):
+        # the +-1 coin at step 1e308 has finite support points whose squares are not
+        path = write_config(tmp_path, {"ambiguity": [dict(ONE_LAW[0], step=1e308)]})
+        assert cli.main(["gheat", "--config", path]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "gexlab: the family's second moment squares support point x=-1e+308 past the float range; "
+            "reduce the step\n"
+        )
+
     def test_negative_seed_flag(self, capsys):
         assert cli.main(["axioms", "--seed", "-3"]) == cli.EXIT_CONFIG
         capsys.readouterr()
@@ -246,7 +255,7 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_RUNTIME
         out, err = capsys.readouterr()
         assert out == ""
-        limit = re.escape(f"(limit {_kernels.MAX_WORK:.3g})")
+        limit = re.escape(f"(limit {_admission.MAX_WORK:.3g})")
         assert err.count("\n") == 1
         assert re.search(r"would need about [0-9.e+]+ updates " + limit, err)
 
@@ -264,9 +273,9 @@ class TestExitCodes:
              "lattice sweep would need about 1.34e+12 updates (limit 2e+10); reduce n or the atom span"),
             # each suite is refused before its first draw, not after days of trials
             (["axioms", "--trials", "1000000000"],
-             "axiom suite would need about 1.84e+14 updates (limit 2e+10); reduce the trial count"),
+             "axiom suite would need about 9.41e+13 updates (limit 2e+10); reduce the trial count"),
             (["independence", "--trials", "100000000"],
-             "independence suite would need about 2.4e+14 updates (limit 2e+10); reduce the pair count"),
+             "independence suite would need about 4.54e+13 updates (limit 2e+10); reduce the pair count"),
         ],
     )
     def test_unfinishable_work_refused_before_compute(self, argv, message, tmp_path, no_compute, capsys):
@@ -825,6 +834,9 @@ REPORT_SHA256 = {
     # held sweeps up to n = 4096, through every stage of their window
     "moments --n 256,512,1024,2048,4096": "23aaa18b4dcba02d4bfc847c5cf6a6bdd0602f6a04b15feb60ccde09b2adc163",
     "moments --r 3.5 --n 256,512,1024,2048,4096": "c40bdd4e0f0e307e372ea6ba9095ff02fa525864fde5ad91101480676d16e0a6",
+    # the fuzz suites past their defaults' draws
+    "axioms --trials 500 --seed 3": "2d49089a03128e3c2300247c7c1cbfd60c72d3efb49a3ddf5838453027850a00",
+    "independence --trials 40 --seed 7": "61e5571f42ec423c883d08074a9b68cb788b3be36cc9748ebfd7a342131cbf0b",
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import per_law_reference as ref
-from gexlab import _kernels
+from gexlab import _admission
 from gexlab.errors import SizeError, ValidationError
 from gexlab.experiments import require_mean_zero
 from gexlab.fuzz import (
@@ -154,7 +154,7 @@ class TestSuiteAdmission:
     )
     def test_refused_past_the_work_limit_before_a_draw(self, no_compute, suite, price, what):
         # the most admitted count gets to its first draw; one more is refused before it
-        most = _kernels.MAX_WORK // (price + _kernels._STEP_COST)
+        most = _admission.MAX_WORK // (price + _admission._STEP_COST)
         with pytest.raises(pytest.fail.Exception, match="must not compute"):
             suite(0, most)
         for count in (most + 1, 10**9, 10**400):
@@ -164,7 +164,7 @@ class TestSuiteAdmission:
     def test_capacity_duality_refused_past_the_work_limit_before_a_draw(self, no_compute):
         # a set's draw is priced as DUALITY_SET_EVENTS events: the most events one set
         # is admitted get to its draw; one more, or 10^9 sets of 10^9 events, is refused
-        most = _kernels.MAX_WORK // (DUALITY_EVENT_UPDATES + _kernels._STEP_COST) - DUALITY_SET_EVENTS
+        most = _admission.MAX_WORK // (DUALITY_EVENT_UPDATES + _admission._STEP_COST) - DUALITY_SET_EVENTS
         with pytest.raises(pytest.fail.Exception, match="must not compute"):
             capacity_duality_suite(0, n_sets=1, n_events=most)
         for n_sets, n_events in ((1, most + 1), (10**9, 10**9), (10**400, 1), (1, 10**400)):
@@ -180,12 +180,24 @@ class TestSuitesMatchPerLawRoute:
     defaults.
     """
 
-    @pytest.mark.parametrize("seed", [0, 3, 101])
+    @pytest.mark.parametrize("seed", [*range(20), 101])
     def test_axiom_suite(self, seed):
         got = dumps_json(axiom_suite(seed, 200).to_dict())
         assert got == dumps_json(ref.axiom_suite(seed, 200).to_dict())
 
-    @pytest.mark.parametrize("seed", [0, 3, 101])
+    @pytest.mark.parametrize("trials", [1, 50])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_axiom_suite_fewer_trials(self, seed, trials):
+        got = dumps_json(axiom_suite(seed, trials).to_dict())
+        assert got == dumps_json(ref.axiom_suite(seed, trials).to_dict())
+
+    @pytest.mark.parametrize("seed", [*range(20), 101])
     def test_independence_suite(self, seed):
         got = dumps_json(independence_suite(seed, n_pairs=10).to_dict())
         assert got == dumps_json(ref.independence_suite(seed, 10).to_dict())
+
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_independence_suite_fewer_pairs(self, seed, n_pairs):
+        got = dumps_json(independence_suite(seed, n_pairs=n_pairs).to_dict())
+        assert got == dumps_json(ref.independence_suite(seed, n_pairs).to_dict())

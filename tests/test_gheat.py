@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gexlab import _kernels, gheat
+from gexlab import _admission, gheat
 from gexlab.ambiguity import MomentEnvelope
 from gexlab.errors import (
     ConfigurationError,
@@ -147,10 +147,10 @@ class TestSolver:
 
     def test_work_limit_refused_before_any_step(self, monkeypatch):
         # 1000 steps times (21 nodes + the per-step cost); the grid admits them when built
-        work = 1000 * (21 + _kernels._STEP_COST)
-        monkeypatch.setattr(_kernels, "MAX_WORK", work)
+        work = 1000 * (21 + _admission._STEP_COST)
+        monkeypatch.setattr(_admission, "MAX_WORK", work)
         assert solve_g_heat(GParams(1.0, 1.0), np.square, PdeGrid(-1.0, 0.1, 20, 1000)).steps_taken == 1000
-        monkeypatch.setattr(_kernels, "MAX_WORK", work - 1)
+        monkeypatch.setattr(_admission, "MAX_WORK", work - 1)
         # the need reads above its limit, to as many digits as that takes
         with pytest.raises(SizeError, match=r"^PDE grid would need about 4117000 updates \(limit 4116999\); reduce n_cells or n_steps$"):
             PdeGrid(-1.0, 0.1, 20, 1000)

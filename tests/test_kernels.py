@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gexlab import _kernels, cli, gheat, pengsum
+from gexlab import _admission, _kernels, cli, gheat, pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, evaluate_on
 from gexlab.errors import SizeError
 from gexlab.experiments import uniform_moment_check
@@ -754,14 +754,14 @@ class TestHeldSweep:
     def test_sweep_holds_the_admitted_window(self, monkeypatch, ref_set):
         # phi is 0 on the whole block, so every window is exact; the sweep
         # still runs at the width admission priced, never the whole block
-        admitted, admit = [], _kernels._admit
+        admitted, admit = [], _admission._admit
 
         def recording(what, points, steps, terms, remedy):
             if steps:
                 admitted.append(points)
             return admit(what, points, steps, terms, remedy)
 
-        monkeypatch.setattr(pengsum._kernels, "_admit", recording)
+        monkeypatch.setattr(pengsum._admission, "_admit", recording)
         n = 4096
         got, first = held_sweep(monkeypatch, ref_set, [n], make_phi("indicator", 1e6, 2e6))
         assert got == [0.0]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gexlab import _kernels, pengsum
+from gexlab import _admission, pengsum
 from gexlab.ambiguity import AmbiguitySet, DiscreteDistribution, indicator_of, upper_expectation
 from gexlab.errors import CapacityError, EvaluationError, SizeError, ValidationError
 from gexlab.experiments import (
@@ -105,10 +105,10 @@ class TestSumExpectation:
     def test_work_limit_refused_before_any_step(self, monkeypatch, ref_set):
         # n = 2 on the reference family has no window: 2 steps x 4 atoms x (the
         # 5 points of the cone at step 1 + the per-step cost)
-        work = 2 * 4 * (5 + _kernels._STEP_COST)
-        monkeypatch.setattr(_kernels, "MAX_WORK", work)
+        work = 2 * 4 * (5 + _admission._STEP_COST)
+        monkeypatch.setattr(_admission, "MAX_WORK", work)
         assert sum_expectation(ref_set, 2, np.abs) == 1.0
-        monkeypatch.setattr(_kernels, "MAX_WORK", work - 1)
+        monkeypatch.setattr(_admission, "MAX_WORK", work - 1)
 
         def unread(x):
             raise AssertionError("phi must not be evaluated")

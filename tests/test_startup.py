@@ -110,6 +110,12 @@ class TestCommandLoads:
         assert "gexlab.fuzz" in mods
         assert "gexlab.experiments" not in mods
 
+    def test_axioms_loads_no_kernel_and_no_sweep(self):
+        # the axiom suite runs neither, and admits its trials through _admission alone
+        mods = command_loads("axioms")
+        assert "gexlab._admission" in mods
+        assert "gexlab._kernels" not in mods and "gexlab.pengsum" not in mods
+
     @pytest.mark.parametrize("command", ["axioms", "independence", "moments", "oracle"])
     def test_commands_without_a_pde_load_no_solver(self, command):
         assert "gexlab.gheat" not in command_loads(command)
